@@ -19,6 +19,8 @@ package colcache
 import (
 	"container/list"
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"nodb/internal/datum"
 )
@@ -201,27 +203,77 @@ func (c *Cache) DropAll() {
 
 // Absorb merges a worker shard — a private Cache populated with
 // partition-local row numbers during a parallel partitioned scan — into c,
-// shifting every row by rowOffset. Values transfer through the view Put
-// path, so c's budget and eviction policy still govern what survives. The
-// shard must not be used afterwards.
+// shifting every row by rowOffset (>= 0). Columns merge in ascending order,
+// each as a whole: when no row of the shard column's span is cached in c
+// yet (always, for a scan's shards merging in partition order) the typed
+// payload moves with one copy and the bitmaps with a shifted OR; otherwise
+// the rows c lacks are filled in one by one. Rows c already holds keep
+// their value. c's budget applies per column: other columns are evicted
+// until the shard column's values fit, and a column that cannot fit is
+// left out entirely (a cache is best-effort; a partially cached column
+// could not serve a cache scan anyway). Within that, accounting and
+// counters match inserting every value through View.Put. The shard must
+// not be used afterwards.
 func (c *Cache) Absorb(sh *Cache, rowOffset int) {
-	if sh == nil {
+	if sh == nil || rowOffset < 0 {
 		return
 	}
-	for col, e := range sh.cols {
-		src := View{c: sh, e: e, gen: sh.gen}
-		dst := c.View(col, e.typ)
-		if !dst.Valid() {
+	cols := sh.CachedColumns()
+	sort.Ints(cols)
+	for _, col := range cols {
+		src := sh.cols[col]
+		dst := c.View(col, src.typ).e
+		if dst == nil || dst.typ != src.typ {
 			continue
 		}
-		for r := 0; r < len(e.present)*64; r++ {
-			if !bitGet(e.present, r) {
-				continue
-			}
-			if d, ok := src.Get(r); ok {
-				dst.Put(rowOffset+r, d)
+		last := src.lastPresent()
+		if last < 0 {
+			continue
+		}
+		span := last + 1
+		empty := !bitRangeAnySet(dst.present, rowOffset, span)
+		words := (rowOffset+last)/64 + 1
+		delta := int64(16 * max(0, words-len(dst.present)))
+		var add int
+		if empty {
+			// Every shard value is new; its bytes are the shard entry's own
+			// accounting minus the fixed and bitmap parts.
+			add = src.n
+			delta += src.bytes - entryOverhead - int64(16*len(src.present))
+		} else {
+			for r := 0; r < span; r++ {
+				if bitGet(src.present, r) && !bitGet(dst.present, rowOffset+r) {
+					add++
+					delta += src.valueBytes(r)
+				}
 			}
 		}
+		if add == 0 || !c.makeRoom(delta, dst) {
+			continue
+		}
+		dst.grow(rowOffset + last)
+		if empty {
+			switch src.typ {
+			case datum.Float:
+				copy(dst.floats[rowOffset:], src.floats[:span])
+			case datum.Text:
+				copy(dst.strs[rowOffset:], src.strs[:span])
+			default:
+				copy(dst.ints[rowOffset:], src.ints[:span])
+			}
+			bitsOrShifted(dst.present, src.present, rowOffset)
+			bitsOrShifted(dst.nulls, src.nulls, rowOffset)
+		} else {
+			for r := 0; r < span; r++ {
+				if bitGet(src.present, r) && !bitGet(dst.present, rowOffset+r) {
+					dst.copyFrom(src, r, rowOffset+r)
+				}
+			}
+		}
+		dst.n += add
+		dst.bytes += delta
+		c.bytes += delta
+		c.m.Puts += int64(add)
 	}
 }
 
@@ -362,28 +414,31 @@ func (c *Cache) pickVictim(keep *entry) *entry {
 // the growth that should be accounted (bitmap words only; value payloads
 // are accounted on set).
 func (e *entry) grow(row int) int64 {
-	words := row/64 + 1
 	var delta int64
-	for len(e.present) < words {
-		e.present = append(e.present, 0)
-		e.nulls = append(e.nulls, 0)
-		delta += 16
+	if n := row/64 + 1 - len(e.present); n > 0 {
+		e.present = extend(e.present, n)
+		e.nulls = extend(e.nulls, n)
+		delta = int64(16 * n)
 	}
 	switch e.typ {
 	case datum.Int, datum.Date, datum.Bool:
-		for len(e.ints) <= row {
-			e.ints = append(e.ints, 0)
-		}
+		e.ints = extend(e.ints, row+1-len(e.ints))
 	case datum.Float:
-		for len(e.floats) <= row {
-			e.floats = append(e.floats, 0)
-		}
+		e.floats = extend(e.floats, row+1-len(e.floats))
 	case datum.Text:
-		for len(e.strs) <= row {
-			e.strs = append(e.strs, "")
-		}
+		e.strs = extend(e.strs, row+1-len(e.strs))
 	}
 	return delta
+}
+
+// extend appends n zero values to s (n <= 0: none) — one growth step
+// whether a scan adds the next row or a merge adds a partition's worth.
+// (The compiler grows s in place; the make allocates nothing.)
+func extend[T any](s []T, n int) []T {
+	if n <= 0 {
+		return s
+	}
+	return append(s, make([]T, n)...)
 }
 
 // set stores the payload for row (arrays must already cover row).
@@ -406,6 +461,57 @@ func (e *entry) set(row int, d datum.Datum) {
 		e.floats[row] = d.Float()
 	case datum.Text:
 		e.strs[row] = d.Text()
+	}
+}
+
+// lastPresent returns the highest cached row of the entry, -1 when empty.
+func (e *entry) lastPresent() int {
+	for w := len(e.present) - 1; w >= 0; w-- {
+		if e.present[w] != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(e.present[w])
+		}
+	}
+	return -1
+}
+
+// valueBytes is the accounted size of the cached value at row.
+func (e *entry) valueBytes(row int) int64 {
+	if e.typ == datum.Text && !bitGet(e.nulls, row) {
+		return int64(16 + len(e.strs[row]))
+	}
+	return 8
+}
+
+// copyFrom stores src's cached value at row from as row to (arrays must
+// already cover to; the entries share a type).
+func (e *entry) copyFrom(src *entry, from, to int) {
+	bitSet(e.present, to)
+	if bitGet(src.nulls, from) {
+		bitSet(e.nulls, to)
+		return
+	}
+	switch e.typ {
+	case datum.Float:
+		e.floats[to] = src.floats[from]
+	case datum.Text:
+		e.strs[to] = src.strs[from]
+	default:
+		e.ints[to] = src.ints[from]
+	}
+}
+
+// bitsOrShifted ORs src into dst moved up by shift bits: bit i of src lands
+// on bit shift+i of dst. dst must reach the highest set bit's target.
+func bitsOrShifted(dst, src []uint64, shift int) {
+	ws, bs := shift/64, uint(shift%64)
+	for w, x := range src {
+		if x == 0 {
+			continue
+		}
+		dst[w+ws] |= x << bs
+		if hi := x >> (64 - bs); hi != 0 { // bs == 0 shifts everything out
+			dst[w+ws+1] |= hi
+		}
 	}
 }
 

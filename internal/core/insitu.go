@@ -70,12 +70,16 @@ type inSituScan struct {
 	// tuple's characters are scanned at most once regardless of how many
 	// columns the query touches.
 	tupPos   []uint32
-	tupShort bool // the line ended before the prefix reached a request
+	tupShort bool     // the line ended before the prefix reached a request
+	navPos   []uint32 // scratch: boundaries one forward navigation found
 
 	// Per-column scan-lifetime accessors: positional-map cursors and
 	// cache views amortize chunk lookups and LRU maintenance across the
-	// sequential row order (nil when the structure is disabled).
+	// sequential row order (nil when the structure is disabled). Reads go
+	// through the cursors; the runs of positions each tuple's tokenizing
+	// discovers are stored through pmWriter.
 	pmCursors  []*posmap.Cursor
+	pmWriter   *posmap.Writer
 	cacheViews []colcache.View
 
 	collectors []*stats.Collector // indexed by column ordinal; nil entries
@@ -134,6 +138,9 @@ func (s *inSituScan) SetRowBudget(n int64) {
 // Open starts the sequential file pass and attaches statistics collectors
 // for needed columns that lack statistics.
 func (s *inSituScan) Open() error {
+	if err := s.ctx.Err(); err != nil {
+		return err // a partition worker started after the cancel: read nothing
+	}
 	if s.section != nil {
 		s.lr, s.f = scan.NewLineReaderAt(s.section, s.base, s.rt.Env.ScanChunkSize), nil
 	} else {
@@ -145,6 +152,7 @@ func (s *inSituScan) Open() error {
 			// Profiled scans read through the IO-attributing wrapper; the raw
 			// handle stays in s.f for Close. (Parallel workers read sections
 			// of a file the pool wrapped once in start.)
+			lr.Release()
 			lr = scan.NewLineReader(qtrace.CountReads(s.prof, f), s.rt.Env.ScanChunkSize)
 		}
 		s.lr, s.f = lr, f
@@ -168,6 +176,7 @@ func (s *inSituScan) Open() error {
 		for c := 0; c < width; c++ {
 			s.pmCursors[c] = s.rt.PM.Cursor(c)
 		}
+		s.pmWriter = s.rt.PM.Writer()
 		// Nearest-neighbor navigation only pays off when earlier queries
 		// left positions behind; during the very first scan the per-tuple
 		// prefix map is always at least as good.
@@ -176,7 +185,7 @@ func (s *inSituScan) Open() error {
 			s.nearHint[i] = -1
 		}
 	} else {
-		s.pmCursors = nil
+		s.pmCursors, s.pmWriter = nil, nil
 		s.useNearest = false
 	}
 	if s.rt.Cache != nil {
@@ -218,6 +227,10 @@ func (s *inSituScan) Open() error {
 func (s *inSituScan) Close() error {
 	format.FlushProfile(s.prof, &s.c)
 	s.rt.Counters.Add(&s.c)
+	if s.lr != nil {
+		s.lr.Release()
+		s.lr = nil
+	}
 	if s.f != nil {
 		err := s.f.Close()
 		s.f = nil
@@ -445,51 +458,47 @@ func (s *inSituScan) mapField(line []byte, col int) ([]byte, bool) {
 }
 
 // prefixPos returns the start offset of field col, incrementally extending
-// the tuple's tokenized prefix.
+// the tuple's tokenized prefix: one pass over the bytes between the last
+// known boundary and col, then the newly found boundaries go into the
+// positional map as one run.
 func (s *inSituScan) prefixPos(line []byte, col int) (uint32, bool) {
-	delim := s.rt.Tbl.Delimiter
-	record := s.pmCursors != nil
-	if len(s.tupPos) == 0 {
-		s.tupPos = append(s.tupPos, 0)
-		if record {
-			s.pmCursors[0].Record(s.row, 0)
-		}
+	if col < len(s.tupPos) {
+		return s.tupPos[col], true
 	}
-	//nodblint:ignore ctxloop bounded by the tuple's attribute count, not row iteration
-	for len(s.tupPos) <= col && !s.tupShort {
-		last := s.tupPos[len(s.tupPos)-1]
-		np, ok := scan.SkipForward(line, last, 1, delim)
-		if !ok {
-			s.tupShort = true
-			break
-		}
-		if record {
-			s.pmCursors[len(s.tupPos)].Record(s.row, np)
-		}
-		s.tupPos = append(s.tupPos, np)
+	if s.tupShort {
+		return 0, false
+	}
+	known := len(s.tupPos)
+	if known == 0 {
+		s.tupPos = append(s.tupPos, 0)
+	}
+	s.tupPos = scan.ExtendPrefix(line, s.rt.Tbl.Delimiter, col, s.tupPos)
+	if s.pmWriter != nil {
+		s.pmWriter.RecordRow(s.row, known, s.tupPos[known:])
 	}
 	if col < len(s.tupPos) {
 		return s.tupPos[col], true
 	}
+	s.tupShort = true
 	return 0, false
 }
 
 // navigate walks from a known attribute position to the requested one,
 // recording every intermediate boundary (incremental tokenization in both
-// directions, §4.2 "Exploiting the Positional Map").
+// directions, §4.2 "Exploiting the Positional Map"). Forward, the
+// boundaries are one run like prefixPos's; backward they are found in
+// descending attribute order and recorded one at a time.
 func (s *inSituScan) navigate(line []byte, fromAttr int, fromRel uint32, col int) (uint32, bool) {
 	delim := s.rt.Tbl.Delimiter
 	pos := fromRel
 	switch {
 	case fromAttr < col:
-		for a := fromAttr + 1; a <= col; a++ {
-			np, ok := scan.SkipForward(line, pos, 1, delim)
-			if !ok {
-				return 0, false
-			}
-			pos = np
-			s.pmCursors[a].Record(s.row, pos)
+		s.navPos = scan.ExtendPrefix(line, delim, col-fromAttr, append(s.navPos[:0], fromRel))
+		s.pmWriter.RecordRow(s.row, fromAttr+1, s.navPos[1:])
+		if len(s.navPos) <= col-fromAttr {
+			return 0, false
 		}
+		pos = s.navPos[col-fromAttr]
 	case fromAttr > col:
 		for a := fromAttr - 1; a >= col; a-- {
 			np, ok := scan.SkipBackward(line, pos, 1, delim)

@@ -260,3 +260,49 @@ func TestParallelAcrossAppends(t *testing.T) {
 		t.Errorf("count after append = %d", got)
 	}
 }
+
+// TestPooledReadBufferNotAliased: scans recycle their read buffers
+// (scan.LineReader.Release at scan Close), so nothing a scan hands out —
+// result rows, cached Text values — may still point into a buffer once it
+// is back in the pool. Scans of a second table refill the recycled
+// buffers with other bytes in between; the first table's results and its
+// cache must not notice.
+func TestPooledReadBufferNotAliased(t *testing.T) {
+	dir := t.TempDir()
+	cat := buildFixture(t, dir, 400)
+	other := filepath.Join(dir, "other.csv")
+	if err := os.WriteFile(other, []byte(strings.Repeat("ZZZZZZZZZZZZ,QQQQQQQQQQQQ\n", 2000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := schema.New("other", []schema.Column{
+		{Name: "x", Type: datum.Text}, {Name: "y", Type: datum.Text},
+	}, other, schema.CSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, res *Result) {
+		t.Helper()
+		if len(res.Rows) != 400 {
+			t.Fatalf("%s: %d rows", what, len(res.Rows))
+		}
+		for id, row := range res.Rows {
+			if got, want := row[1].Text(), fmt.Sprintf("name%d", id%5); row[0].Int() != int64(id) || got != want {
+				t.Fatalf("%s: row %d = (%v, %q), want (%d, %q)", what, id, row[0], got, id, want)
+			}
+		}
+	}
+	for _, w := range parallelWorkerCounts {
+		e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: w})
+		cold := mustQuery(t, e, "SELECT id, name FROM wide")
+		for i := 0; i < 3; i++ {
+			if n := len(mustQuery(t, e, "SELECT y FROM other WHERE x = 'ZZZZZZZZZZZZ' LIMIT 1500").Rows); n != 1500 {
+				t.Fatalf("other: %d rows", n)
+			}
+		}
+		check(fmt.Sprintf("workers %d, rows of the cold scan", w), cold)
+		check(fmt.Sprintf("workers %d, cache scan", w), mustQuery(t, e, "SELECT id, name FROM wide"))
+	}
+}

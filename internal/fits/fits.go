@@ -263,6 +263,23 @@ func Open(path string) (*Table, error) {
 	return t, nil
 }
 
+// CheckPayload verifies that the file still holds every row the header
+// declares. A FITS file truncated mid-payload keeps its header, so only
+// this comparison — not the header parse — notices; scans run it before
+// decoding anything, so a torn file fails as a whole (ErrFileChanged)
+// instead of after the rows that happen to survive.
+func (t *Table) CheckPayload() error {
+	fi, err := t.f.Stat()
+	if err != nil {
+		return fmt.Errorf("fits: %w", err)
+	}
+	if need := t.dataOff + t.NRows*int64(t.rowBytes); fi.Size() < need {
+		return fmt.Errorf("fits: file holds %d bytes where the header declares %d: %w",
+			fi.Size(), need, format.ErrFileChanged)
+	}
+	return nil
+}
+
 // parse walks HDUs until it finds a binary table.
 func parse(f io.ReaderAt) (*Table, error) {
 	off := int64(0)

@@ -253,6 +253,9 @@ func (s *fitsScan) SetRowBudget(n int64) { s.budget = n }
 
 // Open positions the range reader and acquires cache views.
 func (s *fitsScan) Open() error {
+	if err := s.t.CheckPayload(); err != nil {
+		return err
+	}
 	s.rd = s.t.NewRangeReader(s.lo, s.hi)
 	if s.prof != nil {
 		s.rd.SetReaderAt(qtrace.CountReaderAt(s.prof, s.t.f))

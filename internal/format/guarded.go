@@ -133,6 +133,12 @@ func (g *GuardedScan) Columns() []exec.Col { return g.cols }
 
 // Open acquires the table, decides the access method and opens it.
 func (g *GuardedScan) Open() error {
+	// A query cancelled before it ran must not touch the file at all — not
+	// the refresh's fingerprint reads, not a tuple (an uncontended lock
+	// acquisition would not notice the context).
+	if err := g.ctx.Err(); err != nil {
+		return err
+	}
 	if g.shared != nil {
 		if err := g.lockTimed(g.lk.RLock); err != nil {
 			return err

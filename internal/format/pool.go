@@ -83,6 +83,11 @@ type pool struct {
 }
 
 func (p *pool) start() ([]<-chan exec.BatchMsg, error) {
+	// A query cancelled before it began must not partition the file, let
+	// alone start workers that each parse until their first context check.
+	if err := p.ctx.Err(); err != nil {
+		return nil, err
+	}
 	n, err := p.cfg.Start()
 	if err != nil {
 		return nil, err

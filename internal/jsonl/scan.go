@@ -137,6 +137,7 @@ func (s *jsonlScan) Open() error {
 		if s.prof != nil {
 			// Profiled scans read through the IO-attributing wrapper; the raw
 			// handle stays in s.f for Close.
+			lr.Release()
 			lr = scan.NewLineReader(qtrace.CountReads(s.prof, f), s.src.Env.ScanChunkSize)
 		}
 		s.lr, s.f = lr, f
@@ -200,6 +201,10 @@ func (s *jsonlScan) Open() error {
 func (s *jsonlScan) Close() error {
 	format.FlushProfile(s.prof, &s.c)
 	s.src.Counters.Add(&s.c)
+	if s.lr != nil {
+		s.lr.Release()
+		s.lr = nil
+	}
 	if s.f != nil {
 		err := s.f.Close()
 		s.f = nil

@@ -14,6 +14,16 @@
 // attributes have chunks at all, the vertical dimension is the tuple range
 // each chunk covers.
 //
+// Population is run-wise. A position enters a chunk in exactly one way
+// (chunk.set / chunk.setRun); what differs is how callers amortize finding
+// the chunk: a sequential scan records the run of attributes it tokenized
+// for one tuple through a Writer (chunks resolved once per ChunkRows rows),
+// bulk producers record runs of consecutive rows of one attribute through
+// Cursor.RecordRun (a memmove into an empty chunk), and a parallel scan's
+// shards merge chunk by chunk (AbsorbShard: a pointer handover when the row
+// offset is chunk-aligned). Cursor.Record and Map.Record are the
+// one-element case for sparse writers.
+//
 // A Map is not safe for concurrent use; the engine serializes access per
 // table, mirroring the per-backend structure of the PostgresRaw prototype.
 package posmap
@@ -84,6 +94,7 @@ type Map struct {
 	bytes     int64      // accounted bytes of live chunks
 	curScan   int64      // stamp of the scan currently populating the map
 	globalGen int64      // bumped on any chunk arrival/departure/BeginScan
+	evictGen  int64      // bumped when a chunk leaves memory (validates Writer slots)
 
 	spill     *os.File
 	spillPath string
@@ -93,8 +104,17 @@ type Map struct {
 }
 
 type attrChunks struct {
-	chunks map[int]*chunk // chunk index -> chunk
-	gen    int64          // bumped when this attribute's chunk set changes
+	chunks []*chunk // index = chunk number (rows are dense); nil = not in memory
+	live   int      // non-nil entries of chunks
+	gen    int64    // bumped when this attribute's chunk set changes
+}
+
+// at returns the in-memory chunk idx, or nil.
+func (ac *attrChunks) at(idx int) *chunk {
+	if idx < len(ac.chunks) {
+		return ac.chunks[idx]
+	}
+	return nil
 }
 
 type chunkKey struct{ attr, idx int }
@@ -112,8 +132,61 @@ type chunk struct {
 	elem *list.Element
 }
 
+// set stores rel at slot and reports whether the slot was empty.
+func (c *chunk) set(slot int, rel uint32) bool {
+	fresh := c.offs[slot] == noPosition
+	c.offs[slot] = rel
+	if fresh {
+		c.n++
+	}
+	return fresh
+}
+
+// setRun stores rels into the consecutive slots starting at slot, skipping
+// noPosition holes, and returns how many of the slots were empty. valid is
+// the number of non-hole entries in rels. An empty chunk takes the run as
+// one memmove; otherwise entries merge one by one so existing positions
+// under the run's holes survive.
+func (c *chunk) setRun(slot int, rels []uint32, valid int) int {
+	dst := c.offs[slot : slot+len(rels)]
+	if c.n == 0 {
+		copy(dst, rels)
+		c.n = valid
+		return valid
+	}
+	added := 0
+	for i, rel := range rels {
+		if rel == noPosition {
+			continue
+		}
+		if dst[i] == noPosition {
+			added++
+		}
+		dst[i] = rel
+	}
+	c.n += added
+	return added
+}
+
+// countValid returns the number of non-hole entries of rels.
+func countValid(rels []uint32) int {
+	n := 0
+	for _, rel := range rels {
+		if rel != noPosition {
+			n++
+		}
+	}
+	return n
+}
+
 // chunkBytes is the accounted size of one chunk.
 func (m *Map) chunkBytes() int64 { return int64(m.chunkRows)*4 + 64 }
+
+// recorded accounts n newly stored entries.
+func (m *Map) recorded(n int) {
+	m.m.Pointers += int64(n)
+	m.m.Recorded += int64(n)
+}
 
 // New creates an empty positional map for a file with numAttrs attributes.
 func New(numAttrs int, opts Options) *Map {
@@ -173,14 +246,8 @@ func (m *Map) Record(row, attr int, rel uint32) {
 	if c == nil {
 		return
 	}
-	slot := row % m.chunkRows
-	if c.offs[slot] == noPosition {
-		c.offs[slot] = rel
-		c.n++
-		m.m.Pointers++
-		m.m.Recorded++
-	} else {
-		c.offs[slot] = rel
+	if c.set(row%m.chunkRows, rel) {
+		m.recorded(1)
 	}
 	m.touch(c)
 }
@@ -284,14 +351,17 @@ func (m *Map) ChunkRows() int { return m.chunkRows }
 func (m *Map) Starts() []int64 { return m.starts }
 
 // ForEachPointer calls fn for every in-memory recorded position of attr, in
-// ascending row order within each chunk (chunk visit order unspecified).
-// Sidecar checkpointing walks the map through this; restore goes back in
-// through Cursor.Record, so budgets and eviction still govern what lands.
+// ascending row order. Sidecar checkpointing walks the map through this;
+// restore goes back in through Cursor.RecordRun, so budgets and eviction
+// still govern what lands.
 func (m *Map) ForEachPointer(attr int, fn func(row int, rel uint32)) {
 	if attr < 0 || attr >= m.numAttrs {
 		return
 	}
 	for idx, c := range m.attrs[attr].chunks {
+		if c == nil {
+			continue
+		}
 		base := idx * m.chunkRows
 		for slot, rel := range c.offs {
 			if rel != noPosition {
@@ -307,7 +377,7 @@ func (m *Map) ForEachPointer(attr int, fn func(row int, rel uint32)) {
 func (m *Map) IndexedAttrs() []int {
 	var out []int
 	for a := range m.attrs {
-		if len(m.attrs[a].chunks) > 0 {
+		if m.attrs[a].live > 0 {
 			out = append(out, a)
 		}
 	}
@@ -317,11 +387,8 @@ func (m *Map) IndexedAttrs() []int {
 // chunkFor returns the chunk for (attr, idx), optionally creating it. It
 // transparently reloads spilled chunks.
 func (m *Map) chunkFor(attr, idx int, create bool) *chunk {
-	ac := &m.attrs[attr]
-	if ac.chunks != nil {
-		if c, ok := ac.chunks[idx]; ok {
-			return c
-		}
+	if c := m.attrs[attr].at(idx); c != nil {
+		return c
 	}
 	key := chunkKey{attr, idx}
 	if loc, ok := m.spillIdx[key]; ok {
@@ -329,47 +396,60 @@ func (m *Map) chunkFor(attr, idx int, create bool) *chunk {
 			return c
 		}
 	}
-	if !create {
-		return nil
-	}
-	if !m.makeRoom() {
+	if !create || !m.makeRoom() {
 		return nil
 	}
 	c := &chunk{key: key, offs: make([]uint32, m.chunkRows)}
-	for i := range c.offs {
-		c.offs[i] = noPosition
+	// Fill with noPosition by doubling copies (memmove, not a store loop).
+	c.offs[0] = noPosition
+	for n := 1; n < len(c.offs); n *= 2 {
+		copy(c.offs[n:], c.offs[:n])
 	}
-	if ac.chunks == nil {
-		ac.chunks = make(map[int]*chunk)
-	}
-	ac.chunks[idx] = c
-	c.elem = m.lru.PushFront(c)
-	m.bytes += m.chunkBytes()
-	m.chunkArrived(key.attr, idx)
+	m.attach(c)
 	return c
 }
 
-// chunkArrived / chunkLeft maintain the per-range chunk counts, the
-// per-range attribute order arrays and the per-attribute generation stamps
-// that validate cursor fast paths.
-func (m *Map) chunkArrived(attr, idx int) {
+// attach brings c (keyed, room already made) into memory as the most
+// recently used chunk. attach / detach maintain the per-range chunk counts,
+// the per-range attribute order arrays and the generation stamps that
+// validate cursor and writer fast paths.
+func (m *Map) attach(c *chunk) {
+	attr, idx := c.key.attr, c.key.idx
+	ac := &m.attrs[attr]
+	for len(ac.chunks) <= idx {
+		ac.chunks = append(ac.chunks, nil)
+	}
+	ac.chunks[idx] = c
+	ac.live++
+	c.elem = m.lru.PushFront(c)
+	m.bytes += m.chunkBytes()
 	for len(m.chunksAt) <= idx {
 		m.chunksAt = append(m.chunksAt, 0)
 		m.attrsAt = append(m.attrsAt, nil)
 	}
 	m.chunksAt[idx]++
 	m.attrsAt[idx] = insortAttr(m.attrsAt[idx], int32(attr))
-	m.attrs[attr].gen++
+	ac.gen++
 	m.globalGen++
 }
 
-func (m *Map) chunkLeft(attr, idx int) {
+// detach removes c from memory (counted as an eviction).
+func (m *Map) detach(c *chunk) {
+	attr, idx := c.key.attr, c.key.idx
+	ac := &m.attrs[attr]
+	m.lru.Remove(c.elem)
+	ac.chunks[idx] = nil
+	ac.live--
+	m.bytes -= m.chunkBytes()
+	m.m.Pointers -= int64(c.n)
+	m.m.Evictions++
 	if idx < len(m.chunksAt) && m.chunksAt[idx] > 0 {
 		m.chunksAt[idx]--
 		m.attrsAt[idx] = removeAttr(m.attrsAt[idx], int32(attr))
 	}
-	m.attrs[attr].gen++
+	ac.gen++
 	m.globalGen++
+	m.evictGen++
 }
 
 // insortAttr inserts a into the sorted list (no-op when present).
@@ -452,12 +532,7 @@ func (m *Map) evict(c *chunk) {
 	if m.spillPath != "" {
 		m.spillOut(c)
 	}
-	m.lru.Remove(c.elem)
-	delete(m.attrs[c.key.attr].chunks, c.key.idx)
-	m.bytes -= m.chunkBytes()
-	m.m.Pointers -= int64(c.n)
-	m.m.Evictions++
-	m.chunkLeft(c.key.attr, c.key.idx)
+	m.detach(c)
 }
 
 // touch marks a chunk most-recently used and pins it for the current scan.
@@ -508,48 +583,70 @@ func (m *Map) loadSpilled(key chunkKey, loc spillLoc) *chunk {
 	for i := range c.offs {
 		c.offs[i] = binary.LittleEndian.Uint32(buf[4*i:])
 	}
-	ac := &m.attrs[key.attr]
-	if ac.chunks == nil {
-		ac.chunks = make(map[int]*chunk)
-	}
-	ac.chunks[key.idx] = c
-	c.elem = m.lru.PushFront(c)
-	m.bytes += m.chunkBytes()
+	m.attach(c)
 	m.m.Pointers += int64(c.n)
 	m.m.SpillLoads++
-	m.chunkArrived(key.attr, key.idx)
 	delete(m.spillIdx, key)
 	return c
 }
 
 // AbsorbShard merges a worker shard — a private Map populated with
 // partition-local row numbers during a parallel partitioned scan — into m,
-// shifting every row by rowOffset. Tuple start offsets in the shard are
-// already absolute file offsets and must be contiguous with m's (shards
-// merge in partition order). Attribute positions transfer through Record's
-// best-effort path, so m's budget and eviction policy still govern what
-// survives. The shard must not be used afterwards.
+// shifting every row by rowOffset (>= 0). Tuple start offsets in the shard
+// are already absolute file offsets and must be contiguous with m's (shards
+// merge in partition order). The merge is O(chunks): a shard chunk that
+// lands exactly on a free chunk of m (chunk-aligned rowOffset, equal
+// ChunkRows) is handed over by pointer, any other is recorded as one run
+// (Cursor.RecordRun). Either way m's budget and eviction policy govern what
+// survives exactly as if every position had been recorded individually in
+// ascending attribute and row order. The shard must not be used afterwards.
 func (m *Map) AbsorbShard(sh *Map, rowOffset int) {
-	if sh == nil {
+	if sh == nil || rowOffset < 0 {
 		return
 	}
-	for i, off := range sh.starts {
-		m.RecordTupleStart(rowOffset+i, off)
+	// RecordTupleStart semantics for the whole slice: only rows that extend
+	// m without a gap are taken.
+	if skip := len(m.starts) - rowOffset; skip >= 0 && skip < len(sh.starts) {
+		m.starts = append(m.starts, sh.starts[skip:]...)
 	}
-	for a := range sh.attrs {
-		if len(sh.attrs[a].chunks) == 0 {
+	aligned := sh.chunkRows == m.chunkRows && rowOffset%m.chunkRows == 0
+	shift := rowOffset / m.chunkRows
+	for a := 0; a < len(sh.attrs) && a < m.numAttrs; a++ {
+		if sh.attrs[a].live == 0 {
 			continue
 		}
 		cu := m.Cursor(a)
 		for idx, c := range sh.attrs[a].chunks {
-			base := idx * sh.chunkRows
-			for slot, rel := range c.offs {
-				if rel != noPosition {
-					cu.Record(rowOffset+base+slot, rel)
-				}
+			if c == nil || c.n == 0 {
+				continue
 			}
+			if aligned && m.adopt(c, a, idx+shift) {
+				continue
+			}
+			cu.recordRun(rowOffset+idx*sh.chunkRows, c.offs, c.n == len(c.offs))
 		}
 	}
+}
+
+// adopt installs c — a chunk of an absorbed shard — as m's chunk (attr,
+// idx). It reports false, leaving m untouched, when m already holds or has
+// spilled that chunk and the entries must merge instead. A budget that
+// cannot make room drops the chunk, as it would refuse to create one.
+func (m *Map) adopt(c *chunk, attr, idx int) bool {
+	if m.attrs[attr].at(idx) != nil {
+		return false
+	}
+	key := chunkKey{attr, idx}
+	if _, spilled := m.spillIdx[key]; spilled {
+		return false
+	}
+	if m.makeRoom() {
+		c.key = key
+		c.scan = m.curScan
+		m.attach(c)
+		m.recorded(c.n)
+	}
+	return true
 }
 
 // Drop discards all per-attribute positional information (and the spill
@@ -558,8 +655,10 @@ func (m *Map) AbsorbShard(sh *Map, rowOffset int) {
 func (m *Map) Drop() {
 	for a := range m.attrs {
 		m.attrs[a].chunks = nil
+		m.attrs[a].live = 0
 		m.attrs[a].gen++
 	}
+	m.evictGen++
 	m.lru.Init()
 	m.bytes = 0
 	m.m.Pointers = 0
@@ -583,9 +682,10 @@ func (m *Map) Truncate(row int) {
 	// an auxiliary structure and keeps the invariant simple.
 	cutoff := row / m.chunkRows
 	for a := range m.attrs {
-		for idx, c := range m.attrs[a].chunks {
-			if idx >= cutoff {
-				m.evictNoSpill(c)
+		chunks := m.attrs[a].chunks
+		for idx := cutoff; idx < len(chunks); idx++ {
+			if c := chunks[idx]; c != nil {
+				m.detach(c) // no spill: the rows are gone
 			}
 		}
 	}
@@ -594,16 +694,6 @@ func (m *Map) Truncate(row int) {
 			delete(m.spillIdx, key)
 		}
 	}
-}
-
-// evictNoSpill removes a chunk without writing it to the spill file.
-func (m *Map) evictNoSpill(c *chunk) {
-	m.lru.Remove(c.elem)
-	delete(m.attrs[c.key.attr].chunks, c.key.idx)
-	m.bytes -= m.chunkBytes()
-	m.m.Pointers -= int64(c.n)
-	m.m.Evictions++
-	m.chunkLeft(c.key.attr, c.key.idx)
 }
 
 // Close releases the spill file.
@@ -698,13 +788,136 @@ func (cu *Cursor) Record(row int, rel uint32) {
 	if !cu.seek(row, true) {
 		return
 	}
-	slot := row % cu.m.chunkRows
-	if cu.c.offs[slot] == noPosition {
-		cu.c.offs[slot] = rel
-		cu.c.n++
-		cu.m.m.Pointers++
-		cu.m.m.Recorded++
-	} else {
-		cu.c.offs[slot] = rel
+	if cu.c.set(row%cu.m.chunkRows, rel) {
+		cu.m.recorded(1)
 	}
+}
+
+// RecordRun stores rels[i] as the position of row+i for consecutive rows —
+// the bulk form of Record for producers that hold a column of positions
+// (sidecar restore, shard merge). noPosition entries are holes and skipped.
+// The result, including which chunks a budget admits, is exactly that of
+// calling Record for each entry in order; the cost is one chunk resolution
+// and one memmove (or merge loop, when the chunk already holds entries) per
+// ChunkRows rows.
+func (cu *Cursor) RecordRun(row int, rels []uint32) { cu.recordRun(row, rels, false) }
+
+// recordRun is RecordRun; dense promises rels has no holes, sparing the
+// count pass.
+func (cu *Cursor) recordRun(row int, rels []uint32, dense bool) {
+	if cu.attr < 0 || cu.attr >= cu.m.numAttrs || row < 0 {
+		return
+	}
+	cr := cu.m.chunkRows
+	for len(rels) > 0 {
+		slot := row % cr
+		n := min(len(rels), cr-slot)
+		part := rels[:n]
+		valid := n
+		if !dense {
+			valid = countValid(part)
+		}
+		// A part of nothing but holes must not create (or pin) a chunk.
+		if valid > 0 && cu.seek(row, true) {
+			cu.m.recorded(cu.c.setRun(slot, part, valid))
+		}
+		row += n
+		rels = rels[n:]
+	}
+}
+
+// Writer is the recorder of one sequential scan: it stores the run of
+// attribute positions a scan tokenized for one tuple (RecordRow) straight
+// into the current chunk of every attribute involved. Because a scan visits
+// rows in order, the chunk pointers, their eviction pins and the
+// failed-creation cache are resolved once per ChunkRows rows per attribute
+// instead of once per position; steady state is one slot store per
+// position. Behaviour (what is stored, which chunks a budget admits or
+// refuses, in which order) is exactly that of Cursor.Record per position.
+// Create the writer after BeginScan and never retain it across scans.
+type Writer struct {
+	m        *Map
+	idx      int          // chunk number the slots are resolved for
+	base     int          // first row of chunk idx
+	evictGen int64        // m.evictGen when the slots were last reset
+	slots    []writerSlot // per attribute
+}
+
+type writerSlot struct {
+	c *chunk // chunk (attr, idx), pinned for this scan; nil = unresolved or refused
+	// Failed-creation cache: while nothing has entered or left the map (and
+	// no new scan started), a refused chunk creation cannot start
+	// succeeding, so a position bound for it costs two compares.
+	failGen int64
+}
+
+// Writer returns a run recorder for the scan begun by the last BeginScan.
+func (m *Map) Writer() *Writer {
+	w := &Writer{m: m, slots: make([]writerSlot, m.numAttrs)}
+	w.reset(-1)
+	return w
+}
+
+// reset re-targets every slot at chunk idx, unresolved.
+func (w *Writer) reset(idx int) {
+	w.idx = idx
+	w.base = idx * w.m.chunkRows
+	w.evictGen = w.m.evictGen
+	for i := range w.slots {
+		w.slots[i] = writerSlot{failGen: -1}
+	}
+}
+
+// resolve finds or creates the chunk behind slot s of attr and pins it.
+func (w *Writer) resolve(attr int, s *writerSlot) *chunk {
+	m := w.m
+	if s.failGen == m.globalGen {
+		return nil
+	}
+	c := m.chunkFor(attr, w.idx, true)
+	if c == nil {
+		s.failGen = m.globalGen
+		return nil
+	}
+	c.scan = m.curScan
+	s.c = c
+	return c
+}
+
+// RecordRow stores rels[i] as the position of attribute attr+i of tuple
+// row (best effort, like Record).
+//
+//nodb:hotpath
+func (w *Writer) RecordRow(row, attr int, rels []uint32) {
+	m := w.m
+	if row < 0 || attr < 0 || attr >= len(w.slots) {
+		return
+	}
+	if attr+len(rels) > len(w.slots) {
+		rels = rels[:len(w.slots)-attr]
+	}
+	slot := row - w.base
+	if uint(slot) >= uint(m.chunkRows) || w.evictGen != m.evictGen {
+		// Chunk transition — or a chunk left memory, so any slot may point
+		// at a detached chunk: resolve afresh.
+		w.reset(row / m.chunkRows)
+		slot = row - w.base
+	}
+	added := 0
+	slots := w.slots[attr : attr+len(rels)]
+	for i, rel := range rels {
+		if rel == noPosition {
+			continue
+		}
+		c := slots[i].c
+		if c == nil {
+			if c = w.resolve(attr+i, &slots[i]); c == nil {
+				continue
+			}
+		}
+		if c.set(slot, rel) {
+			added++
+		}
+	}
+	m.recorded(added)
 }

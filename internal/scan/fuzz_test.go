@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -18,6 +19,7 @@ func FuzzTokenize(f *testing.F) {
 	f.Add([]byte("|||"), byte('|'), -1)
 	f.Add([]byte("no-delims-here"), byte('\t'), 0)
 	f.Add([]byte("trailing|"), byte('|'), -1)
+	f.Add([]byte("123456789,-1,,-,0123456789abcdef,,x"), byte(','), 5)
 	f.Fuzz(func(t *testing.T, line []byte, delim byte, upTo int) {
 		if upTo > 1<<16 {
 			upTo = 1 << 16 // keep the walk proportional to the input
@@ -50,6 +52,18 @@ func FuzzTokenize(f *testing.F) {
 				if pos, ok := SkipBackward(line, full[k], 1, delim); !ok || pos != full[k-1] {
 					t.Fatalf("SkipBackward(%d, 1) = %d,%v; want %d,true", full[k], pos, ok, full[k-1])
 				}
+			}
+		}
+		// ExtendPrefix resumed from any known prefix finds exactly the
+		// boundaries full tokenization found, up to its stop.
+		if upTo < 0 || upTo >= n {
+			upTo = n + 1 // past the last field: a short row
+		}
+		for known := 1; known <= n; known += 1 + known/4 {
+			got := ExtendPrefix(line, delim, upTo, append([]uint32(nil), full[:known]...))
+			want := full[:max(known, min(upTo+1, n))]
+			if !slices.Equal(got, want) {
+				t.Fatalf("ExtendPrefix(upTo=%d) from %d known = %v, want %v", upTo, known, got, want)
 			}
 		}
 	})

@@ -10,8 +10,11 @@ package scan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 
 	"nodb/internal/iofault"
 )
@@ -20,26 +23,47 @@ import (
 // read syscall count low while staying cache friendly.
 const DefaultChunkSize = 1 << 20
 
+// bufPool recycles DefaultChunkSize read buffers: every raw scan needs one,
+// and allocating (and zeroing, and later scavenging) a fresh megabyte per
+// query costs more than short scans spend reading.
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, DefaultChunkSize)
+	return &b
+}}
+
 // LineReader iterates over the lines ("tuples") of a raw file in order,
 // reading the underlying file in large chunks. Returned line slices are
-// only valid until the next call to Next.
+// only valid until the next call to Next or Release.
 type LineReader struct {
 	f         io.Reader
 	buf       []byte
-	start     int   // start of the unconsumed region in buf
-	end       int   // end of valid data in buf
-	bufOffset int64 // file offset of buf[0]
+	pooled    *[]byte // buf's origin in bufPool; nil for a custom chunk size
+	start     int     // start of the unconsumed region in buf
+	end       int     // end of valid data in buf
+	bufOffset int64   // file offset of buf[0]
 	eof       bool
 	err       error // first non-EOF read error; surfaced by Next
 }
 
 // NewLineReader wraps f with a chunked line scanner. chunkSize <= 0 uses
-// DefaultChunkSize.
+// DefaultChunkSize. Call Release when done so the read buffer is recycled.
 func NewLineReader(f io.Reader, chunkSize int) *LineReader {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
+	if chunkSize <= 0 || chunkSize == DefaultChunkSize {
+		bp := bufPool.Get().(*[]byte)
+		return &LineReader{f: f, buf: *bp, pooled: bp}
 	}
 	return &LineReader{f: f, buf: make([]byte, chunkSize)}
+}
+
+// Release hands the read buffer back for reuse by a later scan. The reader
+// is exhausted afterwards (Next reports io.EOF) and every line slice it
+// returned is invalid. Safe to call more than once.
+func (lr *LineReader) Release() {
+	if lr.pooled != nil {
+		bufPool.Put(lr.pooled)
+		lr.pooled = nil
+	}
+	lr.buf, lr.start, lr.end, lr.eof, lr.err = nil, 0, 0, true, nil
 }
 
 // NewLineReaderAt wraps r like NewLineReader but reports line offsets
@@ -289,4 +313,45 @@ func SkipBackward(line []byte, from uint32, n int, delim byte) (uint32, bool) {
 // CountFields returns the number of fields in line.
 func CountFields(line []byte, delim byte) int {
 	return bytes.Count(line, []byte{delim}) + 1
+}
+
+// ExtendPrefix continues a partial tokenization: pos holds the start
+// offsets of a line's leading fields (at least one; pos[len(pos)-1] is the
+// last boundary found so far), and the walk appends the start of every
+// following field until pos covers field upTo — selective tokenizing's
+// stop — or the line ends (a short row: fewer than upTo+1 entries come
+// back). It is Tokenize resumable mid-line, without the sentinel.
+//
+// The walk examines eight bytes per step (an exact zero-byte test on the
+// word XORed with the delimiter) and calls nothing, so the short fields
+// of the paper's workloads — a handful of digits — do not pay a call per
+// field, and long ones are still skipped a word at a time.
+func ExtendPrefix(line []byte, delim byte, upTo int, pos []uint32) []uint32 {
+	if len(pos) > upTo {
+		return pos
+	}
+	const lo7 = 0x7F7F7F7F7F7F7F7F
+	pat := uint64(delim) * 0x0101010101010101
+	i := int(pos[len(pos)-1])
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:]) ^ pat
+		// High bit of each byte of m is set exactly where x's byte is zero
+		// (no carries cross bytes, so no false positives next to a match).
+		m := ^((x&lo7 + lo7) | x | lo7)
+		for ; m != 0; m &= m - 1 {
+			pos = append(pos, uint32(i+bits.TrailingZeros64(m)>>3+1))
+			if len(pos) > upTo {
+				return pos
+			}
+		}
+	}
+	for ; i < len(line); i++ {
+		if line[i] == delim {
+			pos = append(pos, uint32(i+1))
+			if len(pos) > upTo {
+				break
+			}
+		}
+	}
+	return pos
 }

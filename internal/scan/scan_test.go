@@ -482,3 +482,56 @@ func TestSplitRandomized(t *testing.T) {
 		checkSplit(t, sb.String(), 1+rng.Intn(12))
 	}
 }
+
+// TestLineReaderRelease: Release recycles the read buffer (the next reader
+// picks it up and overwrites it), exhausts the reader, and is idempotent.
+// A line must be copied before Release to outlive it — which is all the
+// engine ever does with line bytes (datum.ParseBytes copies Text).
+func TestLineReaderRelease(t *testing.T) {
+	// sync.Pool may drop a buffer (it does so at random under -race), so
+	// reuse is asserted over a few attempts, not on the first.
+	reused := false
+	for i := 0; i < 20 && !reused; i++ {
+		lr := NewLineReader(strings.NewReader("alpha,beta\ngamma\n"), 0)
+		line, _, err := lr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := string(line)
+		first := &lr.buf[0]
+		lr.Release()
+		lr.Release()
+		if _, _, err := lr.Next(); err != io.EOF {
+			t.Fatalf("Next after Release = %v, want io.EOF", err)
+		}
+		lr2 := NewLineReader(strings.NewReader("XXXXXXXXXXXXXXXX\n"), 0)
+		if _, _, err := lr2.Next(); err != nil {
+			t.Fatal(err)
+		}
+		reused = &lr2.buf[0] == first
+		lr2.Release()
+		if kept != "alpha,beta" {
+			t.Fatalf("copied line changed to %q", kept)
+		}
+	}
+	if !reused {
+		t.Error("a released buffer was never handed to the next reader")
+	}
+
+	// A reader that outgrew its pooled buffer returns the pooled original,
+	// and a custom chunk size never touches the pool.
+	long := strings.Repeat("y", DefaultChunkSize+10) + "\n"
+	big := NewLineReader(strings.NewReader(long), 0)
+	if line, _, err := big.Next(); err != nil || len(line) != DefaultChunkSize+10 {
+		t.Fatalf("long line: %d bytes, err %v", len(line), err)
+	}
+	if len(*big.pooled) != DefaultChunkSize {
+		t.Errorf("pooled buffer is %d bytes, want DefaultChunkSize", len(*big.pooled))
+	}
+	big.Release()
+	small := NewLineReader(strings.NewReader("a\n"), 64)
+	if small.pooled != nil {
+		t.Error("custom chunk size took a pooled buffer")
+	}
+	small.Release()
+}

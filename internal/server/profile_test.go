@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -66,7 +67,10 @@ func TestQueryProfileTrailer(t *testing.T) {
 func TestDebugQueries(t *testing.T) {
 	s, ts := newTestServer(t, 100, Config{MaxConcurrent: 1, MaxQueue: 4})
 
+	// Read to EOF: the stream only ends once the handler has returned, and
+	// the handler records the finished profile on its way out.
 	resp := postQuery(t, ts, `{"sql": "SELECT count(*) FROM trips"}`)
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	var view struct {
@@ -111,6 +115,7 @@ func TestDebugQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		r := postQuery(t, ts, `{"sql": "SELECT id FROM trips"}`)
+		io.Copy(io.Discard, r.Body)
 		r.Body.Close()
 	}()
 	queued := false
@@ -188,6 +193,7 @@ func TestSlowQueryLog(t *testing.T) {
 		},
 	})
 	resp := postQuery(t, ts, `{"sql": "SELECT count(*) FROM trips"}`)
+	io.Copy(io.Discard, resp.Body) // EOF = handler returned = profile logged
 	resp.Body.Close()
 
 	mu.Lock()

@@ -324,8 +324,23 @@ func install(fd *fileData, st *format.State) {
 				if a.attr < 0 || a.attr >= st.PM.NumAttrs() {
 					continue
 				}
-				for i := range a.rows {
-					st.PM.Record(int(a.rows[i]), a.attr, a.rels[i])
+				// The checkpoint wrote each attribute's pointers in ascending
+				// row order (posmap.ForEachPointer), so consecutive rows form
+				// long runs: restore each run as one block. Pointers past
+				// the restored tuple starts are dropped: they are useless,
+				// and a row number read from disk must not size the map's
+				// dense chunk index.
+				cu := st.PM.Cursor(a.attr)
+				tuples := st.PM.NumTuples()
+				for i := 0; i < len(a.rows); {
+					j := i + 1
+					for j < len(a.rows) && a.rows[j] == a.rows[j-1]+1 {
+						j++
+					}
+					if row := int(a.rows[i]); row < tuples {
+						cu.RecordRun(row, a.rels[i:min(j, i+tuples-row)])
+					}
+					i = j
 				}
 			}
 		}

@@ -31,6 +31,7 @@ func LoadCSV(tbl *schema.Table, heapPath string, pool *Pool) (*Relation, error) 
 		return nil, err
 	}
 	defer f.Close()
+	defer lr.Release()
 
 	w, err := CreateHeap(heapPath, columnTypes(tbl))
 	if err != nil {
