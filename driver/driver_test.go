@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"nodb"
 	"nodb/internal/tpch"
 )
 
@@ -531,5 +532,23 @@ end
 	}
 	if city != "city9" || amount != 1.5 {
 		t.Errorf("inserted jsonl row = %s %v", city, amount)
+	}
+	// A malformed value appended behind the engine's back surfaces as a
+	// *nodb.RowError through the whole chain, locating line 202.
+	f, err := os.OpenFile(filepath.Join(dir, "sales.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id": "oops", "city": "x", "amount": 1}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var re *nodb.RowError
+	if err := db.QueryRow("SELECT count(*) FROM sales WHERE id >= 0").Scan(&n); !errors.As(err, &re) {
+		t.Fatalf("malformed value: want a *nodb.RowError, got %v", err)
+	}
+	if re.Format != "jsonl" || re.Table != "sales" || re.Column != "id" || re.Row != 202 ||
+		re.Error() != "jsonl: sales row 202 column id: "+re.Cause.Error() {
+		t.Errorf("row error = %+v (%v)", *re, re)
 	}
 }

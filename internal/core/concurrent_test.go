@@ -11,6 +11,7 @@ import (
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
+	"nodb/internal/schema"
 	"nodb/internal/testutil"
 )
 
@@ -243,16 +244,20 @@ func TestPreparedStatementParams(t *testing.T) {
 // TestCancelBeforeExecution: an already cancelled context aborts before
 // any scan work happens.
 func TestCancelBeforeExecution(t *testing.T) {
-	cat := buildFixture(t, t.TempDir(), 300)
-	e := openEngine(t, cat, Options{Mode: ModePMCache})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := e.QueryContext(ctx, "SELECT count(*) FROM wide", nil, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m := e.Metrics("wide"); m.TuplesParsed != 0 {
-		t.Errorf("TuplesParsed = %d after pre-cancelled query", m.TuplesParsed)
+	for table, cat := range map[string]*schema.Catalog{
+		"wide":      buildFixture(t, t.TempDir(), 300),
+		"obs_jsonl": formatFixture(t, t.TempDir(), 300),
+	} {
+		e := openEngine(t, cat, Options{Mode: ModePMCache})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := e.QueryContext(ctx, "SELECT count(*) FROM "+table, nil, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", table, err)
+		}
+		if m := e.Metrics(table); m.TuplesParsed != 0 {
+			t.Errorf("%s: TuplesParsed = %d after pre-cancelled query", table, m.TuplesParsed)
+		}
 	}
 }
 

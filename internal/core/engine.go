@@ -579,20 +579,6 @@ func (e *Engine) source(tbl *schema.Table) (format.Source, error) {
 	return e.sourceFor(tbl, drv)
 }
 
-// rawFor returns the CSV engine state of a table (tests and the CSV append
-// path reach the concrete type through it).
-func (e *Engine) rawFor(tbl *schema.Table) (*rawTable, error) {
-	src, err := e.source(tbl)
-	if err != nil {
-		return nil, err
-	}
-	rt, ok := src.(*rawTable)
-	if !ok {
-		return nil, fmt.Errorf("core: table %s is not a CSV table", tbl.Name)
-	}
-	return rt, nil
-}
-
 // loadedFor returns the loaded relation, bulk-loading it on first use. The
 // engine mutex is held across the load, so concurrent first queries load a
 // table exactly once.

@@ -378,7 +378,7 @@ func TestFaultPoolErrorAggregation(t *testing.T) {
 
 	for iter := 0; iter < 5; iter++ {
 		rt := newRawTable(tbl, Options{Parallelism: 4}.env())
-		op := newParallelScan(context.Background(), rt, []int{0, 1}, nil, 4)
+		op := format.NewPartitionedLineScan(context.Background(), rt.State, []int{0, 1}, nil, 4, newCSVDecoder)
 		if err := op.Open(); err != nil {
 			t.Fatalf("iter %d: open: %v", iter, err)
 		}

@@ -456,16 +456,20 @@ end
 // the shared Env derivation (pm-only keeps no cache, external-files keeps
 // nothing).
 func TestJSONLEngineModes(t *testing.T) {
-	for _, mode := range []Mode{ModePMCache, ModePM, ModeCache, ModeExternalFiles} {
+	for _, opts := range []Options{
+		{Mode: ModePMCache}, {Mode: ModePM}, {Mode: ModeCache}, {Mode: ModeExternalFiles},
+		{Mode: ModeExternalFiles, FullParse: true},
+	} {
+		mode := opts.Mode
 		cat := formatFixture(t, t.TempDir(), 60)
-		e := openEngine(t, cat, Options{Mode: mode})
+		e := openEngine(t, cat, opts)
 		want := mustQuery(t, e, "SELECT id, mag FROM obs_jsonl WHERE id < 30")
 		if len(want.Rows) != 30 {
-			t.Fatalf("mode %v: rows = %d", mode, len(want.Rows))
+			t.Fatalf("%+v: rows = %d", opts, len(want.Rows))
 		}
 		again := mustQuery(t, e, "SELECT id, mag FROM obs_jsonl WHERE id < 30")
 		if !reflect.DeepEqual(want.Rows, again.Rows) {
-			t.Errorf("mode %v: warm scan differs", mode)
+			t.Errorf("%+v: warm scan differs", opts)
 		}
 		m := e.Metrics("obs_jsonl")
 		switch mode {
@@ -479,6 +483,11 @@ func TestJSONLEngineModes(t *testing.T) {
 			}
 			if m.TuplesParsed != 120 {
 				t.Errorf("external-files must re-parse per query: %+v", m)
+			}
+			// The straw man converts every declared field of every tuple,
+			// exactly as on CSV.
+			if opts.FullParse && m.FieldsParsed != m.TuplesParsed*3 {
+				t.Errorf("full parse converted %d fields of %d tuples x 3 columns", m.FieldsParsed, m.TuplesParsed)
 			}
 		case ModeCache, ModePMCache:
 			if m.CacheBytes == 0 {

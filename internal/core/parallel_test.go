@@ -154,16 +154,28 @@ func TestParallelScanEdgeCases(t *testing.T) {
 	}
 }
 
+// csvSource reaches a table's CSV adapter state through the engine's own
+// source registry.
+func csvSource(t *testing.T, e *Engine, tbl *schema.Table) *rawTable {
+	t.Helper()
+	src, err := e.source(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := src.(*rawTable)
+	if !ok {
+		t.Fatalf("table %s is not a CSV table", tbl.Name)
+	}
+	return rt
+}
+
 // TestParallelWarmScansStaySequential pins the gating rule: once the
 // positional map or cache hold content, scans go back to the sequential
 // path that can exploit them.
 func TestParallelWarmScansStaySequential(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 300)
 	e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: 8})
-	rt, err := e.rawFor(cat.Tables()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := csvSource(t, e, cat.Tables()[0])
 	if got := rt.ScanWorkers(); got != 8 {
 		t.Fatalf("cold table should allow 8 workers, got %d", got)
 	}
@@ -229,11 +241,7 @@ func TestParallelBudgetedStaysSequential(t *testing.T) {
 		{Mode: ModePMCache, Parallelism: 8, CacheBudget: 1 << 20},
 	} {
 		e := openEngine(t, cat, opts)
-		rt, err := e.rawFor(cat.Tables()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rt.ScanWorkers(); got != 1 {
+		if got := csvSource(t, e, cat.Tables()[0]).ScanWorkers(); got != 1 {
 			t.Errorf("opts %+v: budgeted engine must scan sequentially, got %d workers", opts, got)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/format"
-	"nodb/internal/iofault"
 	"nodb/internal/scan"
 	"nodb/internal/schema"
 	"nodb/internal/stats"
@@ -16,9 +15,10 @@ import (
 
 // rawTable is the CSV format adapter: the in-situ state of one raw file —
 // the adaptive positional map, the binary cache and on-the-fly statistics
-// (all shared machinery, format.State) — plus the CSV-specific selective
-// tokenize/parse access methods. It implements format.Source and
-// format.Appender; the engine reaches it only through the format registry.
+// (all shared machinery, format.State) — scanned through the shared
+// line-scan frame with the CSV field decoder. It implements format.Source
+// and format.Appender; the engine reaches it only through the format
+// registry.
 type rawTable struct {
 	*format.State
 }
@@ -42,62 +42,24 @@ func newRawTable(tbl *schema.Table, env format.Env) *rawTable {
 	return &rawTable{State: format.NewState(tbl, env)}
 }
 
+func newCSVDecoder() format.LineDecoder { return &csvDecoder{} }
+
 // OpenScan implements format.Source. The returned leaf defers the access
 // method choice — pure cache scan, parallel partitioned pass, or
 // sequential in-situ pass — until Open, when it acquires the table lock
 // and can decide against the structures as they exist at execution time
 // (by then a concurrent session may already have warmed the table).
 func (rt *rawTable) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
-	return rt.NewScan(ctx, cols, conjuncts, format.ScanPlan{
-		Seq: func(ctx context.Context) format.ScanOperator {
-			return newInSituScan(ctx, rt, cols, conjuncts)
-		},
-		Par: func(ctx context.Context, workers int) format.ScanOperator {
-			return newParallelScan(ctx, rt, cols, conjuncts, workers)
-		},
-	}), nil
+	return rt.OpenLineScan(ctx, cols, conjuncts, newCSVDecoder), nil
 }
 
-// shard returns a private view of the table for one partition worker (see
-// format.State.Shard).
-func (rt *rawTable) shard() *rawTable {
-	return &rawTable{State: rt.State.Shard()}
-}
-
-// Append implements format.Appender: it appends literal rows to the raw
-// CSV file under the exclusive table lock, so the write cannot interleave
-// with a scan reading the file. The in-situ state observes the growth on
-// the next query (Refresh treats growth as an append, paper §4.5). A
-// failed write truncates the file back to its pre-append size, so a
-// partial row never becomes a permanently torn line.
+// Append implements format.Appender: one delimited line per row
+// (scan.AppendDatums).
 func (rt *rawTable) Append(ctx context.Context, rows [][]datum.Datum) error {
-	if err := rt.Lk.Lock(ctx); err != nil {
-		return err
-	}
-	defer rt.Lk.Unlock()
-	f, err := iofault.OpenAppend(rt.Tbl.Path)
-	if err != nil {
-		return format.WrapFileErr(rt.Tbl.Name, err)
-	}
-	defer f.Close()
-	if err := format.AppendGuarded(f, rt.Tbl.Name, func() error {
-		w := scan.NewWriter(f, rt.Tbl.Delimiter)
-		for _, row := range rows {
-			if err := w.WriteDatums(row); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	}); err != nil {
-		return err
-	}
-	if mgr := rt.Env.Sidecar; mgr != nil {
-		// Journal the post-append fingerprint (exclusive lock still held),
-		// so a checkpoint taken before this INSERT stays valid as a known
-		// append instead of forcing a re-hash on the next open.
-		mgr.JournalAppend(rt.State)
-	}
-	return nil
+	delim := rt.Tbl.Delimiter
+	return rt.AppendRows(ctx, rows, func(buf []byte, row []datum.Datum) []byte {
+		return scan.AppendDatums(buf, delim, row)
+	})
 }
 
 // loadedTable adapts a bulk-loaded heap relation to plan.Table.

@@ -19,7 +19,20 @@
 //   - CacheScan — the vectorized scan that serves a query entirely from
 //     the binary cache,
 //   - Pool — the partitioned worker-pool plumbing that merges per-shard
-//     batch streams back into file order through exec.OrderedBatchSource.
+//     batch streams back into file order through exec.OrderedBatchSource,
+//   - LineScan — the in-situ scan of every line-oriented format (see below).
+//
+// Adding a line-oriented format (newline-terminated tuples: CSV, JSONL)
+// takes a LineDecoder — per-scan Begin, per-line StartLine that may skip
+// the line, and Field: attribute col of this line as a datum, with access
+// to the scan's row number, counters and positional-map cursors/writer —
+// plus a RowEncoder for INSERT. The adapter's OpenScan is
+// State.OpenLineScan and its Append is State.AppendRows. Partitioning
+// over private shards and the ordered merge, caching, statistics, sidecar
+// restore, cancellation, LIMIT budgets, fault retries, row-number rebasing
+// on RowError and INSERT rollback all come with the frame, tested once
+// (linescan_test.go) for every such format. Formats that are not
+// line-oriented (FITS) build their scans on NewScan and Pool directly.
 //
 // This is the raw-data literature's framing of format generality as an API
 // problem (Zhang, "Code Generation Techniques for Raw Data Processing":

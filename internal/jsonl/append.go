@@ -1,58 +1,22 @@
 package jsonl
 
 import (
-	"bufio"
 	"context"
-	"fmt"
 	"strconv"
 
 	"nodb/internal/datum"
 	"nodb/internal/format"
-	"nodb/internal/iofault"
 	"nodb/internal/schema"
 )
 
 // Append implements format.Appender: INSERT serializes each row as one
 // JSON object per line — keys are the declared column names, values their
 // JSON form (numbers, escaped strings, "YYYY-MM-DD" date strings,
-// true/false, null) — and appends under the exclusive table lock, so the
-// write cannot interleave with a scan reading the file. The in-situ state
-// observes the growth on the next query (format.State.Refresh treats
-// growth as an append, paper §4.5), exactly like the CSV path. A failed
-// write rolls the file back to its pre-append size (format.AppendGuarded).
+// true/false, null).
 func (s *Source) Append(ctx context.Context, rows [][]datum.Datum) error {
-	if err := s.Lk.Lock(ctx); err != nil {
-		return err
-	}
-	defer s.Lk.Unlock()
-	f, err := iofault.OpenAppend(s.Tbl.Path)
-	if err != nil {
-		return format.WrapFileErr(s.Tbl.Name, err)
-	}
-	defer f.Close()
-	if err := format.AppendGuarded(f, s.Tbl.Name, func() error {
-		w := bufio.NewWriterSize(f, 1<<16)
-		var buf []byte
-		for _, row := range rows {
-			buf = appendObject(buf[:0], s.Tbl.Columns, row)
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("jsonl: %w", err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return fmt.Errorf("jsonl: %w", err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if mgr := s.Env.Sidecar; mgr != nil {
-		// Journal the post-append fingerprint (exclusive lock still held),
-		// so a checkpoint taken before this INSERT stays valid as a known
-		// append instead of forcing a re-hash on the next open.
-		mgr.JournalAppend(s.State)
-	}
-	return nil
+	return s.AppendRows(ctx, rows, func(buf []byte, row []datum.Datum) []byte {
+		return appendObject(buf, s.Tbl.Columns, row)
+	})
 }
 
 // appendObject renders one row as a single-line JSON object with a

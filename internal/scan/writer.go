@@ -41,19 +41,16 @@ func (w *Writer) WriteRow(fields ...string) error {
 	return w.w.WriteByte('\n')
 }
 
-// WriteDatums writes one row of typed values in their canonical ASCII form.
-func (w *Writer) WriteDatums(row []datum.Datum) error {
+// AppendDatums appends one row of typed values in their canonical ASCII
+// form, delimiter-separated and newline-terminated, to buf.
+func AppendDatums(buf []byte, delim byte, row []datum.Datum) []byte {
 	for i, d := range row {
 		if i > 0 {
-			if err := w.w.WriteByte(w.delim); err != nil {
-				return err
-			}
+			buf = append(buf, delim)
 		}
-		if _, err := w.w.WriteString(d.Format()); err != nil {
-			return err
-		}
+		buf = append(buf, d.Format()...)
 	}
-	return w.w.WriteByte('\n')
+	return append(buf, '\n')
 }
 
 // Flush drains the buffered output.

@@ -68,6 +68,11 @@ var (
 	ErrRetriesExhausted = format.ErrRetriesExhausted
 )
 
+// RowError locates a malformed value in a raw file: format, table, column
+// ("" when the whole line is malformed) and 1-based row. Reach it with
+// errors.As, also through the database/sql driver.
+type RowError = format.RowError
+
 // Type identifies a column type.
 type Type = datum.Type
 
