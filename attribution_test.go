@@ -276,3 +276,48 @@ func TestAttributionOperatorTree(t *testing.T) {
 		t.Errorf("leaf time %d exceeds root time %d", node.NS, p.Plan.NS)
 	}
 }
+
+// TestAttributionJoin: a join reads two tables in one query; the profile's
+// counters must still equal the engine-wide deltas exactly — here the sum
+// of both tables' metric deltas — cold (both inputs read through the
+// in-situ batch path) and warm (both through the cache's).
+func TestAttributionJoin(t *testing.T) {
+	const rows = 500
+	db, err := Open(attribFixture(t, rows), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sql := "SELECT c.id, j.distance FROM tcsv c, tjsonl j WHERE c.id = j.id AND j.distance >= 0"
+	sum := func() Metrics {
+		a, b := db.Metrics("tcsv"), db.Metrics("tjsonl")
+		a.TuplesParsed += b.TuplesParsed
+		a.FieldsParsed += b.FieldsParsed
+		a.FieldsFromMap += b.FieldsFromMap
+		a.FieldsFromScan += b.FieldsFromScan
+		a.ShortRows += b.ShortRows
+		a.CacheHits += b.CacheHits
+		a.CacheMisses += b.CacheMisses
+		a.ColdScans += b.ColdScans
+		a.WarmScans += b.WarmScans
+		a.ScanRetries += b.ScanRetries
+		return a
+	}
+
+	before := sum()
+	cold := profiledQuery(t, db, sql)
+	mid := sum()
+	checkPhaseAccount(t, cold, "join/cold")
+	checkCountersMatchMetrics(t, "join/cold", cold, before, mid)
+	if cold.Ctrs.RowsOut != rows || cold.Ctrs.ColdScans != 2 || cold.Ctrs.TuplesParsed != 2*rows {
+		t.Errorf("cold join: rows_out=%d cold_scans=%d tuples_parsed=%d", cold.Ctrs.RowsOut, cold.Ctrs.ColdScans, cold.Ctrs.TuplesParsed)
+	}
+
+	warm := profiledQuery(t, db, sql)
+	checkPhaseAccount(t, warm, "join/warm")
+	checkCountersMatchMetrics(t, "join/warm", warm, mid, sum())
+	if warm.Ctrs.RowsOut != rows || warm.Ctrs.WarmScans != 2 || warm.Ctrs.TuplesParsed != 0 || warm.Ctrs.CacheHits == 0 {
+		t.Errorf("warm join: rows_out=%d warm_scans=%d tuples_parsed=%d cache_hits=%d",
+			warm.Ctrs.RowsOut, warm.Ctrs.WarmScans, warm.Ctrs.TuplesParsed, warm.Ctrs.CacheHits)
+	}
+}

@@ -130,13 +130,22 @@ func TestFig6EpochsAndCacheUsage(t *testing.T) {
 }
 
 func TestFig7CumulativeOrdering(t *testing.T) {
-	rep, err := Fig7(tiny(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The figure reports wall-clock totals only, and at this scale one total
+	// is a few milliseconds — a scheduling hiccup inside a loaded
+	// `go test ./...` can invert an ordering. Each system's total is its
+	// best of three runs of the figure: a stall inflates one run, nothing
+	// deflates one, so the minimum is the least disturbed measurement.
 	totals := map[string]float64{}
-	for _, r := range rep.Rows {
-		totals[r[0]] = cell(t, r[3])
+	for run := 0; run < 3; run++ {
+		rep, err := Fig7(tiny(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rep.Rows {
+			if v := cell(t, r[3]); run == 0 || v < totals[r[0]] {
+				totals[r[0]] = v
+			}
+		}
 	}
 	// Shape invariants that hold at any scale. The paper's headline — a
 	// ~25% cumulative win over PostgreSQL — additionally needs files large

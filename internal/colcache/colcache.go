@@ -48,6 +48,7 @@ type Cache struct {
 	cols   map[int]*entry
 	lru    *list.List // of *entry; front = most recent
 	gen    int64      // bumped whenever an entry is removed
+	rows   int        // most rows any entry has spanned; capacity hint for grow
 	m      Metrics
 }
 
@@ -144,7 +145,7 @@ func (c *Cache) Put(col, row int, typ datum.Type, d datum.Datum) {
 		c.lru.MoveToFront(e.elem)
 		return
 	}
-	delta := e.grow(row)
+	delta := e.grow(row, c)
 	delta += valueBytes(typ, d)
 	if !c.makeRoom(delta, e) {
 		// Could not fit: roll back nothing (grow already happened but its
@@ -251,7 +252,7 @@ func (c *Cache) Absorb(sh *Cache, rowOffset int) {
 		if add == 0 || !c.makeRoom(delta, dst) {
 			continue
 		}
-		dst.grow(rowOffset + last)
+		dst.grow(rowOffset+last, c)
 		if empty {
 			switch src.typ {
 			case datum.Float:
@@ -343,6 +344,7 @@ func (c *Cache) Restore(d ColumnData) bool {
 // Truncate discards cached values at and beyond row for every column, used
 // when the backing file shrinks. Entries keep rows below the cut.
 func (c *Cache) Truncate(row int) {
+	c.rows = min(c.rows, max(row, 0))
 	for _, e := range c.cols {
 		for r := row; r < len(e.present)*64; r++ {
 			if bitGet(e.present, r) {
@@ -412,31 +414,47 @@ func (c *Cache) pickVictim(keep *entry) *entry {
 
 // grow extends the entry's arrays to hold row, returning the byte delta of
 // the growth that should be accounted (bitmap words only; value payloads
-// are accounted on set).
-func (e *entry) grow(row int) int64 {
+// are accounted on set). Every column of a table spans the same rows, so
+// an array that must be reallocated goes straight to the span c has seen
+// (c.rows): under a tight budget a scan re-creates evicted columns query
+// after query, and growing each by append's doubling allocated several
+// times the column and copied it as often.
+func (e *entry) grow(row int, c *Cache) int64 {
+	if row >= c.rows {
+		c.rows = row + 1
+	}
 	var delta int64
 	if n := row/64 + 1 - len(e.present); n > 0 {
-		e.present = extend(e.present, n)
-		e.nulls = extend(e.nulls, n)
+		words := (c.rows + 63) / 64
+		e.present = extend(e.present, n, words)
+		e.nulls = extend(e.nulls, n, words)
 		delta = int64(16 * n)
 	}
 	switch e.typ {
 	case datum.Int, datum.Date, datum.Bool:
-		e.ints = extend(e.ints, row+1-len(e.ints))
+		e.ints = extend(e.ints, row+1-len(e.ints), c.rows)
 	case datum.Float:
-		e.floats = extend(e.floats, row+1-len(e.floats))
+		e.floats = extend(e.floats, row+1-len(e.floats), c.rows)
 	case datum.Text:
-		e.strs = extend(e.strs, row+1-len(e.strs))
+		e.strs = extend(e.strs, row+1-len(e.strs), c.rows)
 	}
 	return delta
 }
 
 // extend appends n zero values to s (n <= 0: none) — one growth step
 // whether a scan adds the next row or a merge adds a partition's worth.
-// (The compiler grows s in place; the make allocates nothing.)
-func extend[T any](s []T, n int) []T {
+// When s must be reallocated and hint exceeds the new length, the new
+// array gets capacity hint at once; otherwise append's amortized growth
+// applies. (The compiler grows s in place; append's make allocates
+// nothing.)
+func extend[T any](s []T, n, hint int) []T {
 	if n <= 0 {
 		return s
+	}
+	if need := len(s) + n; need > cap(s) && hint > need {
+		t := make([]T, need, hint)
+		copy(t, s)
+		return t
 	}
 	return append(s, make([]T, n)...)
 }
@@ -801,7 +819,7 @@ func (v *View) Put(row int, d datum.Datum) bool {
 	if bitGet(e.present, row) {
 		return true
 	}
-	delta := e.grow(row)
+	delta := e.grow(row, v.c)
 	delta += valueBytes(e.typ, d)
 	if !v.c.makeRoom(delta, e) {
 		return false

@@ -511,3 +511,59 @@ func TestBitRangeHelpers(t *testing.T) {
 		}
 	}
 }
+
+// A column created after another has spanned the table is sized to that
+// span at once: filling it row by row — what a scan does to a column the
+// budget evicted earlier — never reallocates its arrays, and the values and
+// accounting are what growing by doubling gave.
+func TestNewColumnSizedToKnownSpan(t *testing.T) {
+	const rows = 5000
+	c := New(0)
+	v0 := c.View(0, datum.Int)
+	for r := 0; r < rows; r++ {
+		v0.Put(r, datum.NewInt(int64(r)))
+	}
+	v1 := c.View(1, datum.Int)
+	v1.Put(0, datum.NewInt(0))
+	e := c.cols[1]
+	if cap(e.ints) != rows || cap(e.present) != (rows+63)/64 || cap(e.nulls) != (rows+63)/64 {
+		t.Fatalf("capacity after the first value: ints=%d present=%d nulls=%d, want %d, %d, %d",
+			cap(e.ints), cap(e.present), cap(e.nulls), rows, (rows+63)/64, (rows+63)/64)
+	}
+	ints, present := &e.ints[0], &e.present[0]
+	for r := 1; r < rows; r++ {
+		v1.Put(r, datum.NewInt(int64(-r)))
+	}
+	if &e.ints[0] != ints || &e.present[0] != present || len(e.ints) != rows {
+		t.Error("filling the column reallocated its arrays")
+	}
+	if e.bytes != c.cols[0].bytes {
+		t.Errorf("accounted bytes differ: %d vs %d", e.bytes, c.cols[0].bytes)
+	}
+	for _, r := range []int{0, 1, rows / 2, rows - 1} {
+		if d, ok := c.Get(1, r); !ok || d.Int() != int64(-r) {
+			t.Errorf("row %d = %v %v", r, d, ok)
+		}
+	}
+	if _, ok := c.Get(1, rows); ok {
+		t.Error("row past the span reads as cached")
+	}
+
+	// A longer column still grows past the hint, and raises it.
+	v1.Put(rows+10, datum.NewInt(7))
+	if d, ok := c.Get(1, rows+10); !ok || d.Int() != 7 {
+		t.Errorf("row past the hint = %v %v", d, ok)
+	}
+	v2 := c.View(2, datum.Float)
+	v2.Put(3, datum.NewFloat(1.5))
+	if got := cap(c.cols[2].floats); got != rows+11 {
+		t.Errorf("capacity after the span grew: %d, want %d", got, rows+11)
+	}
+	// A shrunken file lowers it again.
+	c.Truncate(100)
+	v3 := c.View(3, datum.Int)
+	v3.Put(0, datum.NewInt(1))
+	if got := cap(c.cols[3].ints); got != 100 {
+		t.Errorf("capacity after Truncate(100): %d, want 100", got)
+	}
+}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"nodb/internal/exec"
+	"nodb/internal/tpch"
 )
 
 // benchWarmEngine opens an engine over a fixture table and runs one
@@ -158,4 +160,63 @@ func TestBatchSpeedupOnWarmScan(t *testing.T) {
 		}
 	}
 	t.Errorf("vectorized warm scan speedup %.2fx < 1.5x target after 3 attempts", speedup)
+}
+
+// TestJoinSpeedupOnWarmTPCH is the join gate: with every column cached, the
+// default engine — scans read batch-at-a-time with compiled kernels below a
+// batch-native hash join that feeds the aggregation batches — must answer
+// TPC-H Q3 and Q12 at least 1.3x faster than the DisableVectorized engine,
+// which runs the same join over row-path scans and an interpreted row tail.
+// Each side is its best of five interleaved runs.
+func TestJoinSpeedupOnWarmTPCH(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the row/batch timing ratio")
+	}
+	dir := t.TempDir()
+	if err := tpch.Generate(dir, 0.005, 3); err != nil {
+		t.Fatal(err)
+	}
+	open := func(disableVectorized bool) *Engine {
+		cat, err := tpch.Catalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := openEngine(t, cat, Options{Mode: ModePMCache, Statistics: true, DisableVectorized: disableVectorized})
+		for _, table := range []string{"customer", "orders", "lineitem"} {
+			if err := e.Prewarm(table); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	vec, row := open(false), open(true)
+	for _, name := range []string{"Q3", "Q12"} {
+		sql := tpch.Queries[name]
+		best := func(e *Engine, cur time.Duration) time.Duration {
+			start := time.Now()
+			drainQuery(t, e, sql)
+			if d := time.Since(start); cur == 0 || d < cur {
+				return d
+			}
+			return cur
+		}
+		drainQuery(t, vec, sql) // untimed: plans, kernels and statistics settle
+		drainQuery(t, row, sql)
+		if parsed := vec.Metrics("lineitem").TuplesParsed; parsed != row.Metrics("lineitem").TuplesParsed {
+			t.Fatalf("%s: engines did not warm alike", name)
+		}
+		var vecBest, rowBest time.Duration
+		for i := 0; i < 5; i++ {
+			rowBest = best(row, rowBest)
+			vecBest = best(vec, vecBest)
+		}
+		speedup := float64(rowBest) / float64(vecBest)
+		t.Logf("warm %s: row path %v, vectorized %v, speedup %.2fx", name, rowBest, vecBest, speedup)
+		if speedup < 1.3 {
+			t.Errorf("warm %s: vectorized join pipeline only %.2fx faster than the row path, want >= 1.3x", name, speedup)
+		}
+	}
 }

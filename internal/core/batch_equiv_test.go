@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nodb/internal/exec"
+	"nodb/internal/tpch"
 )
 
 // batchEquivQueries covers every shape the vectorized pipeline handles —
@@ -89,6 +92,103 @@ func TestBatchRowEquivalence(t *testing.T) {
 			b := mustQuery(t, batchEng, q)
 			if !rowsEqual(a.Rows, b.Rows) {
 				t.Fatalf("mode %+v query %q: rows differ\nrow:   %v\nbatch: %v", base, q, a.Rows, b.Rows)
+			}
+		}
+	}
+}
+
+// joinEquivQueries are the multi-table shapes the batch-native hash join
+// carries: 2- and 3-way joins, a residual filter fused into the projection
+// and one under an aggregate, GROUP BY above a join (float sums expose any
+// change of row order), and a self-join with a column-vs-column residual.
+var joinEquivQueries = []string{
+	`SELECT o_orderkey, o_orderdate, l_quantity FROM orders, lineitem
+		WHERE l_orderkey = o_orderkey AND o_orderdate < date '1993-01-01' AND l_quantity < 10`,
+	`SELECT c_name, o_orderkey, l_extendedprice FROM customer, orders, lineitem
+		WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+		AND c_mktsegment = 'BUILDING' AND l_shipdate > date '1998-06-01'`,
+	`SELECT o_orderkey, l_linenumber FROM orders, lineitem
+		WHERE l_orderkey = o_orderkey AND (o_orderpriority = '1-URGENT' OR l_shipmode = 'AIR') AND l_quantity > 48`,
+	`SELECT o_orderpriority, count(*), sum(l_extendedprice * (1 - l_discount)) FROM orders, lineitem
+		WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate
+		AND (o_orderstatus = 'F' OR l_returnflag = 'N')
+		GROUP BY o_orderpriority ORDER BY o_orderpriority`,
+	`SELECT n_name, count(*), avg(c_acctbal) FROM nation, customer, orders
+		WHERE c_nationkey = n_nationkey AND c_custkey = o_custkey GROUP BY n_name ORDER BY n_name`,
+	`SELECT count(*), sum(a.o_totalprice) FROM orders a, orders b
+		WHERE a.o_custkey = b.o_custkey AND a.o_orderkey < b.o_orderkey`,
+}
+
+// joinLimitQueries stop a join early; rows must match, metrics are not
+// compared (see batchLimitQueries).
+var joinLimitQueries = []string{
+	`SELECT o_orderkey, l_partkey FROM orders, lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 45 LIMIT 7`,
+	`SELECT c_custkey, o_orderkey, l_linenumber FROM customer, orders, lineitem
+		WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey LIMIT 1500`,
+}
+
+// TestJoinBatchRowEquivalence: multi-table queries return byte-identical
+// rows, order included, whether the join runs under the vectorized
+// pipeline or as the root of a Volcano tree over row-path scans, with
+// kernels on or off, for every worker count, cold and warm — and the
+// vectorized configurations leave identical adaptive structures behind.
+func TestJoinBatchRowEquivalence(t *testing.T) {
+	dir := t.TempDir()
+	if err := tpch.Generate(dir, 0.002, 11); err != nil {
+		t.Fatal(err)
+	}
+	tables := []string{"nation", "customer", "orders", "lineitem"}
+	type snapshot struct {
+		rows    [][]exec.Row
+		metrics [][]TableMetrics // per non-LIMIT query, per table
+	}
+	run := func(opts Options) snapshot {
+		cat, err := tpch.Catalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Mode, opts.Statistics = ModePMCache, true
+		e := openEngine(t, cat, opts)
+		var s snapshot
+		for pass := 0; pass < 2; pass++ { // cold, then warm
+			for _, q := range joinEquivQueries {
+				s.rows = append(s.rows, mustQuery(t, e, q).Rows)
+				var m []TableMetrics
+				for _, tbl := range tables {
+					m = append(m, e.Metrics(tbl))
+				}
+				s.metrics = append(s.metrics, m)
+			}
+		}
+		for _, q := range joinLimitQueries {
+			s.rows = append(s.rows, mustQuery(t, e, q).Rows)
+		}
+		return s
+	}
+	ref := run(Options{Parallelism: 1})
+	queries := append(append(append([]string{}, joinEquivQueries...), joinEquivQueries...), joinLimitQueries...)
+	for _, vec := range []bool{true, false} {
+		for _, kernels := range []bool{true, false} {
+			for _, w := range parallelWorkerCounts {
+				label := fmt.Sprintf("vectorized=%v kernels=%v workers=%d", vec, kernels, w)
+				got := run(Options{Parallelism: w, DisableVectorized: !vec, DisableKernels: !kernels})
+				for i := range ref.rows {
+					if len(ref.rows[i]) == 0 {
+						t.Fatalf("query %q returns no rows; the fixture no longer exercises it", queries[i])
+					}
+					if !reflect.DeepEqual(got.rows[i], ref.rows[i]) {
+						t.Errorf("%s query #%d %q: rows differ from the reference", label, i, queries[i])
+					}
+				}
+				if !vec {
+					continue
+				}
+				for i := range ref.metrics {
+					if !reflect.DeepEqual(got.metrics[i], ref.metrics[i]) {
+						t.Errorf("%s after query #%d %q: metrics differ\nref: %+v\ngot: %+v",
+							label, i, queries[i], ref.metrics[i], got.metrics[i])
+					}
+				}
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -475,5 +477,157 @@ func TestNormalizedCacheKeyRespectsLiterals(t *testing.T) {
 	lit2 := strings.TrimSpace(r2.Rows[0][0].String())
 	if lit1 == lit2 {
 		t.Skip("fixture degenerately uniform") // defensive; not expected
+	}
+}
+
+// joinFixture registers two small tables ta and tb (k int, v int) whose
+// keys overlap, so ta ⋈ tb, tb ⋈ ta and the self-join ta ⋈ ta all return
+// rows.
+func joinFixture(t testing.TB, dir string, n int) *schema.Catalog {
+	t.Helper()
+	cat := schema.NewCatalog()
+	for ti, name := range []string{"ta", "tb"} {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "%d,%d\n", (i*(ti+2))%97, i)
+		}
+		path := filepath.Join(dir, name+".csv")
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := schema.New(name, []schema.Column{
+			{Name: "k", Type: datum.Int}, {Name: "v", Type: datum.Int},
+		}, path, schema.CSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// TestConcurrentJoinLockOrder pins the hash join's table-lock rule: the
+// build child is drained and closed before the probe child opens, so a
+// join holds at most one table at a time. Sessions joining ta ⋈ tb with ta
+// as the build side, tb ⋈ ta with tb as the build side and the self-join
+// ta ⋈ ta therefore cannot deadlock each other (ABBA) or themselves —
+// against cold tables, where every first scan is an exclusive recording
+// pass, and again warm. Without statistics the planner builds on the first
+// FROM table, which is what fixes the build sides here.
+func TestConcurrentJoinLockOrder(t *testing.T) {
+	const n = 600
+	cat := joinFixture(t, t.TempDir(), n)
+	queries := []string{
+		"SELECT count(*), sum(ta.v), sum(tb.v) FROM ta, tb WHERE ta.k = tb.k",
+		"SELECT count(*), sum(ta.v), sum(tb.v) FROM tb, ta WHERE tb.k = ta.k",
+		"SELECT count(*), sum(a1.v), sum(a2.v) FROM ta a1, ta a2 WHERE a1.k = a2.k",
+	}
+	ref := openEngine(t, cat, Options{Mode: ModePMCache})
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		want[i] = mustQuery(t, ref, q)
+		if want[i].Rows[0][0].Int() == 0 {
+			t.Fatalf("%q joins nothing; the fixture no longer exercises it", q)
+		}
+	}
+
+	e := openEngine(t, cat, Options{Mode: ModePMCache})
+	for _, phase := range []string{"cold", "warm"} {
+		// Table-lock waits observe the context, so a lock-order deadlock
+		// surfaces as deadline errors below instead of hanging the run.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		const perShape = 4
+		errCh := make(chan error, perShape*len(queries))
+		var wg sync.WaitGroup
+		for r := 0; r < perShape; r++ {
+			for qi, q := range queries {
+				wg.Add(1)
+				go func(qi int, q string) {
+					defer wg.Done()
+					res, err := e.QueryContext(ctx, q, nil, nil)
+					switch {
+					case err != nil:
+						errCh <- fmt.Errorf("%s %q: %v", phase, q, err)
+					case !rowsEqual(res.Rows, want[qi].Rows):
+						errCh <- fmt.Errorf("%s %q: rows %v, serial run %v", phase, q, res.Rows, want[qi].Rows)
+					}
+				}(qi, q)
+			}
+		}
+		wg.Wait()
+		cancel()
+		close(errCh)
+		for err := range errCh {
+			t.Error(err)
+		}
+	}
+}
+
+// TestConcurrentJoinCancelOnProbeLock: a join whose probe table is held by
+// another session waits holding nothing — its build table stays writable —
+// and gives up as soon as its context is cancelled.
+func TestConcurrentJoinCancelOnProbeLock(t *testing.T) {
+	const n = 600
+	cat := joinFixture(t, t.TempDir(), n)
+	e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: 1})
+
+	// Hold tb exclusively: open a cold scan and keep it mid-flight.
+	p, err := e.PrepareStmt("SELECT v FROM tb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, _, err := p.Plan(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, err := holder.Next(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.QueryContext(ctx, "SELECT count(*) FROM ta, tb WHERE ta.k = tb.k", nil, nil)
+		done <- err
+	}()
+
+	// The build scan over ta publishes its row count when it completes; from
+	// then on the join is closing ta and queueing for tb. (TableStatsLite
+	// reads it without taking the table lock a broken join would hold.)
+	deadline := time.Now().Add(10 * time.Second)
+	for e.TableStatsLite()["ta"].Rows != n {
+		if time.Now().After(deadline) {
+			t.Fatal("the join's build scan over ta never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// An INSERT needs ta exclusively: it only succeeds if the blocked join
+	// kept no hold (shared or exclusive) on its build table.
+	ictx, icancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer icancel()
+	if _, _, err := e.ExecContext(ictx, "INSERT INTO ta VALUES (1, 1)", nil, nil); err != nil {
+		t.Fatalf("INSERT into the build table while the join waits on its probe table: %v", err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("join returned (%v) while its probe table was held exclusively", err)
+	default:
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled join did not return from the table-lock queue")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"nodb/internal/datum"
+	"nodb/internal/format"
 	"nodb/internal/schema"
 )
 
@@ -210,8 +212,10 @@ func TestParallelScanError(t *testing.T) {
 // prefix and tears the workers down mid-flight without deadlock or leaked
 // state corruption; a following full query still answers correctly.
 func TestParallelScanLimitTeardown(t *testing.T) {
-	cat := buildFixture(t, t.TempDir(), 4000)
-	e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: 8, ScanChunkSize: 1 << 12})
+	const rows, workers = 2400, 8
+	dir := t.TempDir()
+	cat := buildFixture(t, dir, rows)
+	e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: workers, ScanChunkSize: 1 << 12})
 	res := mustQuery(t, e, "SELECT id FROM wide LIMIT 3")
 	if len(res.Rows) != 3 {
 		t.Fatalf("limit rows = %d", len(res.Rows))
@@ -220,13 +224,24 @@ func TestParallelScanLimitTeardown(t *testing.T) {
 	if m.Rows != -1 {
 		t.Errorf("row count must stay unknown after a partial scan, got %d", m.Rows)
 	}
-	// The completed partition prefix merges back, like an aborted
-	// sequential scan keeping the recordings it made before stopping.
+	// Partitions read to their end before the teardown reached their worker
+	// merge back, like an aborted sequential scan keeping the recordings it
+	// made before stopping. A worker notices teardown only when it emits, a
+	// refused last message still counts as a full read (format.PumpRows),
+	// and the LIMIT is met from partition 0's first message — so a
+	// partition 0 of fewer than two messages is always merged.
+	raw, err := os.ReadFile(filepath.Join(dir, "wide.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw[:len(raw)/workers], []byte("\n")) + 1; n >= 2*format.BatchRowsPerMsg {
+		t.Fatalf("fixture: partition 0 holds %d rows, want fewer than two %d-row messages", n, format.BatchRowsPerMsg)
+	}
 	if m.PMPointers == 0 {
-		t.Error("torn-down parallel scan should retain prefix positional-map work")
+		t.Error("torn-down parallel scan should retain partition 0's positional-map work")
 	}
 	res = mustQuery(t, e, "SELECT count(*) FROM wide")
-	if res.Rows[0][0].Int() != 4000 {
+	if res.Rows[0][0].Int() != rows {
 		t.Errorf("count after torn-down scan = %v", res.Rows[0])
 	}
 }

@@ -3,11 +3,12 @@ package exec
 // Batch-at-a-time execution. A Batch carries up to ~BatchSize rows in
 // column-major layout plus a selection vector; BatchOperator is the
 // vectorized sibling of the Volcano Operator interface. Access methods
-// produce batches natively (in-situ scan, cache scan, parallel scan) and
-// the hot operators — Filter, Project, Limit, hash-aggregation input —
-// consume them, amortizing per-tuple interface dispatch across the batch.
-// Adapters in both directions let row-only operators keep working
-// unchanged during the migration.
+// produce batches natively (in-situ scan, cache scan, parallel scan), the
+// hash join consumes and produces them (join.go), and the hot operators —
+// Filter, Project, Limit, hash-aggregation input — consume them,
+// amortizing per-tuple interface dispatch across the batch. Adapters in
+// both directions serve what is still row-only: Sort, sort aggregation,
+// hash-aggregation output and heap-scan leaves.
 
 import (
 	"fmt"
@@ -96,7 +97,7 @@ type RowBudgeter interface {
 }
 
 // BatchRows adapts a BatchOperator into the row Operator interface, for
-// row-only consumers (sort, join, client drains) above a batch pipeline.
+// row-only consumers (sort, client drains) above a batch pipeline.
 type BatchRows struct {
 	child BatchOperator
 	b     *Batch
@@ -218,8 +219,8 @@ func (r *RowBatcher) Close() error { return r.child.Close() }
 func (r *RowBatcher) Columns() []Col { return r.child.Columns() }
 
 // AsBatch extracts the batch-capable view of an operator: either the
-// operator implements BatchOperator natively (scans do), or it is a
-// BatchRows adapter whose inner pipeline can be extended directly.
+// operator implements BatchOperator natively (scans and hash joins do), or
+// it is a BatchRows adapter whose inner pipeline can be extended directly.
 func AsBatch(op Operator) (BatchOperator, bool) {
 	if a, ok := op.(*BatchRows); ok {
 		return a.Batch(), true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -348,34 +349,225 @@ func TestHashJoinEmptySides(t *testing.T) {
 	}
 }
 
+// nestedLoop is the join reference: probe order, then build order, keys
+// compared with SQL equality (no keys = cross join).
+func nestedLoop(build, probe []Row, bk, pk []int) []Row {
+	var out []Row
+	for _, p := range probe {
+	next:
+		for _, b := range build {
+			for k := range bk {
+				if !datum.Equal(b[bk[k]], p[pk[k]]) {
+					continue next
+				}
+			}
+			out = append(out, append(append(Row{}, b...), p...))
+		}
+	}
+	return out
+}
+
+// selBatches is a batch producer whose batches carry a selection vector:
+// every real row sits at an even position, every odd position holds a copy
+// of the row before it that the selection excludes — a consumer that
+// ignores Sel sees every row twice.
+type selBatches struct {
+	cols []Col
+	rows []Row
+	size int
+	i    int
+	b    *Batch
+}
+
+func (s *selBatches) Open() error    { s.i = 0; return nil }
+func (s *selBatches) Close() error   { return nil }
+func (s *selBatches) Columns() []Col { return s.cols }
+func (s *selBatches) NextBatch() (*Batch, error) {
+	if s.i >= len(s.rows) {
+		return nil, io.EOF
+	}
+	s.b = NewBatch(len(s.cols), 2*s.size)
+	b := s.b
+	b.Sel = []int{}
+	for ; s.i < len(s.rows) && len(b.Sel) < s.size; s.i++ {
+		for rep := 0; rep < 2; rep++ {
+			for c := range b.Cols {
+				b.Cols[c] = append(b.Cols[c], s.rows[s.i][c])
+			}
+		}
+		b.Sel = append(b.Sel, b.N)
+		b.N += 2
+	}
+	return b, nil
+}
+
+func anyCols(n int) []Col {
+	cols := make([]Col, n)
+	for i := range cols {
+		cols[i] = Col{Name: fmt.Sprintf("c%d", i)}
+	}
+	return cols
+}
+
+// TestHashJoinAgainstNestedLoop drains every case through both executor
+// interfaces, over row-only inputs and over batch inputs carrying a Sel,
+// and requires the nested-loop reference's rows in its order.
 func TestHashJoinAgainstNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var lrows, rrows []Row
-	for i := 0; i < 300; i++ {
-		lrows = append(lrows, Row{datum.NewInt(rng.Int63n(50)), datum.NewInt(int64(i))})
+	I, F, T, D := datum.NewInt, datum.NewFloat, datum.NewText, datum.NewDate
+	null := datum.NewNull(datum.Int)
+	gen := func(n int, key func(i int) []datum.Datum) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = append(key(i), I(int64(i)))
+		}
+		return rows
 	}
-	for i := 0; i < 300; i++ {
-		rrows = append(rrows, Row{datum.NewInt(rng.Int63n(50)), datum.NewInt(int64(i))})
+	modKey := func(m int) func(int) []datum.Datum {
+		return func(i int) []datum.Datum { return []datum.Datum{I(int64(i % m))} }
 	}
-	j := NewHashJoin(
-		NewValues(intCols("k", "l"), lrows),
-		NewValues(intCols("k", "r"), rrows),
-		[]expr.Expr{col(0)}, []expr.Expr{col(0)})
+	type joinCase struct {
+		name         string
+		build, probe []Row
+		bk, pk       []int
+	}
+	cases := []joinCase{
+		{"int keys", gen(300, func(int) []datum.Datum { return []datum.Datum{I(rng.Int63n(50))} }),
+			gen(300, func(int) []datum.Datum { return []datum.Datum{I(rng.Int63n(50))} }), []int{0}, []int{0}},
+		{"date keys", gen(200, func(i int) []datum.Datum { return []datum.Datum{D(int64(i % 40))} }),
+			gen(200, func(i int) []datum.Datum { return []datum.Datum{D(int64(i % 60))} }), []int{0}, []int{0}},
+		{"date vs int keys never match", gen(20, func(i int) []datum.Datum { return []datum.Datum{D(int64(i))} }),
+			gen(20, func(i int) []datum.Datum { return []datum.Datum{I(int64(i))} }), []int{0}, []int{0}},
+		{"multi-column keys", gen(250, func(i int) []datum.Datum {
+			return []datum.Datum{I(int64(i % 7)), T(fmt.Sprint("t", i%5))}
+		}), gen(250, func(i int) []datum.Datum {
+			return []datum.Datum{I(int64(i % 5)), T(fmt.Sprint("t", i%7))}
+		}), []int{0, 1}, []int{0, 1}},
+		{"text keys", gen(120, func(i int) []datum.Datum { return []datum.Datum{T(fmt.Sprint("k", i%30))} }),
+			gen(90, func(i int) []datum.Datum { return []datum.Datum{T(fmt.Sprint("k", i%45))} }), []int{0}, []int{0}},
+		{"int build, float probe", gen(50, modKey(20)), gen(80, func(i int) []datum.Datum {
+			return []datum.Datum{F(float64(i%40) / 2)} // whole and half numbers
+		}), []int{0}, []int{0}},
+		{"float build, int probe", gen(80, func(i int) []datum.Datum { return []datum.Datum{F(float64(i%40) / 2)} }),
+			gen(50, modKey(20)), []int{0}, []int{0}},
+		{"mixed-tag build keys", gen(60, func(i int) []datum.Datum {
+			if i%2 == 0 {
+				return []datum.Datum{I(int64(i % 10))}
+			}
+			return []datum.Datum{F(float64(i % 10))}
+		}), gen(40, modKey(12)), []int{0}, []int{0}},
+		{"NULL keys on either side", gen(100, func(i int) []datum.Datum {
+			if i%3 == 0 {
+				return []datum.Datum{null, I(1)}
+			}
+			return []datum.Datum{I(int64(i % 4)), I(1)}
+		}), gen(100, func(i int) []datum.Datum {
+			if i%5 == 0 {
+				return []datum.Datum{I(int64(i % 4)), null}
+			}
+			return []datum.Datum{I(int64(i % 4)), I(1)}
+		}), []int{0, 1}, []int{0, 1}},
+		{"fan-out larger than one output batch", gen(2*DefaultBatchSize+100, modKey(2)),
+			gen(5, modKey(3)), []int{0}, []int{0}},
+		{"zero keys (cross join)", gen(40, modKey(40)), gen(60, modKey(60)), nil, nil},
+		{"empty build", nil, gen(10, modKey(3)), []int{0}, []int{0}},
+		{"empty probe", gen(10, modKey(3)), nil, []int{0}, []int{0}},
+	}
+	for _, nb := range []int{1, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1} {
+		for _, np := range []int{1, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1} {
+			cases = append(cases, joinCase{fmt.Sprintf("sizes build=%d probe=%d", nb, np),
+				gen(nb, modKey(257)), gen(np, modKey(300)), []int{0}, []int{0}})
+		}
+	}
+
+	keyExprs := func(idx []int) []expr.Expr {
+		out := make([]expr.Expr, len(idx))
+		for i, k := range idx {
+			out[i] = col(k)
+		}
+		return out
+	}
+	inputs := map[string]func(rows []Row, width int) Operator{
+		"rows": func(rows []Row, width int) Operator { return NewValues(anyCols(width), rows) },
+		"sel batches": func(rows []Row, width int) Operator {
+			return NewBatchRows(&selBatches{cols: anyCols(width), rows: rows, size: 100})
+		},
+	}
+	for _, tc := range cases {
+		want := nestedLoop(tc.build, tc.probe, tc.bk, tc.pk)
+		width := len(tc.bk) + 1 // gen: key columns, then the row number
+		if tc.bk == nil {
+			width = 2
+		}
+		for inName, in := range inputs {
+			newJoin := func() *HashJoin {
+				return NewHashJoin(in(tc.build, width), in(tc.probe, width), keyExprs(tc.bk), keyExprs(tc.pk))
+			}
+			viaNext, err := Drain(newJoin())
+			if err != nil {
+				t.Fatalf("%s/%s: Next: %v", tc.name, inName, err)
+			}
+			viaBatch, err := DrainBatches(newJoin())
+			if err != nil {
+				t.Fatalf("%s/%s: NextBatch: %v", tc.name, inName, err)
+			}
+			for label, got := range map[string][]Row{"Next": viaNext, "NextBatch": viaBatch} {
+				if len(got) != len(want) {
+					t.Errorf("%s/%s via %s: %d rows, nested loop %d", tc.name, inName, label, len(got), len(want))
+					continue
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("%s/%s via %s: row %d = %v, nested loop %v", tc.name, inName, label, i, got[i], want[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHashJoinExpressionKeys: a key that is not a bare column reference is
+// evaluated per batch on both sides.
+func TestHashJoinExpressionKeys(t *testing.T) {
+	build := intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
+	probe := intRows([]int64{2, 7}, []int64{3, 8}, []int64{4, 9}, []int64{9, 9})
+	plus1 := &expr.BinOp{Op: expr.Add, L: col(0), R: lit(1)}
+	j := NewHashJoin(NewValues(intCols("a", "b"), build), NewValues(intCols("c", "d"), probe),
+		[]expr.Expr{plus1}, []expr.Expr{col(0)}) // a + 1 = c
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference nested loop.
-	var want int
-	for _, l := range lrows {
-		for _, r := range rrows {
-			if l[0].Int() == r[0].Int() {
-				want++
-			}
-		}
+	want := intRows([]int64{1, 10, 2, 7}, []int64{2, 20, 3, 8}, []int64{3, 30, 4, 9})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a + 1 = c: got %v want %v", got, want)
 	}
-	if len(got) != want {
-		t.Errorf("hash join %d rows, nested loop %d", len(got), want)
+}
+
+// TestHashJoinBuildClosedBeforeProbeOpens pins the table-lock rule: the
+// build child is drained and closed before the probe child opens, and the
+// join offers no row budget for a LIMIT to reach a scan through.
+func TestHashJoinBuildClosedBeforeProbeOpens(t *testing.T) {
+	var events []string
+	leaf := func(name string, rows []Row) Operator {
+		v := NewValues(intCols("k"), rows)
+		return NewSource(v.Columns(),
+			func() error { events = append(events, name+" open"); return v.Open() },
+			v.Next,
+			func() error { events = append(events, name+" close"); return nil })
+	}
+	j := NewHashJoin(leaf("build", intRows([]int64{1})), leaf("probe", intRows([]int64{1})),
+		[]expr.Expr{col(0)}, []expr.Expr{col(0)})
+	if _, err := Drain(j); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"build open", "build close", "probe open", "probe close"}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("open/close order = %v, want %v", events, want)
+	}
+	if _, ok := Operator(j).(RowBudgeter); ok {
+		t.Error("HashJoin must not implement RowBudgeter")
 	}
 }
 

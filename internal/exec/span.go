@@ -13,9 +13,9 @@ import (
 //
 // The wrappers preserve the type-assertion-driven fast paths the planner
 // and Drain rely on: the batch wrapper is inserted below BatchRows (so
-// Drain's *BatchRows special case still fires), and the scan wrapper
-// implements both Operator and BatchOperator plus RowBudgeter forwarding
-// so AsBatch and LIMIT pushdown see through it.
+// Drain's *BatchRows special case still fires), and the dual wrapper
+// (scans, hash joins) implements both Operator and BatchOperator plus
+// RowBudgeter forwarding so AsBatch and LIMIT pushdown see through it.
 
 // SpanRow wraps a row operator.
 type SpanRow struct {
@@ -113,32 +113,45 @@ func (s *SpanBatch) SetRowBudget(n int64) {
 	}
 }
 
-// DualOperator is the scan-leaf contract restated (format.ScanOperator
-// without the import cycle): one operator serving both executors.
+// DualOperator is one operator serving both executors: the scan-leaf
+// contract restated (format.ScanOperator without the import cycle), which
+// HashJoin meets too.
 type DualOperator interface {
 	Operator
 	BatchOperator
 }
 
-// SpanScan wraps a scan leaf, serving both interfaces so AsBatch and the
-// row-side join consumers both see through it.
-type SpanScan struct {
+// SpanDual wraps a dual-interface operator (a scan leaf or a hash join),
+// serving both interfaces itself so AsBatch and row consumers both see
+// through it and profiled plans run the same operators as unprofiled ones.
+type SpanDual struct {
 	child DualOperator
 	sp    *qtrace.Span
+	p     *qtrace.Profile
+	ctr   qtrace.Counter
+	hasC  bool
 }
 
-// NewSpanScan wraps a scan leaf. If the child can annotate its own span
-// (GuardedScan reports its access-method decision), it is handed sp.
-func NewSpanScan(sp *qtrace.Span, child DualOperator) *SpanScan {
+// NewSpanDual wraps child. If the child can annotate its own span
+// (GuardedScan reports its access-method decision, HashJoin its build and
+// probe sizes), it is handed sp.
+func NewSpanDual(sp *qtrace.Span, child DualOperator) *SpanDual {
 	if a, ok := child.(qtrace.SpanSetter); ok {
 		a.SetTraceSpan(sp)
 	}
-	return &SpanScan{child: child, sp: sp}
+	return &SpanDual{child: child, sp: sp}
 }
 
-// Open opens the child, attributing lock-wait and access-method decision
-// time to the scan's span.
-func (s *SpanScan) Open() error {
+// CountBatches also bumps ctr on p once per batch pulled through NextBatch
+// (the planner counts the batches a scan narrows with a compiled conjunct
+// as kernel batches).
+func (s *SpanDual) CountBatches(p *qtrace.Profile, ctr qtrace.Counter) {
+	s.p, s.ctr, s.hasC = p, ctr, true
+}
+
+// Open opens the child, attributing its time (a scan's lock wait and
+// access-method decision, a join's build) to the span.
+func (s *SpanDual) Open() error {
 	start := time.Now()
 	err := s.child.Open()
 	s.sp.Observe(time.Since(start), 0, 0)
@@ -146,7 +159,7 @@ func (s *SpanScan) Open() error {
 }
 
 // Next pulls one row from the child, attributing time and rows.
-func (s *SpanScan) Next() (Row, error) {
+func (s *SpanDual) Next() (Row, error) {
 	start := time.Now()
 	r, err := s.child.Next()
 	if err != nil {
@@ -158,7 +171,7 @@ func (s *SpanScan) Next() (Row, error) {
 }
 
 // NextBatch pulls one batch from the child, attributing time and rows.
-func (s *SpanScan) NextBatch() (*Batch, error) {
+func (s *SpanDual) NextBatch() (*Batch, error) {
 	start := time.Now()
 	b, err := s.child.NextBatch()
 	if err != nil {
@@ -166,17 +179,21 @@ func (s *SpanScan) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	s.sp.Observe(time.Since(start), int64(b.Live()), 1)
+	if s.hasC {
+		s.p.Count(s.ctr, 1)
+	}
 	return b, nil
 }
 
 // Close closes the child.
-func (s *SpanScan) Close() error { return s.child.Close() }
+func (s *SpanDual) Close() error { return s.child.Close() }
 
 // Columns returns the child schema.
-func (s *SpanScan) Columns() []Col { return s.child.Columns() }
+func (s *SpanDual) Columns() []Col { return s.child.Columns() }
 
-// SetRowBudget forwards LIMIT pushdown to a budget-capable child.
-func (s *SpanScan) SetRowBudget(n int64) {
+// SetRowBudget forwards LIMIT pushdown to a budget-capable child (scans;
+// a join takes no budget, so under one this is a no-op).
+func (s *SpanDual) SetRowBudget(n int64) {
 	if b, ok := s.child.(RowBudgeter); ok {
 		b.SetRowBudget(n)
 	}

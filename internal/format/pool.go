@@ -34,8 +34,10 @@ type PoolConfig struct {
 	// returning the partition count. It runs on Open.
 	Start func() (parts int, err error)
 	// Run scans one partition, emitting freshly allocated column-major
-	// batches (the consumer owns them outright). It returns nil on a clean
-	// drain, ErrStopped when emit refused (teardown), or the scan error.
+	// batches (the consumer owns them outright). It returns nil once the
+	// partition was read to its end — its private state is then complete,
+	// whether or not teardown refused the last batch — ErrStopped when emit
+	// refused before that, or the scan error.
 	Run func(part int, emit func(*exec.Batch) bool) error
 	// Merge folds the first n partitions' private state (shards) into the
 	// shared structures. It runs at most once per Open: with every
@@ -191,9 +193,12 @@ func (p *pool) merge(n int, clean bool) error {
 
 // stop tears the workers down (idempotent; also runs after a clean drain).
 // When the scan is abandoned before a full drain — LIMIT, error, early
-// Close — the completed prefix of partitions still merges back; row counts
-// and statistics stay unpublished (the file was not fully seen), just like
-// a sequential scan that never reached finish.
+// Close — the leading partitions whose workers had read their whole range
+// by the time they noticed still merge back; row counts and statistics
+// stay unpublished (the file was not fully seen), just like a sequential
+// scan that never reached finish. A worker notices teardown only at its
+// next emit, so a partition that fits its last batch in flight always
+// counts as read; how many later ones do depends on scheduling.
 func (p *pool) stop() error {
 	if p.done == nil {
 		return nil
@@ -216,15 +221,18 @@ func (p *pool) stop() error {
 // PumpRows drains a row operator into freshly allocated column-major
 // batches of at most size rows, emitting each. It is the standard body of
 // a partition worker's Run: it returns nil on EOF, ErrStopped when emit
-// refuses (teardown), or the scan error. The caller opens and closes the
-// operator.
+// refuses a batch before EOF (teardown), or the scan error. A refused
+// final batch still returns nil: the partition was read completely, the
+// consumer is gone (teardown) or finish reports the cancellation, so the
+// rows are never missed and the shard is whole. The caller opens and
+// closes the operator.
 func PumpRows(src exec.Operator, width, size int, emit func(*exec.Batch) bool) error {
 	b := exec.NewBatch(width, size)
 	for {
 		r, err := src.Next()
 		if err == io.EOF {
-			if b.N > 0 && !emit(b) {
-				return ErrStopped
+			if b.N > 0 {
+				emit(b)
 			}
 			return nil
 		}

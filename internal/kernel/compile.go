@@ -269,10 +269,67 @@ func colLit(b *expr.BinOp) (cr *expr.ColRef, lit datum.Datum, flipped, ok bool) 
 // comparand): it keeps no rows.
 func dropAll(cols [][]datum.Datum, n int, sel []int, buf []int) []int { return buf }
 
+// compileColCmp compiles "col <op> col". There is no literal to pick a
+// specialization from, so the loop guards per element: two Int, two Date or
+// two Float operands compare their payloads directly, any other pairing
+// defers to datum.Compare, and a NULL on either side drops the row.
+func compileColCmp(b *expr.BinOp, l, r *expr.ColRef, st *cstate) (prepFilter, bool) {
+	if l.Index < 0 || r.Index < 0 {
+		return nil, false
+	}
+	st.addCol(l.Index)
+	st.addCol(r.Index)
+	st.sigf("cmp%d(c%d,c%d)", int(b.Op), l.Index, r.Index)
+	if !st.build {
+		return nil, true
+	}
+	op, li, ri := b.Op, l.Index, r.Index
+	keep := func(x, y datum.Datum) bool {
+		if x.Null() || y.Null() {
+			return false
+		}
+		var c int
+		switch {
+		case x.T == y.T && (x.T == datum.Int || x.T == datum.Date):
+			c = cmp64(x.Int(), y.Int())
+		case x.T == datum.Float && y.T == datum.Float:
+			c = cmpF(x.Float(), y.Float())
+		default:
+			c = datum.Compare(x, y)
+		}
+		return expr.CmpMatches(op, c)
+	}
+	return func([]datum.Datum) rawFilter {
+		return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
+			lc, rc := cols[li], cols[ri]
+			if sel == nil {
+				for i := 0; i < n; i++ {
+					if keep(lc[i], rc[i]) {
+						buf = append(buf, i)
+					}
+				}
+				return buf
+			}
+			for _, i := range sel {
+				if keep(lc[i], rc[i]) {
+					buf = append(buf, i)
+				}
+			}
+			return buf
+		}
+	}, true
+}
+
 // compileCmp compiles "col <op> literal" (either side) into a typed loop.
 // The literal's runtime type picks the specialization at prep time, so a
 // re-bound parameter that changes type re-specializes without recompiling.
+// "col <op> col" goes to compileColCmp.
 func compileCmp(b *expr.BinOp, st *cstate) (prepFilter, bool) {
+	if l, isL := b.L.(*expr.ColRef); isL {
+		if r, isR := b.R.(*expr.ColRef); isR {
+			return compileColCmp(b, l, r, st)
+		}
+	}
 	cr, lit, flipped, ok := colLit(b)
 	if !ok || cr.Index < 0 {
 		return nil, false

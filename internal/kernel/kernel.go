@@ -26,8 +26,9 @@
 //     any residual filter in one pass, replacing BatchFilter+BatchProject).
 //
 // Supported shapes: Int/Float/Date/Text/Bool comparisons against literals,
-// BETWEEN, IN, IS [NOT] NULL, AND/OR compositions of those, and projection
-// arithmetic between columns and literals. Everything else falls back to
+// comparisons between two columns, BETWEEN, IN, IS [NOT] NULL, AND/OR
+// compositions of those, and projection arithmetic between columns and
+// literals. Everything else falls back to
 // the interpreted tree — the compiled and interpreted paths are built to be
 // byte-identical, and the equivalence suites enforce it.
 package kernel

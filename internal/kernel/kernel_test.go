@@ -11,10 +11,12 @@ import (
 )
 
 // testBatch builds a randomized column table: col 0 Int, 1 Float, 2 Date,
-// 3 Text, 4 Bool, each with NULLs sprinkled in, plus col 5 Int NULL-free.
+// 3 Text, 4 Bool, each with NULLs sprinkled in, col 5 Int NULL-free, and a
+// second Date (6) and Float (7) column with NULLs, drawn from the ranges of
+// 2 and 1 so column-vs-column comparisons see all three orderings.
 func testBatch(n int, seed int64) [][]datum.Datum {
 	rng := rand.New(rand.NewSource(seed))
-	cols := make([][]datum.Datum, 6)
+	cols := make([][]datum.Datum, 8)
 	for j := range cols {
 		cols[j] = make([]datum.Datum, n)
 	}
@@ -46,6 +48,16 @@ func testBatch(n int, seed int64) [][]datum.Datum {
 			cols[4][i] = datum.NewBool(rng.Intn(2) == 1)
 		}
 		cols[5][i] = datum.NewInt(int64(rng.Intn(100)))
+		if null() {
+			cols[6][i] = datum.NewNull(datum.Date)
+		} else {
+			cols[6][i] = datum.NewDate(int64(9000 + rng.Intn(300)))
+		}
+		if null() {
+			cols[7][i] = datum.NewNull(datum.Float)
+		} else {
+			cols[7][i] = datum.NewFloat(float64(rng.Intn(400))/8 - 20)
+		}
 	}
 	return cols
 }
@@ -60,7 +72,24 @@ func filterPredicates() []expr.Expr {
 	dates := col(2, datum.Date)
 	texts := col(3, datum.Text)
 	dense := col(5, datum.Int)
+	dates2 := col(6, datum.Date)
+	floats2 := col(7, datum.Float)
 	return []expr.Expr{
+		// Column vs column: same-typed fast paths in both operand orders,
+		// NULLs on either side, and mixed tags deferring to datum.Compare.
+		&expr.BinOp{Op: expr.Lt, L: ints, R: dense},
+		&expr.BinOp{Op: expr.Ge, L: dense, R: ints},
+		&expr.BinOp{Op: expr.Lt, L: dates, R: dates2},
+		&expr.BinOp{Op: expr.Gt, L: dates2, R: dates},
+		&expr.BinOp{Op: expr.Eq, L: dates, R: dates2},
+		&expr.BinOp{Op: expr.Le, L: floats, R: floats2},
+		&expr.BinOp{Op: expr.Ne, L: floats2, R: floats},
+		&expr.BinOp{Op: expr.Ge, L: ints, R: floats}, // Int vs Float
+		&expr.BinOp{Op: expr.Lt, L: dates, R: dense}, // Date vs Int: orders by type id
+		&expr.BinOp{Op: expr.Eq, L: texts, R: texts}, // no fast path
+		&expr.BinOp{Op: expr.And,
+			L: &expr.BinOp{Op: expr.Lt, L: dates, R: dates2},
+			R: &expr.BinOp{Op: expr.Gt, L: dates2, R: lit(datum.NewDate(9100))}},
 		&expr.BinOp{Op: expr.Lt, L: ints, R: lit(datum.NewInt(3))},
 		&expr.BinOp{Op: expr.Ge, L: lit(datum.NewInt(3)), R: ints}, // flipped
 		&expr.BinOp{Op: expr.Eq, L: ints, R: lit(datum.NewFloat(2))},

@@ -43,7 +43,10 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 	}
 
 	// Build the scan leaves (span-wrapped when profiling; the wrapper keeps
-	// the dual row/batch interface and RowBudgeter pushdown intact).
+	// the dual row/batch interface and RowBudgeter pushdown intact). A hash
+	// join reads its inputs batch-at-a-time whenever they offer batches, so
+	// with vectorization off the scans below a join are pinned to their row
+	// path: the join then batches rows the scan produced one Next at a time.
 	scans := make([]exec.Operator, n)
 	scanSpans := make([]*qtrace.Span, n)
 	for ti := range sk.tables {
@@ -51,7 +54,15 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		if err != nil {
 			return nil, nil, err
 		}
-		scans[ti], scanSpans[ti] = bi.spanScan("scan "+sk.tables[ti].alias, op)
+		scans[ti], scanSpans[ti] = bi.spanDual("scan "+sk.tables[ti].alias, op)
+		if sd, ok := scans[ti].(*exec.SpanDual); ok && hasKernel(pushed[ti]...) {
+			// Batches the scan narrows with a compiled conjunct count as
+			// kernel batches (row pulls count nothing).
+			sd.CountBatches(bi.prof, qtrace.CtrKernelBatches)
+		}
+		if n > 1 && !bi.opts.Vectorize {
+			scans[ti] = exec.NewBatchRows(exec.NewRowBatcher(scans[ti], 0))
+		}
 	}
 
 	// Join order: with stats, greedily grow from the smallest estimated
@@ -147,8 +158,8 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		buildNew := bi.opts.UseStats && est[ti] <= treeEst
 		if buildNew {
 			// Build on the new (smaller) table; output = new ++ tree.
-			root = bi.spanRow("hash join",
-				exec.NewHashJoin(scans[ti], root, newKeys, shiftRefs(treeKeys, 0)),
+			root, bi.curSpan = bi.spanDual("hash join",
+				exec.NewHashJoin(scans[ti], root, newKeys, treeKeys),
 				scanSpans[ti], bi.curSpan)
 			for sc, pos := range layout {
 				layout[sc] = pos + newWidth
@@ -156,8 +167,8 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 			addTable(ti, 0)
 		} else {
 			// Build on the accumulated tree; output = tree ++ new.
-			root = bi.spanRow("hash join",
-				exec.NewHashJoin(root, scans[ti], treeKeys, shiftRefs(newKeys, 0)),
+			root, bi.curSpan = bi.spanDual("hash join",
+				exec.NewHashJoin(root, scans[ti], treeKeys, newKeys),
 				bi.curSpan, scanSpans[ti])
 			addTable(ti, width)
 		}
@@ -168,20 +179,6 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		}
 	}
 	return root, layout, nil
-}
-
-// shiftRefs returns the key expressions unchanged; kept as a named helper
-// for symmetry and future offsetting needs.
-func shiftRefs(keys []expr.Expr, delta int) []expr.Expr {
-	if delta == 0 {
-		return keys
-	}
-	out := make([]expr.Expr, len(keys))
-	for i, k := range keys {
-		c := k.(*expr.ColRef)
-		out[i] = &expr.ColRef{Index: c.Index + delta, Name: c.Name, Type: c.Type}
-	}
-	return out
 }
 
 func indexOf(xs []int, v int) int {

@@ -74,19 +74,22 @@ type Options struct {
 	// sort-based aggregation — the conservative plan shapes a DBMS picks
 	// without ANALYZE data (Fig 12's "w/o statistics" line).
 	UseStats bool
-	// Vectorize builds a batch-at-a-time pipeline above batch-capable scan
-	// leaves: filters, projections and limits run over column-major
-	// batches (exec.Batch) and hash aggregation consumes batches directly.
-	// Every raw-format scan (CSV, FITS, JSONL) is batch-capable; row-only
-	// leaves (heap scans) and row-only operators (sort, join) keep the
-	// Volcano path, bridged by adapters. Results are identical either way.
+	// Vectorize builds a batch-at-a-time pipeline above the join tree:
+	// filters, projections and limits run over column-major batches
+	// (exec.Batch) and hash aggregation consumes batches directly. Every
+	// raw-format scan (CSV, FITS, JSONL) and the hash join are
+	// batch-capable, so multi-table queries stay on the pipeline; row-only
+	// leaves (heap scans) and row-only operators (sort, sort aggregation)
+	// keep the Volcano path, bridged by adapters. When false, the same
+	// hash join is driven through its row interface and the scans below it
+	// are pinned to their row path. Results are identical either way.
 	Vectorize bool
 	// KernelCache, when non-nil, enables the query-shape kernel compiler
 	// (internal/kernel): supported filter conjuncts attach compiled
 	// type-specialized batch closures, and the final filter+project tail of
-	// a vectorized single-table pipeline runs as one fused operator instead
-	// of the generic expression walk. Results are identical; nil disables
-	// compilation.
+	// a vectorized pipeline (over a scan or a join) runs as one fused
+	// operator instead of the generic expression walk. Results are
+	// identical; nil disables compilation.
 	KernelCache *kernel.Cache
 	// Ctx bounds the execution the plan is built for; it flows into every
 	// scan leaf so a cancelled context aborts running scans promptly. Nil

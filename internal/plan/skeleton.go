@@ -280,13 +280,14 @@ func (bi *binder) bind() (*Result, error) {
 		return nil, err
 	}
 
-	// Batch pipeline: when the join tree's root is a batch-capable leaf (a
-	// single-table scan — in-situ, cache or parallel), the hot operators
-	// below stack on the vectorized interface; broot carries that pipeline
-	// and root always mirrors it through a row adapter, so a consumer that
-	// reads rows sees the identical (filtered) stream.
+	// Batch pipeline: when the join tree's root is batch-capable (a scan —
+	// in-situ, cache or parallel — or a hash join, which is batch-native
+	// over any inputs), the hot operators below stack on the vectorized
+	// interface; broot carries that pipeline and root always mirrors it
+	// through a row adapter, so a consumer that reads rows sees the
+	// identical (filtered) stream.
 	var broot exec.BatchOperator
-	var bleaf exec.RowBudgeter // the scan leaf, when it accepts a row budget
+	var bleaf exec.RowBudgeter // the scan root, when it accepts a row budget (a join never does)
 	if bi.opts.Vectorize {
 		if bo, ok := exec.AsBatch(root); ok {
 			broot = bo
@@ -317,8 +318,11 @@ func (bi *binder) bind() (*Result, error) {
 			fusedPred = re
 			bleaf = nil
 		case broot != nil:
-			broot = bi.spanBatch("filter", exec.NewBatchFilter(broot, re),
-				qtrace.CtrGenericBatches, true, bi.curSpan)
+			ctr := qtrace.CtrGenericBatches
+			if hasKernel(re) {
+				ctr = qtrace.CtrKernelBatches
+			}
+			broot = bi.spanBatch("filter", exec.NewBatchFilter(broot, re), ctr, true, bi.curSpan)
 			root = exec.NewBatchRows(broot)
 			bleaf = nil
 		default:

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"nodb/internal/exec"
+	"nodb/internal/expr"
 	"nodb/internal/qtrace"
 )
 
@@ -13,18 +14,30 @@ import (
 // existed, preserving both the overhead gate and the type-assertion fast
 // paths (AsBatch, Drain's *BatchRows case, RowBudgeter pushdown).
 
-// spanScan wraps a scan leaf. Dual-interface leaves (every format scan)
-// keep both executor views; row-only leaves (heap tables) keep the row
-// view. Returns the leaf's span for parent construction.
-func (bi *binder) spanScan(label string, op exec.Operator) (exec.Operator, *qtrace.Span) {
+// spanDual wraps a scan leaf or a hash join over the given child spans.
+// Dual-interface operators (every format scan, every join) keep both
+// executor views; row-only leaves (heap tables) keep the row view. Returns
+// the operator's span for parent construction.
+func (bi *binder) spanDual(label string, op exec.Operator, children ...*qtrace.Span) (exec.Operator, *qtrace.Span) {
 	if bi.prof == nil {
 		return op, nil
 	}
-	sp := qtrace.NewSpan(label)
+	sp := qtrace.NewSpan(label, compactSpans(children)...)
 	if dual, ok := op.(exec.DualOperator); ok {
-		return exec.NewSpanScan(sp, dual), sp
+		return exec.NewSpanDual(sp, dual), sp
 	}
 	return exec.NewSpanRow(sp, op), sp
+}
+
+// hasKernel reports whether any of the predicates carries a compiled
+// filter kernel.
+func hasKernel(preds ...expr.Expr) bool {
+	for _, e := range preds {
+		if _, ok := e.(*expr.Kernel); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // spanRow wraps a row operator with a span over the given children.

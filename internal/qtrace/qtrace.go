@@ -106,8 +106,10 @@ const (
 	CtrWorkers
 	// CtrRowsOut counts rows delivered to the client cursor.
 	CtrRowsOut
-	// CtrKernelBatches / CtrGenericBatches split vectorized batches between
-	// the compiled fused tail and the generic batch operators.
+	// CtrKernelBatches counts batches a compiled kernel ran on: a scan
+	// narrowing by at least one compiled conjunct, a compiled residual
+	// filter, the fused projection tail. CtrGenericBatches counts batches
+	// through the generic BatchFilter/BatchProject operators.
 	CtrKernelBatches
 	CtrGenericBatches
 	numCounters
