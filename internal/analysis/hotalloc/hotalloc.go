@@ -8,7 +8,7 @@
 //   - a function declaration (the whole body, including nested literals);
 //   - a named func type declaration (every func literal created where a
 //     value of that type is expected — how the kernel closures are
-//     tagged once, at the filterFn/evalFn type, instead of at every
+//     tagged once, at the filterFn/vecFn type, instead of at every
 //     literal);
 //   - a statement (the func literals that statement contains).
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"sort"
 	"testing"
 	"time"
@@ -61,22 +62,43 @@ func benchProfiledScan(b *testing.B, profiled bool) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// TestProfileOverheadOnWarmScan is the CI overhead gate for the qtrace
-// instrumentation: on a warm cached Filter+Project scan, the profiling-
-// disabled path must stay within 1% of the baseline (every hook gates on
-// a nil profile fetched once per component, so the only cost the default
-// path may pay is that lookup), and a fully profiled run within 5%. The
-// three series interleave round-robin so host drift hits them equally,
-// and each compares by its minimum — scheduler noise only ever adds
-// time, so the min estimates the true cost far more stably than a mean
-// at 1% resolution. Like the other timing gates it retries before
-// declaring failure and skips under -short and the race detector.
+// overheadGate enables TestProfileOverheadOnWarmScan's wall-clock bound.
+// A 5 % timing ratio only means something on an otherwise idle machine, so
+// the bound runs when asked for — the non-race CI gate step passes
+// -overhead-gate — and never under a plain `go test ./...`, whose packages
+// share the cores.
+var overheadGate = flag.Bool("overhead-gate", false, "also enforce the profiled warm-scan wall-clock bound (run alone on an idle machine)")
+
+// spanWrapped reports whether a planned pipeline's root carries a qtrace
+// span wrapper.
+func spanWrapped(op exec.Operator) bool {
+	switch o := op.(type) {
+	case *exec.SpanRow:
+		return true
+	case *exec.BatchRows:
+		_, ok := o.Batch().(*exec.SpanBatch)
+		return ok
+	}
+	return false
+}
+
+// TestProfileOverheadOnWarmScan is the overhead gate for the qtrace
+// instrumentation on a warm cached Filter+Project scan. The disabled path
+// is checked deterministically: every hook gates on a nil profile fetched
+// once per component, so a request context that carries no profile must
+// plan the bare operator chain (no span wrappers) and allocate exactly what
+// the same query allocates under context.Background(). With
+// -overhead-gate, a fully profiled run must also stay within 5 % of the
+// baseline's wall time; the series interleave round-robin and compare by
+// their minimum, because scheduler noise only ever adds time. Skipped
+// under -short and the race detector (whose instrumentation and sync.Pool
+// drops distort both counts).
 func TestProfileOverheadOnWarmScan(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-sensitive; run without -short")
+		t.Skip("builds a 40k-row warm engine; run without -short")
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation distorts the overhead ratio")
+		t.Skip("race instrumentation distorts allocation counts and timing")
 	}
 	const (
 		rows   = 40_000
@@ -88,33 +110,54 @@ func TestProfileOverheadOnWarmScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainPlanned(t, p, context.Background()) // plans warm, caches verified
+	bare := context.Background()
+	drainPlanned(t, p, bare) // plans warm, caches verified
+
+	type requestKey struct{}
+	disabled := context.WithValue(bare, requestKey{}, "request-scoped value")
+	for _, c := range []struct {
+		ctx  context.Context
+		want bool
+	}{{disabled, false}, {qtrace.NewContext(bare, qtrace.New(sql)), true}} {
+		op, _, err := p.Plan(c.ctx, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spanWrapped(op); got != c.want {
+			t.Errorf("profile in context = %v: plan span-wrapped = %v", c.want, got)
+		}
+	}
+	var base, off float64
+	for attempt := 0; attempt < 3; attempt++ {
+		base = testing.AllocsPerRun(10, func() { drainPlanned(t, p, bare) })
+		off = testing.AllocsPerRun(10, func() { drainPlanned(t, p, disabled) })
+		if off == base {
+			break
+		}
+	}
+	if off != base {
+		t.Errorf("profiling-disabled query allocates %.0f times, the bare context %.0f", off, base)
+	}
+	if !*overheadGate {
+		return
+	}
 
 	minOf := func(ds []time.Duration) time.Duration {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		return ds[0]
 	}
-	var offOver, onOver float64
+	var onOver float64
 	for attempt := 0; attempt < 3; attempt++ {
-		var base, off, on []time.Duration
+		var baseT, on []time.Duration
 		for r := 0; r < rounds; r++ {
-			base = append(base, drainPlanned(t, p, context.Background()))
-			off = append(off, drainPlanned(t, p, context.Background()))
-			on = append(on, drainPlanned(t, p, qtrace.NewContext(context.Background(), qtrace.New(sql))))
+			baseT = append(baseT, drainPlanned(t, p, bare))
+			on = append(on, drainPlanned(t, p, qtrace.NewContext(bare, qtrace.New(sql))))
 		}
-		baseMin := minOf(base)
-		offOver = float64(minOf(off))/float64(baseMin) - 1
-		onOver = float64(minOf(on))/float64(baseMin) - 1
-		t.Logf("warm Filter+Project attempt %d: base %v, disabled %+.2f%%, profiled %+.2f%%",
-			attempt, baseMin, offOver*100, onOver*100)
-		if offOver <= 0.01 && onOver <= 0.05 {
+		onOver = float64(minOf(on))/float64(minOf(baseT)) - 1
+		t.Logf("warm Filter+Project attempt %d: base %v, profiled %+.2f%%", attempt, minOf(baseT), onOver*100)
+		if onOver <= 0.05 {
 			return
 		}
 	}
-	if offOver > 0.01 {
-		t.Errorf("profiling-disabled overhead %+.2f%% > 1%% after 3 attempts", offOver*100)
-	}
-	if onOver > 0.05 {
-		t.Errorf("profiled overhead %+.2f%% > 5%% after 3 attempts", onOver*100)
-	}
+	t.Errorf("profiled overhead %+.2f%% > 5%% after 3 attempts", onOver*100)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 
 	"nodb/internal/datum"
 	"nodb/internal/expr"
@@ -43,9 +42,7 @@ type HashJoin struct {
 	nb    int             // build rows kept (NULL keys never join)
 	ikeys []int64         // single Int/Date key: raw payloads, else nil
 	itag  datum.Type      // the tag every ikeys element carries
-	heads []int32
-	next  []int32
-	shift uint // 64 - log2(len(heads))
+	tbl   chainTable
 
 	// Probe state: the current probe batch, the next live index to match,
 	// and the chain node an output-full return stopped at.
@@ -239,50 +236,12 @@ func hasNullKey(kv [][]datum.Datum, n int, sel []int) bool {
 	return false
 }
 
-// keyHash is the pre-mix hash of one non-NULL key value. Values that
-// datum.Equal can report equal hash equal: Int, Date and Bool by payload,
-// a Float that holds a whole number as that integer (so Int 1 joins
-// Float 1.0), exactly as datum.Hash groups them.
-func keyHash(d datum.Datum) uint64 {
-	switch d.T {
-	case datum.Int, datum.Date, datum.Bool:
-		return uint64(d.Int())
-	case datum.Float:
-		f := d.Float()
-		if f == float64(int64(f)) {
-			return uint64(int64(f))
-		}
-		return math.Float64bits(f)
-	}
-	return d.Hash()
-}
-
-// tupleHash folds the key values at position i. A single key hashes to
-// keyHash itself, which is what lets the raw-int64 table (ikeys) and the
-// generic comparison path share one slot function.
-func tupleHash(kv [][]datum.Datum, i int) uint64 {
-	var h uint64
-	for _, v := range kv {
-		h = h*1099511628211 + keyHash(v[i])
-	}
-	return h
-}
-
-// slot maps a pre-mix hash to a table slot (Fibonacci hashing: the high
-// bits of the product are the well-mixed ones).
-func (j *HashJoin) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> j.shift }
-
 // index builds the chain table over the arena. Rows are linked in reverse
 // so every chain lists its rows in build insertion order.
 func (j *HashJoin) index() {
 	n := j.nb
-	size := 8
-	for size < 2*n {
-		size <<= 1
-	}
-	j.heads = make([]int32, size)
-	j.next = make([]int32, n)
-	j.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	j.tbl.reset(n)
+	j.tbl.next = make([]int32, n)
 
 	// A single key whose build values all carry one Int or Date tag is
 	// compared as raw int64 payloads.
@@ -308,9 +267,7 @@ func (j *HashJoin) index() {
 		} else {
 			h = tupleHash(j.bkeys, r)
 		}
-		s := j.slot(h)
-		j.next[r] = j.heads[s]
-		j.heads[s] = int32(r + 1)
+		j.tbl.link(int32(r), h)
 	}
 }
 
@@ -349,9 +306,9 @@ func (j *HashJoin) match(room int) {
 		if k0 != nil && k0[p].T == j.itag && !k0[p].Null() {
 			v := k0[p].Int()
 			if r == noResume {
-				r = j.heads[j.slot(uint64(v))]
+				r = j.tbl.head(uint64(v))
 			}
-			for ; r != 0; r = j.next[r-1] {
+			for ; r != 0; r = j.tbl.next[r-1] {
 				if j.ikeys[r-1] != v {
 					continue
 				}
@@ -369,9 +326,9 @@ func (j *HashJoin) match(room int) {
 			continue
 		}
 		if r == noResume {
-			r = j.heads[j.slot(tupleHash(j.pkeys, p))]
+			r = j.tbl.head(tupleHash(j.pkeys, p))
 		}
-		for ; r != 0; r = j.next[r-1] {
+		for ; r != 0; r = j.tbl.next[r-1] {
 			if !j.keysEqual(r-1, p) {
 				continue
 			}
@@ -473,7 +430,7 @@ func (j *HashJoin) Close() error {
 	if j.span != nil {
 		j.span.SetDetail(fmt.Sprintf("build_rows=%d probe_rows=%d out_batches=%d", j.nb, j.probeRows, j.outBatches))
 	}
-	j.arena, j.bkeys, j.ikeys, j.heads, j.next = nil, nil, nil, nil, nil
+	j.arena, j.bkeys, j.ikeys, j.tbl = nil, nil, nil, chainTable{}
 	j.pb, j.rb = nil, nil
 	if j.probe == nil {
 		return nil // Open failed before the probe side was reached

@@ -23,8 +23,13 @@ type SpanRow struct {
 	sp    *qtrace.Span
 }
 
-// NewSpanRow wraps child so each Open/Next is timed into sp.
+// NewSpanRow wraps child so each Open/Next is timed into sp. A child that
+// annotates its own span (HashAgg reports its input and groups) is handed
+// sp.
 func NewSpanRow(sp *qtrace.Span, child Operator) *SpanRow {
+	if a, ok := child.(qtrace.SpanSetter); ok {
+		a.SetTraceSpan(sp)
+	}
 	return &SpanRow{child: child, sp: sp}
 }
 

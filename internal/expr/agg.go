@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"fmt"
-
-	"nodb/internal/datum"
-)
+import "fmt"
 
 // AggKind enumerates the aggregate functions supported by the engine.
 type AggKind uint8
@@ -43,7 +39,8 @@ func ParseAggKind(name string) (AggKind, bool) {
 
 // Aggregate is one aggregate call site: kind plus its argument expression
 // (nil for COUNT(*)). Distinct restricts the input to distinct values
-// (COUNT(DISTINCT x), SUM(DISTINCT x), ...).
+// (COUNT(DISTINCT x), SUM(DISTINCT x), ...). The executor's accumulators
+// (internal/exec) define the aggregates' semantics.
 type Aggregate struct {
 	Kind     AggKind
 	Arg      Expr
@@ -66,126 +63,4 @@ func (a *Aggregate) String() string {
 		return fmt.Sprintf("%s(DISTINCT %s)", a.Kind, a.Arg)
 	}
 	return fmt.Sprintf("%s(%s)", a.Kind, a.Arg)
-}
-
-// AggState accumulates one aggregate over one group. The zero value is not
-// usable; call NewAggState.
-type AggState struct {
-	kind     AggKind
-	count    int64
-	sumI     int64
-	sumF     float64
-	anyF     bool // saw a float input => result is float
-	minMax   datum.Datum
-	seen     bool
-	distinct map[string]struct{} // non-nil for DISTINCT aggregates
-}
-
-// NewAggState returns an empty accumulator for kind.
-func NewAggState(kind AggKind) *AggState { return &AggState{kind: kind} }
-
-// NewDistinctAggState returns an accumulator that folds each distinct
-// input value once (COUNT(DISTINCT x) and friends).
-func NewDistinctAggState(kind AggKind) *AggState {
-	return &AggState{kind: kind, distinct: make(map[string]struct{})}
-}
-
-// distinctKey builds a stable identity for DISTINCT tracking; the type tag
-// keeps 1 and '1' apart.
-func distinctKey(v datum.Datum) string {
-	return string(rune(v.T)) + v.Format()
-}
-
-// Add feeds one input value into the accumulator. For COUNT(*) pass any
-// datum; NULLs are ignored by every aggregate except COUNT(*).
-func (s *AggState) Add(v datum.Datum) {
-	if s.kind == AggCountStar {
-		s.count++
-		return
-	}
-	if v.Null() {
-		return
-	}
-	if s.distinct != nil {
-		k := distinctKey(v)
-		if _, dup := s.distinct[k]; dup {
-			return
-		}
-		s.distinct[k] = struct{}{}
-	}
-	s.count++
-	switch s.kind {
-	case AggSum, AggAvg:
-		if v.T == datum.Float {
-			s.anyF = true
-			s.sumF += v.Float()
-		} else {
-			s.sumI += v.Int()
-			s.sumF += float64(v.Int())
-		}
-	case AggMin:
-		if !s.seen || datum.Compare(v, s.minMax) < 0 {
-			s.minMax = v
-		}
-	case AggMax:
-		if !s.seen || datum.Compare(v, s.minMax) > 0 {
-			s.minMax = v
-		}
-	}
-	s.seen = true
-}
-
-// Merge folds another accumulator of the same kind into s (used by
-// partitioned aggregation). Merging DISTINCT accumulators is not supported
-// (their per-partition sets may overlap); callers must aggregate
-// un-partitioned in that case.
-func (s *AggState) Merge(o *AggState) {
-	if s.distinct != nil || o.distinct != nil {
-		panic("expr: cannot merge DISTINCT aggregate states")
-	}
-	s.count += o.count
-	s.sumI += o.sumI
-	s.sumF += o.sumF
-	s.anyF = s.anyF || o.anyF
-	if o.seen {
-		switch s.kind {
-		case AggMin:
-			if !s.seen || datum.Compare(o.minMax, s.minMax) < 0 {
-				s.minMax = o.minMax
-			}
-		case AggMax:
-			if !s.seen || datum.Compare(o.minMax, s.minMax) > 0 {
-				s.minMax = o.minMax
-			}
-		}
-		s.seen = true
-	}
-}
-
-// Result returns the aggregate value. Empty input yields NULL for
-// SUM/AVG/MIN/MAX and 0 for the COUNT family, per SQL.
-func (s *AggState) Result() datum.Datum {
-	switch s.kind {
-	case AggCount, AggCountStar:
-		return datum.NewInt(s.count)
-	case AggSum:
-		if s.count == 0 {
-			return datum.NewNull(datum.Float)
-		}
-		if s.anyF {
-			return datum.NewFloat(s.sumF)
-		}
-		return datum.NewInt(s.sumI)
-	case AggAvg:
-		if s.count == 0 {
-			return datum.NewNull(datum.Float)
-		}
-		return datum.NewFloat(s.sumF / float64(s.count))
-	case AggMin, AggMax:
-		if !s.seen {
-			return datum.NewNull(datum.Unknown)
-		}
-		return s.minMax
-	}
-	return datum.NewNull(datum.Unknown)
 }

@@ -1,110 +1,6 @@
 package expr
 
-import (
-	"math/rand"
-	"testing"
-
-	"nodb/internal/datum"
-)
-
-func TestAggCount(t *testing.T) {
-	s := NewAggState(AggCount)
-	s.Add(datum.NewInt(1))
-	s.Add(datum.NewNull(datum.Int)) // ignored
-	s.Add(datum.NewInt(2))
-	if got := s.Result().Int(); got != 2 {
-		t.Errorf("COUNT = %d, want 2", got)
-	}
-	star := NewAggState(AggCountStar)
-	star.Add(datum.NewNull(datum.Int)) // counted
-	star.Add(datum.NewInt(5))
-	if got := star.Result().Int(); got != 2 {
-		t.Errorf("COUNT(*) = %d, want 2", got)
-	}
-}
-
-func TestAggSumAvg(t *testing.T) {
-	s := NewAggState(AggSum)
-	for i := int64(1); i <= 4; i++ {
-		s.Add(datum.NewInt(i))
-	}
-	if got := s.Result(); got.T != datum.Int || got.Int() != 10 {
-		t.Errorf("SUM ints = %v", got)
-	}
-	sf := NewAggState(AggSum)
-	sf.Add(datum.NewInt(1))
-	sf.Add(datum.NewFloat(0.5))
-	if got := sf.Result(); got.T != datum.Float || got.Float() != 1.5 {
-		t.Errorf("SUM mixed = %v", got)
-	}
-	a := NewAggState(AggAvg)
-	a.Add(datum.NewInt(2))
-	a.Add(datum.NewInt(4))
-	if got := a.Result().Float(); got != 3 {
-		t.Errorf("AVG = %v", got)
-	}
-}
-
-func TestAggMinMax(t *testing.T) {
-	mn, mx := NewAggState(AggMin), NewAggState(AggMax)
-	for _, v := range []int64{5, -2, 9, 0} {
-		mn.Add(datum.NewInt(v))
-		mx.Add(datum.NewInt(v))
-	}
-	if mn.Result().Int() != -2 {
-		t.Errorf("MIN = %v", mn.Result())
-	}
-	if mx.Result().Int() != 9 {
-		t.Errorf("MAX = %v", mx.Result())
-	}
-	// Text min/max.
-	tm := NewAggState(AggMin)
-	tm.Add(datum.NewText("pear"))
-	tm.Add(datum.NewText("apple"))
-	if tm.Result().Text() != "apple" {
-		t.Errorf("MIN text = %v", tm.Result())
-	}
-}
-
-func TestAggEmptyInput(t *testing.T) {
-	if !NewAggState(AggSum).Result().Null() {
-		t.Error("SUM of empty must be NULL")
-	}
-	if !NewAggState(AggAvg).Result().Null() {
-		t.Error("AVG of empty must be NULL")
-	}
-	if !NewAggState(AggMin).Result().Null() {
-		t.Error("MIN of empty must be NULL")
-	}
-	if NewAggState(AggCount).Result().Int() != 0 {
-		t.Error("COUNT of empty must be 0")
-	}
-}
-
-func TestAggMergeEquivalence(t *testing.T) {
-	// Merging two partitions must equal aggregating the union.
-	rng := rand.New(rand.NewSource(7))
-	for _, kind := range []AggKind{AggCount, AggCountStar, AggSum, AggAvg, AggMin, AggMax} {
-		whole := NewAggState(kind)
-		p1, p2 := NewAggState(kind), NewAggState(kind)
-		for i := 0; i < 100; i++ {
-			v := datum.NewInt(rng.Int63n(1000) - 500)
-			if rng.Intn(10) == 0 {
-				v = datum.NewNull(datum.Int)
-			}
-			whole.Add(v)
-			if i%2 == 0 {
-				p1.Add(v)
-			} else {
-				p2.Add(v)
-			}
-		}
-		p1.Merge(p2)
-		if datum.Compare(whole.Result(), p1.Result()) != 0 {
-			t.Errorf("%v: merge mismatch: %v vs %v", kind, whole.Result(), p1.Result())
-		}
-	}
-}
+import "testing"
 
 func TestParseAggKind(t *testing.T) {
 	for name, want := range map[string]AggKind{"sum": AggSum, "AVG": AggAvg, "count": AggCount, "min": AggMin, "MAX": AggMax} {

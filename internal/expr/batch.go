@@ -3,10 +3,11 @@ package expr
 // Vectorized expression evaluation. EvalBatch and FilterBatch walk the
 // same expression trees as Eval, but over column-major batches of values,
 // amortizing the per-row interface dispatch that dominates row-at-a-time
-// execution. Hot shapes — comparisons and arithmetic over Int/Float/Date
-// columns against constants — run in typed loops; everything else falls
-// back to gathering one row and calling Eval, so the two paths always
-// agree on semantics (SQL three-valued logic included).
+// execution. Arithmetic, comparisons and logic combine whole vectors;
+// everything else falls back to gathering one row and calling Eval, so the
+// two paths always agree on semantics (SQL three-valued logic included).
+// The typed fast paths are the compiled kernels (internal/kernel), which
+// FilterBatch and EvalBatch run first when a node carries them.
 
 import (
 	"sync"
@@ -46,8 +47,13 @@ func EvalBatch(e Expr, cols [][]datum.Datum, n int, sel []int, out []datum.Datum
 	switch node := e.(type) {
 	case *Kernel:
 		if node.EvalVec != nil {
-			if ok, err := node.EvalVec(cols, n, sel, out); ok {
+			v, ok, err := node.EvalVec(cols, n, sel)
+			if err != nil {
 				return err
+			}
+			if ok {
+				v.Materialize(out, n, sel)
+				return nil
 			}
 		}
 		return EvalBatch(node.E, cols, n, sel, out)
@@ -160,8 +166,7 @@ func evalBatchFallback(e Expr, cols [][]datum.Datum, n int, sel []int, out []dat
 }
 
 // evalArithBatch computes an arithmetic BinOp over vectors: both sides are
-// evaluated into scratch vectors, then combined with an Int/Float inline
-// loop (falling back to evalArith for the mixed/date cases).
+// evaluated into scratch vectors, then combined per live position.
 func evalArithBatch(b *BinOp, cols [][]datum.Datum, n int, sel []int, out []datum.Datum) error {
 	lvp, rvp, err := evalSides(b, cols, n, sel)
 	if err != nil {
@@ -180,33 +185,7 @@ func evalArithBatch(b *BinOp, cols [][]datum.Datum, n int, sel []int, out []datu
 			out[i] = datum.NewNull(resultType(b.Op, l, r))
 			return
 		}
-		switch {
-		case l.T == datum.Int && r.T == datum.Int && b.Op != Div:
-			switch b.Op {
-			case Add:
-				out[i] = datum.NewInt(l.Int() + r.Int())
-			case Sub:
-				out[i] = datum.NewInt(l.Int() - r.Int())
-			case Mul:
-				out[i] = datum.NewInt(l.Int() * r.Int())
-			}
-		case l.T == datum.Float && r.T == datum.Float && b.Op != Div:
-			switch b.Op {
-			case Add:
-				out[i] = datum.NewFloat(l.Float() + r.Float())
-			case Sub:
-				out[i] = datum.NewFloat(l.Float() - r.Float())
-			case Mul:
-				out[i] = datum.NewFloat(l.Float() * r.Float())
-			}
-		default:
-			v, err := evalArith(b.Op, l, r)
-			if err != nil {
-				ferr = err
-				return
-			}
-			out[i] = v
-		}
+		out[i], ferr = evalArith(b.Op, l, r)
 	})
 	return ferr
 }
@@ -372,42 +351,6 @@ func FilterBatch(e Expr, cols [][]datum.Datum, n int, sel []int, buf []int) ([]i
 				return s, err
 			}
 			return FilterBatch(node.R, cols, n, s, s[:0])
-		case Eq, Ne, Lt, Le, Gt, Ge:
-			if out, ok, err := filterCompareFast(node, cols, n, sel, buf); ok {
-				return out, err
-			}
-			return filterGeneric(e, cols, n, sel, buf)
-		}
-	case *Between:
-		if out, ok, err := filterBetweenFast(node, cols, n, sel, buf); ok {
-			return out, err
-		}
-	case *In:
-		if c, ok := node.E.(*ColRef); ok && len(node.Slots) == 0 && c.Index >= 0 && c.Index < len(cols) {
-			col := cols[c.Index]
-			appendLive(n, sel, &buf, func(i int) bool {
-				v := col[i]
-				if v.Null() {
-					return false
-				}
-				found := false
-				for _, d := range node.List {
-					if datum.Equal(v, d) {
-						found = true
-						break
-					}
-				}
-				return found != node.Negate
-			})
-			return buf, nil
-		}
-	case *IsNull:
-		if c, ok := node.E.(*ColRef); ok && c.Index >= 0 && c.Index < len(cols) {
-			col := cols[c.Index]
-			appendLive(n, sel, &buf, func(i int) bool {
-				return col[i].Null() != node.Negate
-			})
-			return buf, nil
 		}
 	}
 	return filterGeneric(e, cols, n, sel, buf)
@@ -421,196 +364,10 @@ func filterGeneric(e Expr, cols [][]datum.Datum, n int, sel []int, buf []int) ([
 	if err := EvalBatch(e, cols, n, sel, vals); err != nil {
 		return nil, err
 	}
-	appendLive(n, sel, &buf, func(i int) bool {
-		return !vals[i].Null() && vals[i].Bool()
+	forEachLive(n, sel, func(i int) {
+		if !vals[i].Null() && vals[i].Bool() {
+			buf = append(buf, i)
+		}
 	})
 	return buf, nil
-}
-
-// appendLive appends every live position passing keep to *buf.
-func appendLive(n int, sel []int, buf *[]int, keep func(i int) bool) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				*buf = append(*buf, i)
-			}
-		}
-	} else {
-		for _, i := range sel {
-			if keep(i) {
-				*buf = append(*buf, i)
-			}
-		}
-	}
-}
-
-// filterCompareFast handles "col <op> const" and "const <op> col" with
-// typed loops. ok=false means the shape did not match and the caller must
-// fall back.
-func filterCompareFast(b *BinOp, cols [][]datum.Datum, n int, sel []int, buf []int) ([]int, bool, error) {
-	op := b.Op
-	var colRef *ColRef
-	var k datum.Datum
-	if c, ok := b.L.(*ColRef); ok {
-		if r, ok := b.R.(*Const); ok {
-			colRef, k = c, r.D
-		}
-	} else if c, ok := b.R.(*ColRef); ok {
-		if l, ok := b.L.(*Const); ok {
-			colRef, k = c, l.D
-			op = flipOp(op)
-		}
-	}
-	if colRef == nil || colRef.Index < 0 || colRef.Index >= len(cols) {
-		return nil, false, nil
-	}
-	if k.Null() {
-		return buf, true, nil // NULL comparand: nothing qualifies
-	}
-	col := cols[colRef.Index]
-	switch k.T {
-	case datum.Int:
-		kv := k.Int()
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			if d.T == datum.Int {
-				return cmpMatches(op, cmpInt64(d.Int(), kv))
-			}
-			return cmpMatches(op, datum.Compare(d, k))
-		})
-	case datum.Float:
-		kv := k.Float()
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			switch d.T {
-			case datum.Int, datum.Float:
-				return cmpMatches(op, cmpFloat64(d.Float(), kv))
-			}
-			return cmpMatches(op, datum.Compare(d, k))
-		})
-	case datum.Date:
-		kv := k.Int()
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			if d.T == datum.Date {
-				return cmpMatches(op, cmpInt64(d.Int(), kv))
-			}
-			return cmpMatches(op, datum.Compare(d, k))
-		})
-	default:
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			return cmpMatches(op, datum.Compare(d, k))
-		})
-	}
-	return buf, true, nil
-}
-
-// filterBetweenFast handles "col BETWEEN const AND const" with a typed
-// loop; ok=false means fall back.
-func filterBetweenFast(b *Between, cols [][]datum.Datum, n int, sel []int, buf []int) ([]int, bool, error) {
-	c, ok := b.E.(*ColRef)
-	if !ok || c.Index < 0 || c.Index >= len(cols) {
-		return nil, false, nil
-	}
-	loC, ok := b.Lo.(*Const)
-	if !ok {
-		return nil, false, nil
-	}
-	hiC, ok := b.Hi.(*Const)
-	if !ok {
-		return nil, false, nil
-	}
-	lo, hi := loC.D, hiC.D
-	if lo.Null() || hi.Null() {
-		return buf, true, nil
-	}
-	col := cols[c.Index]
-	if (lo.T == datum.Int || lo.T == datum.Date) && hi.T == lo.T {
-		lov, hiv := lo.Int(), hi.Int()
-		t := lo.T
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			if d.T == t {
-				v := d.Int()
-				return v >= lov && v <= hiv
-			}
-			return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
-		})
-		return buf, true, nil
-	}
-	if lo.T == datum.Float && hi.T == datum.Float {
-		lov, hiv := lo.Float(), hi.Float()
-		appendLive(n, sel, &buf, func(i int) bool {
-			d := col[i]
-			if d.Null() {
-				return false
-			}
-			switch d.T {
-			case datum.Int, datum.Float:
-				v := d.Float()
-				return v >= lov && v <= hiv
-			}
-			return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
-		})
-		return buf, true, nil
-	}
-	appendLive(n, sel, &buf, func(i int) bool {
-		d := col[i]
-		if d.Null() {
-			return false
-		}
-		return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
-	})
-	return buf, true, nil
-}
-
-// flipOp mirrors a comparison when its operands swap sides.
-func flipOp(op Op) Op {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	}
-	return op // Eq, Ne are symmetric
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

@@ -181,13 +181,10 @@ func resultType(op Op, l, r datum.Datum) datum.Type {
 	}
 }
 
-// Arith computes an arithmetic operator over two scalar operands with the
-// engine's coercion rules (Date ± Int in days, Int fast paths, mixed
-// operands through float, division-by-zero errors). It is the scalar
-// reference the compiled kernels (internal/kernel) defer to for operand
-// combinations they did not specialize, so the two paths cannot diverge.
-func Arith(op Op, l, r datum.Datum) (datum.Datum, error) { return evalArith(op, l, r) }
-
+// evalArith computes an arithmetic operator over two scalar operands with
+// the engine's coercion rules: Date ± Int in days, Int ⊙ Int (but
+// division) stays Int, anything else through float, division by zero
+// errors. The compiled value programs (internal/kernel) mirror it.
 func evalArith(op Op, l, r datum.Datum) (datum.Datum, error) {
 	// Date ± Int works in days, matching "date '1998-12-01' - 90".
 	if l.T == datum.Date && r.T == datum.Int {
@@ -223,6 +220,77 @@ func evalArith(op Op, l, r datum.Datum) (datum.Datum, error) {
 		return datum.NewFloat(lf / rf), nil
 	}
 	return datum.Datum{}, fmt.Errorf("expr: bad arithmetic op %v", op)
+}
+
+// FoldConst returns the literal an arithmetic node over two literals
+// computes ("date '1998-12-01' - 90" becomes one date), or e unchanged. A
+// node whose evaluation fails — division by zero — is kept, so the error
+// surfaces only when a row reaches it.
+func FoldConst(e Expr) Expr {
+	b, ok := e.(*BinOp)
+	if !ok {
+		return e
+	}
+	switch b.Op {
+	case Add, Sub, Mul, Div:
+	default:
+		return e
+	}
+	_, lk := b.L.(*Const)
+	_, rk := b.R.(*Const)
+	if !lk || !rk {
+		return e
+	}
+	d, err := b.Eval(nil)
+	if err != nil {
+		return e
+	}
+	return &Const{D: d}
+}
+
+// StaticType is the type an expression is planned to produce: the column
+// type of a result schema. It follows SQL typing rather than the
+// runtime tags of evalArith — any Date operand makes a Date, division or a Float
+// operand a Float, CASE takes its first arm's type.
+func StaticType(e Expr) datum.Type {
+	switch n := e.(type) {
+	case *ColRef:
+		return n.Type
+	case *Const:
+		return n.D.T
+	case *Slot:
+		return datum.Unknown // typed after binding
+	case *Kernel:
+		return StaticType(n.E)
+	case *BinOp:
+		switch n.Op {
+		case Add, Sub, Mul, Div:
+			lt, rt := StaticType(n.L), StaticType(n.R)
+			if lt == datum.Date || rt == datum.Date {
+				return datum.Date
+			}
+			if n.Op == Div || lt == datum.Float || rt == datum.Float {
+				return datum.Float
+			}
+			return datum.Int
+		default:
+			return datum.Bool
+		}
+	case *Neg:
+		return StaticType(n.E)
+	case *Case:
+		if len(n.Whens) > 0 {
+			return StaticType(n.Whens[0].Then)
+		}
+		if n.Else != nil {
+			return StaticType(n.Else)
+		}
+		return datum.Unknown
+	case *Not, *Like, *In, *Between, *IsNull:
+		return datum.Bool
+	default:
+		return datum.Unknown
+	}
 }
 
 // Columns unions both sides.

@@ -70,7 +70,7 @@ func bindSlots(e Expr, bind func(*Slot) (datum.Datum, error)) (Expr, bool, error
 		if !lc && !rc {
 			return e, false, nil
 		}
-		return &BinOp{Op: n.Op, L: l, R: r}, true, nil
+		return FoldConst(&BinOp{Op: n.Op, L: l, R: r}), true, nil
 	case *Not:
 		inner, c, err := bindSlots(n.E, bind)
 		if err != nil || !c {
@@ -177,21 +177,25 @@ func bindSlots(e Expr, bind func(*Slot) (datum.Datum, error)) (Expr, bool, error
 // implementations (built by internal/kernel). The vectorized evaluators
 // prefer the compiled closures; the scalar path and every structural walk
 // (Columns, String) defer to the wrapped tree, so the two representations
-// cannot diverge semantically. Compiled closures must be stateless: the
-// same Kernel node is shared by the partition workers of a parallel scan.
+// cannot diverge semantically.
 type Kernel struct {
 	E Expr
 	// Filter narrows a selection to the live positions where E is true
 	// (NULL drops the row), appending survivors to buf in ascending order —
 	// the FilterBatch contract. ok=false means the batch does not have the
 	// layout the kernel was compiled for and the caller must fall back to
-	// the interpreted tree. Nil when the shape compiled only for value
-	// evaluation.
+	// the interpreted tree. Filter closures are stateless: one conjunct's
+	// Kernel is shared by the partition workers of a parallel scan. Nil
+	// when the shape compiled as a value program.
 	Filter func(cols [][]datum.Datum, n int, sel []int, buf []int) ([]int, bool)
-	// EvalVec writes E's value for every live position into out — the
-	// EvalBatch contract, with the same ok=false fallback convention as
-	// Filter. Nil when the shape compiled only as a predicate.
-	EvalVec func(cols [][]datum.Datum, n int, sel []int, out []datum.Datum) (bool, error)
+	// EvalVec computes E at every live position of the batch as a typed
+	// vector (see Vec). ok=false means a live value's type tag disagreed
+	// with the program's static types (or a column is missing), and the
+	// caller must evaluate the interpreted tree for this batch. The
+	// returned vector and the program's scratch are reused by the next
+	// call: a Kernel carrying EvalVec belongs to one operator and is never
+	// shared across goroutines. Nil when the shape compiled as a predicate.
+	EvalVec func(cols [][]datum.Datum, n int, sel []int) (v *Vec, ok bool, err error)
 }
 
 // Eval delegates to the interpreted tree (row-at-a-time path).

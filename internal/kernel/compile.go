@@ -1,6 +1,6 @@
 package kernel
 
-// The shape compiler. compileFilter / compileEval walk an expression tree
+// The shape compiler. compileFilter / compileValue walk an expression tree
 // once, emitting the shape's normalized signature (literal values replaced
 // by slot markers) and — in build mode — the compiled program: a tree of
 // closures whose literal-dependent parts are deferred to a prep stage, so
@@ -9,7 +9,7 @@ package kernel
 //
 // Every compiled loop mirrors the interpreted semantics exactly: NULL
 // operands drop rows (filters) or propagate typed NULLs (projections),
-// per-row type guards defer to datum.Compare / expr.Arith for operand
+// per-row type guards defer to datum.Compare for operand
 // combinations outside the specialized fast path, and selection vectors
 // are narrowed as ascending subsequences, matching expr.FilterBatch's
 // in-place-narrowing contract.
@@ -24,14 +24,36 @@ import (
 )
 
 // cstate accumulates one compilation walk: the normalized signature, the
-// extracted literals (analyze mode) and the columns the compiled closures
-// will index (build mode, for the upfront layout check).
+// extracted literals and fallback subtrees (analyze mode), and the columns
+// the compiled closures will index plus a value program's instructions
+// (build mode).
 type cstate struct {
-	sig   *strings.Builder
-	build bool
-	nlits int
-	lits  []datum.Datum
-	cols  []int
+	sig    *strings.Builder
+	build  bool
+	nlits  int
+	lits   []datum.Datum
+	nfalls int
+	falls  []expr.Expr
+	cols   []int
+	prog   []vinstr
+}
+
+// addFall assigns the next fallback slot, recording the subtree in
+// analyze mode, and returns the slot index.
+func (st *cstate) addFall(e expr.Expr) int {
+	idx := st.nfalls
+	st.nfalls++
+	if !st.build {
+		st.falls = append(st.falls, e)
+	}
+	return idx
+}
+
+// emit appends a value-program instruction (build mode).
+func (st *cstate) emit(in vinstr) {
+	if st.build {
+		st.prog = append(st.prog, in)
+	}
 }
 
 // addLit assigns the next literal slot, recording the value in analyze
@@ -56,11 +78,10 @@ func (st *cstate) sigf(format string, args ...any) {
 	fmt.Fprintf(st.sig, format, args...)
 }
 
-// analyzeFilter/analyzeEval run the compilation walk in analyze mode: the
-// signature and literal vector advance, no closures are built. They share
-// the walk with the build mode, so literal slot order cannot diverge.
+// analyzeFilter runs the compilation walk in analyze mode: the signature
+// and literal vector advance, no closures are built. It shares the walk
+// with the build mode, so literal slot order cannot diverge.
 func analyzeFilter(e expr.Expr, st *cstate) bool { _, ok := compileFilter(e, st); return ok }
-func analyzeEval(e expr.Expr, st *cstate) bool   { _, ok := compileEval(e, st); return ok }
 
 // rawFilter is a compiled predicate body: preconditions (column layout)
 // have already been checked, so it only appends survivors.
@@ -68,16 +89,8 @@ func analyzeEval(e expr.Expr, st *cstate) bool   { _, ok := compileEval(e, st); 
 //nodb:hotpath
 type rawFilter func(cols [][]datum.Datum, n int, sel []int, buf []int) []int
 
-// rawEval is a compiled projection body under the same contract.
-//
-//nodb:hotpath
-type rawEval func(cols [][]datum.Datum, n int, sel []int, out []datum.Datum) error
-
 // prepFilter specializes a compiled predicate for one execution's literals.
 type prepFilter func(lits []datum.Datum) rawFilter
-
-// prepEval is the projection counterpart.
-type prepEval func(lits []datum.Datum) rawEval
 
 // compileFilter compiles a predicate shape, returning the prep stage
 // (build mode) and whether the shape is supported.
@@ -118,27 +131,6 @@ func wrapFilter(prep prepFilter, cols []int) func(lits []datum.Datum) filterFn {
 				}
 			}
 			return run(batchCols, n, sel, buf), true
-		}
-	}
-}
-
-// wrapEval is wrapFilter's projection counterpart. A prep stage may
-// decline a particular binding (nil body — e.g. a literal type the kernel
-// cannot beat); the instantiation then reports unsupported and the caller
-// keeps the generic walk for that execution.
-func wrapEval(prep prepEval, cols []int) func(lits []datum.Datum) evalFn {
-	return func(lits []datum.Datum) evalFn {
-		run := prep(lits)
-		if run == nil {
-			return nil
-		}
-		return func(batchCols [][]datum.Datum, n int, sel []int, out []datum.Datum) (bool, error) {
-			for _, ci := range cols {
-				if ci >= len(batchCols) || len(batchCols[ci]) < n {
-					return false, nil
-				}
-			}
-			return true, run(batchCols, n, sel, out)
 		}
 	}
 }
@@ -351,15 +343,15 @@ func compileCmp(b *expr.BinOp, st *cstate) (prepFilter, bool) {
 			return dropAll // NULL comparand: nothing qualifies
 		}
 		switch k.T {
-		case datum.Int:
-			kv := k.Int()
+		case datum.Int, datum.Date:
+			kv, t := k.Int(), k.T
 			return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
 				col := cols[idx]
 				if sel == nil {
 					for i := 0; i < n; i++ {
 						if d := col[i]; !d.Null() {
 							var c int
-							if d.T == datum.Int {
+							if d.T == t {
 								c = cmp64(d.Int(), kv)
 							} else {
 								c = datum.Compare(d, k)
@@ -374,42 +366,7 @@ func compileCmp(b *expr.BinOp, st *cstate) (prepFilter, bool) {
 				for _, i := range sel {
 					if d := col[i]; !d.Null() {
 						var c int
-						if d.T == datum.Int {
-							c = cmp64(d.Int(), kv)
-						} else {
-							c = datum.Compare(d, k)
-						}
-						if expr.CmpMatches(op, c) {
-							buf = append(buf, i)
-						}
-					}
-				}
-				return buf
-			}
-		case datum.Date:
-			kv := k.Int()
-			return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
-				col := cols[idx]
-				if sel == nil {
-					for i := 0; i < n; i++ {
-						if d := col[i]; !d.Null() {
-							var c int
-							if d.T == datum.Date {
-								c = cmp64(d.Int(), kv)
-							} else {
-								c = datum.Compare(d, k)
-							}
-							if expr.CmpMatches(op, c) {
-								buf = append(buf, i)
-							}
-						}
-					}
-					return buf
-				}
-				for _, i := range sel {
-					if d := col[i]; !d.Null() {
-						var c int
-						if d.T == datum.Date {
+						if d.T == t {
 							c = cmp64(d.Int(), kv)
 						} else {
 							c = datum.Compare(d, k)
@@ -517,8 +474,9 @@ func compileCmp(b *expr.BinOp, st *cstate) (prepFilter, bool) {
 	}, true
 }
 
-// compileBetween compiles "col BETWEEN lit AND lit" with typed bound
-// loops, mirroring expr's filterBetweenFast.
+// compileBetween compiles "col BETWEEN lit AND lit": bounds of one
+// Int/Date tag compare payloads, Float bounds compare numerically, and
+// every other pairing defers to datum.Compare.
 func compileBetween(b *expr.Between, st *cstate) (prepFilter, bool) {
 	cr, okc := b.E.(*expr.ColRef)
 	loC, okl := b.Lo.(*expr.Const)
@@ -539,63 +497,18 @@ func compileBetween(b *expr.Between, st *cstate) (prepFilter, bool) {
 		if lo.Null() || hi.Null() {
 			return dropAll
 		}
-		if (lo.T == datum.Int || lo.T == datum.Date) && hi.T == lo.T {
-			lov, hiv, t := lo.Int(), hi.Int(), lo.T
-			return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
-				col := cols[idx]
-				keep := func(d datum.Datum) bool {
-					if d.T == t {
-						v := d.Int()
-						return v >= lov && v <= hiv
-					}
-					return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
-				}
-				if sel == nil {
-					for i := 0; i < n; i++ {
-						if d := col[i]; !d.Null() && keep(d) {
-							buf = append(buf, i)
-						}
-					}
-					return buf
-				}
-				for _, i := range sel {
-					if d := col[i]; !d.Null() && keep(d) {
-						buf = append(buf, i)
-					}
-				}
-				return buf
-			}
-		}
-		if lo.T == datum.Float && hi.T == datum.Float {
-			lov, hiv := lo.Float(), hi.Float()
-			return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
-				col := cols[idx]
-				keep := func(d datum.Datum) bool {
-					if d.T == datum.Int || d.T == datum.Float {
-						v := d.Float()
-						return v >= lov && v <= hiv
-					}
-					return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
-				}
-				if sel == nil {
-					for i := 0; i < n; i++ {
-						if d := col[i]; !d.Null() && keep(d) {
-							buf = append(buf, i)
-						}
-					}
-					return buf
-				}
-				for _, i := range sel {
-					if d := col[i]; !d.Null() && keep(d) {
-						buf = append(buf, i)
-					}
-				}
-				return buf
-			}
-		}
+		intB := (lo.T == datum.Int || lo.T == datum.Date) && hi.T == lo.T
+		floatB := lo.T == datum.Float && hi.T == datum.Float
+		t, loi, hii, lof, hif := lo.T, lo.Int(), hi.Int(), lo.Float(), hi.Float()
 		return func(cols [][]datum.Datum, n int, sel []int, buf []int) []int {
 			col := cols[idx]
 			keep := func(d datum.Datum) bool {
+				switch {
+				case intB && d.T == t:
+					return d.Int() >= loi && d.Int() <= hii
+				case floatB && (d.T == datum.Int || d.T == datum.Float):
+					return d.Float() >= lof && d.Float() <= hif
+				}
 				return datum.Compare(d, lo) >= 0 && datum.Compare(d, hi) <= 0
 			}
 			if sel == nil {

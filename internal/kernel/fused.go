@@ -9,8 +9,9 @@ import (
 // Fused is the compiled tail of a vectorized pipeline: any residual filter
 // plus the output projection run in one pass over each child batch,
 // replacing the BatchFilter and BatchProject operator hops. Bare column
-// references alias the child's vectors outright, compiled shapes run their
-// type-specialized kernels, and anything else falls back to the generic
+// references alias the child's vectors outright, value shapes run their
+// typed programs and materialize Datums, and anything else (or a batch
+// whose values do not carry the program's types) falls back to the generic
 // expr.EvalBatch walk per column — so a partially supported projection
 // still fuses what it can.
 type Fused struct {
@@ -23,11 +24,10 @@ type Fused struct {
 	selBuf []int
 }
 
-// fusedOut is one output column: an alias, a compiled kernel, or a generic
-// expression.
+// fusedOut is one output column: an alias, or an expression (carrying a
+// typed value program when its shape compiled).
 type fusedOut struct {
 	alias   int // child column to alias, -1 otherwise
-	kern    evalFn
 	e       expr.Expr
 	scratch []datum.Datum
 }
@@ -43,9 +43,7 @@ func NewFused(c *Cache, child exec.BatchOperator, pred expr.Expr, exprs []expr.E
 			f.outs[i].alias = cr.Index
 			continue
 		}
-		if k, ok := c.evalKernel(e); ok {
-			f.outs[i].kern = k
-		}
+		f.outs[i].e = c.Value(e)
 	}
 	return f
 }
@@ -55,8 +53,8 @@ func (f *Fused) Open() error { return f.child.Open() }
 
 // NextBatch pulls child batches, narrows the selection through the
 // residual predicate (skipping fully filtered batches), and materializes
-// the projection — compiled kernels and aliases first, generic evaluation
-// as the fallback — into a reused output batch.
+// the projection — aliases, typed programs, generic evaluation — into a
+// reused output batch.
 func (f *Fused) NextBatch() (*exec.Batch, error) {
 	if f.out == nil {
 		f.out = &exec.Batch{Cols: make([][]datum.Datum, len(f.outs))}
@@ -90,18 +88,8 @@ func (f *Fused) NextBatch() (*exec.Batch, error) {
 				oc.scratch = make([]datum.Datum, b.N)
 			}
 			oc.scratch = oc.scratch[:b.N]
-			done := false
-			if oc.kern != nil {
-				ok, err := oc.kern(b.Cols, b.N, sel, oc.scratch)
-				if err != nil {
-					return nil, err
-				}
-				done = ok
-			}
-			if !done {
-				if err := expr.EvalBatch(oc.e, b.Cols, b.N, sel, oc.scratch); err != nil {
-					return nil, err
-				}
+			if err := expr.EvalBatch(oc.e, b.Cols, b.N, sel, oc.scratch); err != nil {
+				return nil, err
 			}
 			out.Cols[j] = oc.scratch
 		}

@@ -20,17 +20,22 @@
 //     the prepared-statement cache: a plan-skeleton rebind re-instantiates
 //     kernels by extracting the new literals and calling the cached
 //     program's prep stage — no recompilation.
-//   - Instantiated kernels attach to the plan as expr.Kernel nodes (filters
+//   - Instantiated kernels attach to the plan as expr.Kernel nodes: filters
 //     ride the conjuncts pushed into scans, so the cache scan's selection
-//     narrowing runs compiled) and as the Fused operator (projection plus
-//     any residual filter in one pass, replacing BatchFilter+BatchProject).
+//     narrowing runs compiled; value programs ride aggregate arguments and
+//     the outputs of the Fused operator (projection plus any residual
+//     filter in one pass, replacing BatchFilter+BatchProject).
 //
-// Supported shapes: Int/Float/Date/Text/Bool comparisons against literals,
-// comparisons between two columns, BETWEEN, IN, IS [NOT] NULL, AND/OR
-// compositions of those, and projection arithmetic between columns and
-// literals. Everything else falls back to
-// the interpreted tree — the compiled and interpreted paths are built to be
-// byte-identical, and the equivalence suites enforce it.
+// Supported predicate shapes: Int/Float/Date/Text/Bool comparisons against
+// literals, comparisons between two columns, BETWEEN, IN, IS [NOT] NULL
+// and AND/OR compositions of those. Value shapes — arithmetic over
+// columns, literals and nested arithmetic — compile to typed programs over
+// []int64/[]float64 vectors (value.go): hash aggregation folds their
+// vectors directly, projection materializes Datums from them, and a
+// subtree they cannot express falls back per node to expr.EvalBatch.
+// Everything else falls back to the interpreted tree — the compiled and
+// interpreted paths are built to be byte-identical, and the equivalence
+// suites enforce it.
 package kernel
 
 import (
@@ -55,18 +60,14 @@ const DefaultCacheSize = 256
 //nodb:hotpath
 type filterFn func(cols [][]datum.Datum, n int, sel []int, buf []int) ([]int, bool)
 
-// evalFn writes the expression's value for every live position into out.
-// ok=false requests interpreted fallback, exactly like filterFn.
-//
-//nodb:hotpath
-type evalFn func(cols [][]datum.Datum, n int, sel []int, out []datum.Datum) (ok bool, err error)
-
-// program is one compiled shape: the literal-independent closures plus the
-// prep stage that specializes them for one execution's literal values.
+// program is one compiled shape: for predicates the literal-independent
+// closures plus the prep stage that specializes them for one execution's
+// literal values, for value shapes the instructions that instantiate types.
 type program struct {
 	nLits  int
+	nFalls int
 	filter func(lits []datum.Datum) filterFn // predicate shapes
-	eval   func(lits []datum.Datum) evalFn   // value shapes
+	value  []vinstr                          // value shapes
 }
 
 // Cache is the engine-wide LRU of compiled programs, keyed by normalized
@@ -177,32 +178,34 @@ func (c *Cache) Predicate(e expr.Expr) expr.Expr {
 	return &expr.Kernel{E: e, Filter: prog.filter(lits)}
 }
 
-// evalKernel instantiates a compiled value kernel for a projection
-// expression, or reports the shape unsupported.
-func (c *Cache) evalKernel(e expr.Expr) (evalFn, bool) {
+// Value returns e wrapped with a typed value program (expr.Kernel's
+// EvalVec) when its shape compiles and this binding types, e unchanged
+// otherwise. The program's scratch belongs to the returned node: bind one
+// per operator instance, never share it across goroutines.
+func (c *Cache) Value(e expr.Expr) expr.Expr {
 	if c == nil {
-		return nil, false
+		return e
 	}
-	var sig strings.Builder
-	st := &cstate{sig: &sig}
-	if !analyzeEval(e, st) {
-		return nil, false
+	if k, ok := e.(*expr.Kernel); ok {
+		e = k.E
 	}
-	lits := st.lits
-	prog := c.lookup(sig.String(), func() *program {
+	if !typedNode(e) {
+		return e
+	}
+	st := &cstate{sig: &strings.Builder{}}
+	st.sig.WriteString("v:")
+	compileValue(e, st)
+	prog := c.lookup(st.sig.String(), func() *program {
 		bst := &cstate{sig: &strings.Builder{}, build: true}
-		prep, ok := compileEval(e, bst)
-		if !ok {
-			return nil
-		}
-		return &program{nLits: bst.nlits, eval: wrapEval(prep, bst.cols)}
+		compileValue(e, bst)
+		return &program{nLits: bst.nlits, nFalls: bst.nfalls, value: bst.prog}
 	})
-	if prog == nil || prog.eval == nil || prog.nLits != len(lits) {
-		return nil, false
+	if prog == nil || prog.value == nil || prog.nLits != len(st.lits) || prog.nFalls != len(st.falls) {
+		return e
 	}
-	fn := prog.eval(lits)
-	if fn == nil {
-		return nil, false // this binding declined (e.g. literal type)
+	run, ok := instantiate(prog.value, st.lits, st.falls)
+	if !ok {
+		return e
 	}
-	return fn, true
+	return &expr.Kernel{E: e, EvalVec: run}
 }

@@ -189,51 +189,74 @@ func TestPredicateInPlaceNarrowing(t *testing.T) {
 	}
 }
 
-// evalExprs is the projection shape corpus.
+// evalExprs is the value-shape corpus: arithmetic over columns, literals
+// and nested arithmetic, every operand-type pairing expr's arithmetic
+// distinguishes, and fallback operands.
 func evalExprs() []expr.Expr {
 	ints := col(0, datum.Int)
 	floats := col(1, datum.Float)
 	dates := col(2, datum.Date)
+	bools := col(4, datum.Bool)
 	dense := col(5, datum.Int)
+	dates2 := col(6, datum.Date)
+	floats2 := col(7, datum.Float)
+	bin := func(op expr.Op, l, r expr.Expr) expr.Expr { return &expr.BinOp{Op: op, L: l, R: r} }
 	return []expr.Expr{
 		lit(datum.NewInt(42)),
-		lit(datum.NewText("k")),
-		&expr.BinOp{Op: expr.Add, L: ints, R: lit(datum.NewInt(7))},
-		&expr.BinOp{Op: expr.Sub, L: ints, R: lit(datum.NewInt(3))},
-		&expr.BinOp{Op: expr.Mul, L: ints, R: lit(datum.NewInt(-2))},
-		&expr.BinOp{Op: expr.Mul, L: floats, R: lit(datum.NewFloat(2.5))},
-		&expr.BinOp{Op: expr.Div, L: floats, R: lit(datum.NewFloat(4))},
-		&expr.BinOp{Op: expr.Add, L: floats, R: lit(datum.NewInt(1))},
-		&expr.BinOp{Op: expr.Add, L: ints, R: lit(datum.NewFloat(0.5))},
-		&expr.BinOp{Op: expr.Sub, L: lit(datum.NewInt(1)), R: ints},
-		&expr.BinOp{Op: expr.Sub, L: lit(datum.NewFloat(1)), R: floats},
-		&expr.BinOp{Op: expr.Add, L: dates, R: lit(datum.NewInt(30))},
-		&expr.BinOp{Op: expr.Sub, L: dates, R: lit(datum.NewInt(90))},
-		&expr.BinOp{Op: expr.Add, L: ints, R: dense},
-		&expr.BinOp{Op: expr.Mul, L: floats, R: floats},
-		&expr.BinOp{Op: expr.Add, L: ints, R: floats},
+		ints,
+		floats,
+		bin(expr.Add, ints, lit(datum.NewInt(7))),
+		bin(expr.Sub, ints, lit(datum.NewInt(3))),
+		bin(expr.Mul, ints, lit(datum.NewInt(-2))),
+		bin(expr.Div, ints, lit(datum.NewInt(3))), // Int / Int computes in float64
+		bin(expr.Mul, floats, lit(datum.NewFloat(2.5))),
+		bin(expr.Div, floats, lit(datum.NewFloat(4))),
+		bin(expr.Add, floats, lit(datum.NewInt(1))),
+		bin(expr.Add, ints, lit(datum.NewFloat(0.5))),
+		bin(expr.Sub, lit(datum.NewInt(1)), ints),
+		bin(expr.Sub, lit(datum.NewFloat(1)), floats),
+		bin(expr.Add, dates, lit(datum.NewInt(30))),
+		bin(expr.Sub, dates, lit(datum.NewInt(90))),
+		bin(expr.Add, dates, dense),                // Date + Int column: Date
+		bin(expr.Sub, dates, dates2),               // Date - Date: Float
+		bin(expr.Add, lit(datum.NewInt(1)), dates), // Int + Date: Float
+		bin(expr.Add, bools, ints),                 // Bool operand: Float
+		bin(expr.Add, ints, dense),
+		bin(expr.Mul, floats, floats),
+		bin(expr.Add, ints, floats),
+		// Nested: TPC-H Q1's charge, with NULLs on every operand.
+		bin(expr.Mul, bin(expr.Mul, floats, bin(expr.Sub, lit(datum.NewInt(1)), floats2)),
+			bin(expr.Add, lit(datum.NewInt(1)), floats2)),
+		bin(expr.Div, bin(expr.Add, ints, dense), lit(datum.NewInt(2))),
+		// Fallback operands: CASE (with and without ELSE), a Text column.
+		bin(expr.Mul, &expr.Case{Whens: []expr.When{{Cond: bin(expr.Gt, ints, lit(datum.NewInt(0))), Then: dense}},
+			Else: lit(datum.NewInt(0))}, lit(datum.NewInt(3))),
+		bin(expr.Add, &expr.Case{Whens: []expr.When{{Cond: bools, Then: floats}}}, floats2),
+		bin(expr.Mul, &expr.Neg{E: ints}, lit(datum.NewFloat(1.5))),
+		bin(expr.Add, bin(expr.Add, ints, lit(datum.NewInt(1))), &expr.Neg{E: dense}),
 	}
 }
 
-// TestEvalDeclinesUnprofitableBindings: bindings the compiled loop cannot
-// beat (NULL literals, integer division, non-numeric literals) decline at
-// instantiation so the generic walk serves them.
+// TestEvalDeclinesUnprofitableBindings: bindings without a typed form —
+// NULL or non-numeric literals, a Text operand — decline at instantiation
+// so the generic walk serves them.
 func TestEvalDeclinesUnprofitableBindings(t *testing.T) {
 	c := NewCache(0)
 	ints := col(0, datum.Int)
 	for _, e := range []expr.Expr{
 		&expr.BinOp{Op: expr.Add, L: ints, R: lit(datum.NewNull(datum.Int))},
-		&expr.BinOp{Op: expr.Div, L: ints, R: lit(datum.NewInt(3))},
 		&expr.BinOp{Op: expr.Add, L: ints, R: lit(datum.NewText("x"))},
+		&expr.BinOp{Op: expr.Add, L: col(3, datum.Text), R: lit(datum.NewInt(1))},
+		&expr.Case{Whens: []expr.When{{Cond: ints, Then: ints}}},
 	} {
-		if _, ok := c.evalKernel(e); ok {
+		if _, ok := c.Value(e).(*expr.Kernel); ok {
 			t.Errorf("%s: expected the binding to decline", e)
 		}
 	}
 }
 
-// TestEvalEquivalence: compiled value kernels must produce byte-identical
-// vectors to expr.EvalBatch at every live position.
+// TestEvalEquivalence: typed value programs must reproduce expr.EvalBatch
+// byte for byte at every live position — values, tags and NULL tags.
 func TestEvalEquivalence(t *testing.T) {
 	c := NewCache(0)
 	cols := testBatch(512, 3)
@@ -243,55 +266,94 @@ func TestEvalEquivalence(t *testing.T) {
 		third = append(third, i)
 	}
 	for _, e := range evalExprs() {
-		fn, ok := c.evalKernel(e)
+		k, ok := c.Value(e).(*expr.Kernel)
 		if !ok {
 			t.Errorf("%s: shape did not compile", e)
 			continue
 		}
 		for _, sel := range [][]int{nil, third} {
 			want := make([]datum.Datum, n)
-			if err := expr.EvalBatch(e, cols, n, sel, want); err != nil {
-				t.Fatalf("%s: interpreted: %v", e, err)
+			werr := expr.EvalBatch(e, cols, n, sel, want)
+			v, ok, err := k.EvalVec(cols, n, sel)
+			if (werr == nil) != (err == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("%s: error mismatch: interpreted %v, compiled %v", e, werr, err)
 			}
-			got := make([]datum.Datum, n)
-			ok, err := fn(cols, n, sel, got)
 			if err != nil {
-				t.Fatalf("%s: compiled: %v", e, err)
+				continue
 			}
 			if !ok {
-				t.Fatalf("%s: compiled kernel refused matching layout", e)
+				t.Fatalf("%s: compiled program refused a batch of its own types", e)
 			}
-			each(n, sel, func(i int) bool {
+			got := make([]datum.Datum, n)
+			v.Materialize(got, n, sel)
+			for i := 0; i < n; i++ {
 				if got[i] != want[i] {
-					t.Errorf("%s row %d: got %v want %v", e, i, got[i], want[i])
-					return false
+					t.Errorf("%s (sel=%v) row %d: got %#v want %#v", e, sel != nil, i, got[i], want[i])
+					break
 				}
-				return true
-			})
+			}
 		}
 	}
 }
 
-// TestDivisionByZeroMatches: compiled kernels surface the same error the
-// interpreted tree does.
+// TestValueTagMismatchFallsBack: a batch whose values do not carry the
+// program's static types (an Int in a Float column) is refused, and
+// EvalBatch over the kernel node then matches the interpreted tree.
+func TestValueTagMismatchFallsBack(t *testing.T) {
+	c := NewCache(0)
+	cols := testBatch(64, 8)
+	cols[1][5] = datum.NewInt(3)
+	e := &expr.BinOp{Op: expr.Mul, L: col(1, datum.Float), R: lit(datum.NewFloat(2))}
+	k, ok := c.Value(e).(*expr.Kernel)
+	if !ok {
+		t.Fatal("shape did not compile")
+	}
+	if _, ok, err := k.EvalVec(cols, 64, nil); ok || err != nil {
+		t.Fatalf("mistyped batch: ok=%v err=%v, want a refusal", ok, err)
+	}
+	want, got := make([]datum.Datum, 64), make([]datum.Datum, 64)
+	if err := expr.EvalBatch(e, cols, 64, nil, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := expr.EvalBatch(k, cols, 64, nil, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("fallback after a refused batch differs from the interpreted tree")
+	}
+}
+
+// TestDivisionByZeroMatches: compiled programs surface the same error the
+// interpreted tree does, and only when a live row with non-NULL operands
+// reaches it.
 func TestDivisionByZeroMatches(t *testing.T) {
 	c := NewCache(0)
 	cols := testBatch(64, 4)
-	e := &expr.BinOp{Op: expr.Div, L: col(1, datum.Float), R: lit(datum.NewFloat(0))}
-	fn, ok := c.evalKernel(e)
-	if !ok {
-		t.Fatal("div shape did not compile")
+	for _, e := range []expr.Expr{
+		&expr.BinOp{Op: expr.Div, L: col(1, datum.Float), R: lit(datum.NewFloat(0))},
+		&expr.BinOp{Op: expr.Div, L: col(5, datum.Int), R: col(0, datum.Int)},
+	} {
+		k, ok := c.Value(e).(*expr.Kernel)
+		if !ok {
+			t.Fatalf("%s: div shape did not compile", e)
+		}
+		want := expr.EvalBatch(e, cols, 64, nil, make([]datum.Datum, 64))
+		_, _, got := k.EvalVec(cols, 64, nil)
+		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+			t.Errorf("%s: error mismatch: interpreted %v, compiled %v", e, want, got)
+		}
 	}
-	want := expr.EvalBatch(e, cols, 64, nil, make([]datum.Datum, 64))
-	okRun, got := func() (bool, error) {
-		ok, err := fn(cols, 64, nil, make([]datum.Datum, 64))
-		return ok, err
-	}()
-	if !okRun {
-		t.Fatal("kernel refused layout")
+	// Rows outside the selection never divide.
+	e := &expr.BinOp{Op: expr.Div, L: col(5, datum.Int), R: col(0, datum.Int)}
+	k := c.Value(e).(*expr.Kernel)
+	var safe []int
+	for i := 0; i < 64; i++ {
+		if d := cols[0][i]; !d.Null() && d.Int() != 0 {
+			safe = append(safe, i)
+		}
 	}
-	if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
-		t.Errorf("error mismatch: interpreted %v, compiled %v", want, got)
+	if _, ok, err := k.EvalVec(cols, 64, safe); !ok || err != nil {
+		t.Errorf("division over non-zero live divisors: ok=%v err=%v", ok, err)
 	}
 }
 

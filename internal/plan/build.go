@@ -199,6 +199,16 @@ func indexOf(xs []int, v int) int {
 // aggregate expressions re-bind per execution.
 func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, layout map[int]int) (exec.Operator, error) {
 	sk := bi.sk
+	// A global aggregate has exactly one group; the hash/sort strategy
+	// question only exists for GROUP BY queries.
+	sortAgg := !bi.opts.UseStats && len(sk.groupBy) > 0
+	// Hash aggregation over batches binds its arguments through the kernel
+	// cache, as pushed conjuncts are bound: a compiled value program hands
+	// the aggregate a typed vector per batch.
+	kc := bi.opts.KernelCache
+	if sortAgg || broot == nil {
+		kc = nil
+	}
 	rg := make([]expr.Expr, len(sk.groupBy))
 	for i, g := range sk.groupBy {
 		bg, err := bi.bindExpr(g)
@@ -223,21 +233,19 @@ func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, l
 			if err != nil {
 				return nil, err
 			}
-			na.Arg = e
+			na.Arg = kc.Value(e)
 		}
 		ra[i] = na
 	}
 	cols := make([]exec.Col, 0, len(rg)+len(ra))
 	for i, g := range sk.groupBy {
-		cols = append(cols, exec.Col{Name: fmt.Sprintf("group%d", i), Type: inferType(g)})
+		cols = append(cols, exec.Col{Name: fmt.Sprintf("group%d", i), Type: expr.StaticType(g)})
 	}
 	for i, a := range sk.aggs {
 		cols = append(cols, exec.Col{Name: a.String(), Type: aggResultType(ra[i])})
 	}
 
-	// A global aggregate has exactly one group; the hash/sort strategy
-	// question only exists for GROUP BY queries.
-	if !bi.opts.UseStats && len(sk.groupBy) > 0 {
+	if sortAgg {
 		return bi.spanRow("sort aggregate", exec.NewSortAgg(root, rg, ra, cols), bi.curSpan), nil
 	}
 	h := exec.NewHashAgg(root, rg, ra, cols)
@@ -247,6 +255,7 @@ func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, l
 	if hint := bi.estimateGroups(sk.groupBy); hint > 0 {
 		h.SizeHint = hint
 	}
+	h.CountBatches(bi.prof) // a nil profile counts nothing
 	return bi.spanRow("hash aggregate", h, bi.curSpan), nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"nodb/internal/datum"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
+	"nodb/internal/kernel"
 	"nodb/internal/schema"
 	"nodb/internal/sqlparse"
 	"nodb/internal/stats"
@@ -605,8 +606,85 @@ func TestInferTypes(t *testing.T) {
 		{&expr.Case{Whens: []expr.When{{Cond: lit(1), Then: &expr.Const{D: datum.NewText("a")}}}}, datum.Text},
 	}
 	for _, tc := range cases {
-		if got := inferType(tc.e); got != tc.want {
-			t.Errorf("inferType(%s) = %v, want %v", tc.e, got, tc.want)
+		if got := expr.StaticType(tc.e); got != tc.want {
+			t.Errorf("StaticType(%s) = %v, want %v", tc.e, got, tc.want)
 		}
+	}
+}
+
+// TestBindTimeConstantFolding: literal arithmetic folds during resolution
+// and, in a prepared statement, once its placeholders are bound — so the
+// date ± interval conjuncts of TPC-H reach the scan as compiled filter
+// kernels — while an expression that fails (division by zero) is kept
+// until a row reaches it.
+func TestBindTimeConstantFolding(t *testing.T) {
+	events := &memTable{
+		name: "events",
+		cols: []schema.Column{{Name: "d", Type: datum.Date}, {Name: "v", Type: datum.Int}},
+		rows: []exec.Row{
+			{datum.MustDate("1994-01-15"), datum.NewInt(1)},
+			{datum.MustDate("1994-06-01"), datum.NewInt(2)},
+			{datum.MustDate("1995-02-01"), datum.NewInt(3)},
+		},
+	}
+	r := memResolver{"events": events}
+	kc := kernel.NewCache(0)
+	folded := func(sql string, want datum.Datum) {
+		t.Helper()
+		k, ok := events.lastScanConjuncts[0].(*expr.Kernel)
+		if !ok {
+			t.Fatalf("%s: conjunct %s did not compile", sql, events.lastScanConjuncts[0])
+		}
+		cmp, ok := k.E.(*expr.BinOp)
+		if !ok {
+			t.Fatalf("%s: conjunct %s is not a comparison", sql, k.E)
+		}
+		if c, ok := cmp.R.(*expr.Const); !ok || datum.Compare(c.D, want) != 0 || c.D.T != datum.Date {
+			t.Errorf("%s: comparand %s, want the folded date %s", sql, cmp.R, want)
+		}
+	}
+	for sql, want := range map[string]datum.Datum{
+		"SELECT v FROM events WHERE d <= date '1994-12-01' - interval '90' day":  datum.MustDate("1994-09-02"),
+		"SELECT v FROM events WHERE d < date '1994-01-01' + interval '3' month":  datum.MustDate("1994-04-01"),
+		"SELECT v FROM events WHERE d < date '1994-01-01' + interval '1' year":   datum.MustDate("1995-01-01"),
+		"SELECT v FROM events WHERE d >= date '1995-09-01' - interval '1' month": datum.MustDate("1995-08-02"),
+	} {
+		run(t, r, sql, Options{KernelCache: kc})
+		folded(sql, want)
+	}
+
+	sql := "SELECT v FROM events WHERE d < $1 + interval '1' year"
+	sel, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := BuildSkeleton(sel, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sk.Bind(r, Options{KernelCache: kc, Params: []datum.Datum{datum.MustDate("1994-01-01")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Drain(res.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Errorf("prepared date window returned %d rows, want 2", len(rows))
+	}
+	folded(sql, datum.MustDate("1995-01-01"))
+
+	// 1/0 is not folded: planning succeeds, the first row to reach it fails.
+	sel, err = sqlparse.Parse("SELECT v FROM events WHERE v > 1 / 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Build(sel, r, Options{KernelCache: kc})
+	if err != nil {
+		t.Fatalf("planning 1/0 failed: %v", err)
+	}
+	if _, err := exec.Drain(res.Root); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("1/0 over rows: err = %v, want division by zero", err)
 	}
 }

@@ -81,7 +81,7 @@ func (b *builder) convertScalar(n sqlparse.Node) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &expr.BinOp{Op: op, L: l, R: r}, nil
+		return expr.FoldConst(&expr.BinOp{Op: op, L: l, R: r}), nil
 	case *sqlparse.Unary:
 		e, err := b.convertScalar(node.E)
 		if err != nil {
@@ -310,7 +310,7 @@ func (b *builder) resolveProjection(sel *sqlparse.Select) ([]projItem, []*expr.A
 				name = it.Expr.String()
 			}
 		}
-		items = append(items, projItem{e: e, ast: it.Expr, name: name, typ: inferType(e)})
+		items = append(items, projItem{e: e, ast: it.Expr, name: name, typ: expr.StaticType(e)})
 	}
 	return items, aggs, groupBy, nil
 }
@@ -397,7 +397,7 @@ func (b *builder) convertAggregated(n sqlparse.Node, groupBy []expr.Expr, aggs *
 		}
 		for gi, g := range groupBy {
 			if g.String() == se.String() {
-				return &expr.ColRef{Index: gi, Name: se.String(), Type: inferType(g)}, nil
+				return &expr.ColRef{Index: gi, Name: se.String(), Type: expr.StaticType(g)}, nil
 			}
 		}
 		if _, isIdent := n.(*sqlparse.Ident); isIdent {
@@ -465,51 +465,9 @@ func aggResultType(a *expr.Aggregate) datum.Type {
 		return datum.Float
 	default:
 		if a.Arg != nil {
-			return inferType(a.Arg)
+			return expr.StaticType(a.Arg)
 		}
 		return datum.Int
-	}
-}
-
-// inferType computes the static result type of a resolved expression.
-func inferType(e expr.Expr) datum.Type {
-	switch n := e.(type) {
-	case *expr.ColRef:
-		return n.Type
-	case *expr.Const:
-		return n.D.T
-	case *expr.Slot:
-		return datum.Unknown // typed after binding
-	case *expr.Kernel:
-		return inferType(n.E)
-	case *expr.BinOp:
-		switch n.Op {
-		case expr.Add, expr.Sub, expr.Mul, expr.Div:
-			lt, rt := inferType(n.L), inferType(n.R)
-			if lt == datum.Date || rt == datum.Date {
-				return datum.Date
-			}
-			if n.Op == expr.Div || lt == datum.Float || rt == datum.Float {
-				return datum.Float
-			}
-			return datum.Int
-		default:
-			return datum.Bool
-		}
-	case *expr.Neg:
-		return inferType(n.E)
-	case *expr.Case:
-		if len(n.Whens) > 0 {
-			return inferType(n.Whens[0].Then)
-		}
-		if n.Else != nil {
-			return inferType(n.Else)
-		}
-		return datum.Unknown
-	case *expr.Not, *expr.Like, *expr.In, *expr.Between, *expr.IsNull:
-		return datum.Bool
-	default:
-		return datum.Unknown
 	}
 }
 

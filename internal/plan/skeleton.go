@@ -355,7 +355,7 @@ func (bi *binder) bind() (*Result, error) {
 				return nil, err
 			}
 		}
-		typ := inferType(e)
+		typ := expr.StaticType(e)
 		if typ == datum.Unknown {
 			typ = it.typ
 		}

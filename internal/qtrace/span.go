@@ -49,6 +49,17 @@ func (s *Span) SetDetail(d string) {
 	s.detail.Store(&d)
 }
 
+// Detail returns the span's annotation ("" when none).
+func (s *Span) Detail() string {
+	if s == nil {
+		return ""
+	}
+	if d := s.detail.Load(); d != nil {
+		return *d
+	}
+	return ""
+}
+
 // Observe adds one operator pull: elapsed time plus rows produced. Batch
 // operators pass the batch length as rows and nonzero batches.
 func (s *Span) Observe(d time.Duration, rows, batches int64) {

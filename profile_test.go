@@ -2,6 +2,7 @@ package nodb
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -271,5 +272,63 @@ func TestProfileJoin(t *testing.T) {
 	}
 	if i != 7 || len(plain.Rows) != 7 {
 		t.Errorf("LIMIT 7 above a join: profiled %d rows, unprofiled %d", i, len(plain.Rows))
+	}
+}
+
+// TestProfileTypedAggregation: on a warm Q1 every aggregate argument
+// batch runs a typed value program. The "hash aggregate" span reports its
+// input rows, groups and typed versus generic argument batches, and the
+// profile counts the typed ones as kernel batches — none as generic.
+func TestProfileTypedAggregation(t *testing.T) {
+	db := tpchTestDB(t, Options{})
+	q1 := tpch.Queries["Q1"]
+	want, err := db.Query(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prewarm("lineitem", "l_returnflag", "l_linestatus", "l_quantity",
+		"l_extendedprice", "l_discount", "l_tax", "l_shipdate"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryContext(WithProfile(context.Background()), q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want.Rows) || n == 0 {
+		t.Fatalf("profiled Q1 returned %d rows, unprofiled %d", n, len(want.Rows))
+	}
+	p := rows.Profile()
+	if p.Ctrs.KernelBatches == 0 || p.Ctrs.GenericBatches != 0 {
+		t.Errorf("warm Q1: kernel batches = %d, generic batches = %d; want > 0 and 0",
+			p.Ctrs.KernelBatches, p.Ctrs.GenericBatches)
+	}
+	var agg *qtrace.SpanInfo
+	var walk func(sp *qtrace.SpanInfo)
+	walk = func(sp *qtrace.SpanInfo) {
+		if sp.Label == "hash aggregate" {
+			agg = sp
+		}
+		for i := range sp.Children {
+			walk(&sp.Children[i])
+		}
+	}
+	walk(p.Plan)
+	if agg == nil {
+		t.Fatal("Q1 plan has no hash aggregate span")
+	}
+	var in, groups, typed, generic int64
+	if _, err := fmt.Sscanf(agg.Detail, "input_rows=%d groups=%d typed_arg_batches=%d generic_arg_batches=%d",
+		&in, &groups, &typed, &generic); err != nil {
+		t.Fatalf("hash aggregate detail %q: %v", agg.Detail, err)
+	}
+	if in == 0 || groups != int64(n) || typed == 0 || generic != 0 {
+		t.Errorf("hash aggregate detail %q: want input rows, %d groups, typed batches only", agg.Detail, n)
 	}
 }
