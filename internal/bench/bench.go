@@ -5,8 +5,10 @@
 // the original figure.
 //
 // Absolute times are machine-dependent; the shapes — who wins, by what
-// factor, where lines cross — are what EXPERIMENTS.md compares against the
-// paper.
+// factor, where lines cross — are what to compare against the paper. The
+// TestFig* tests in this package assert those shapes. Speed claims about
+// this engine come from the repo benchmark (benchmark/run.sh), not from
+// these figures.
 package bench
 
 import (
@@ -45,7 +47,7 @@ type Config struct {
 }
 
 // Small returns a configuration sized for laptop-scale runs (seconds per
-// figure); the shape-preserving scale-down documented in DESIGN.md.
+// figure). Every size scales down the paper's, keeping the shapes.
 func Small(workDir string) Config {
 	return Config{
 		WorkDir:    workDir,
@@ -63,7 +65,7 @@ func Small(workDir string) Config {
 // Default returns the configuration used by cmd/nodbbench: tens-of-MB
 // files that make the adaptive effects pronounced while each figure still
 // regenerates in well under a minute on one core. The paper's absolute
-// scale (11-92 GB) changes constants, not shapes; see DESIGN.md §2.
+// scale (11-92 GB) changes constants, not shapes.
 func Default(workDir string) Config {
 	return Config{
 		WorkDir:    workDir,
@@ -108,31 +110,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Report is one regenerated figure: a titled table of series, plus named
-// scalar metrics (rows/sec and the like) that cmd/nodbbench serializes to
-// BENCH_exec.json so the perf trajectory is machine-comparable across
-// revisions.
+// Report is one regenerated figure: a titled table of series.
 type Report struct {
 	ID     string // "fig3", "fig8a", ...
 	Title  string
 	Header []string
 	Rows   [][]string
 	Notes  []string
-
-	Metrics map[string]float64
 }
 
 // AddRow appends one data row.
 func (r *Report) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
-}
-
-// AddMetric records one named scalar for machine-readable output.
-func (r *Report) AddMetric(name string, value float64) {
-	if r.Metrics == nil {
-		r.Metrics = make(map[string]float64)
-	}
-	r.Metrics[name] = value
 }
 
 // AddNote appends a free-text observation (printed under the table).
@@ -178,18 +167,10 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // paperOpen opens an engine for a paper-reproduction figure. The paper
 // benchmarks the single-backend PostgresRaw prototype, so the parallel
 // partitioned scan is pinned off regardless of the host's core count —
-// figure shapes must not depend on GOMAXPROCS. The "scan" figure sweeps
-// Parallelism explicitly instead.
+// figure shapes must not depend on GOMAXPROCS.
 func paperOpen(cat *schema.Catalog, opts core.Options) (*core.Engine, error) {
 	opts.Parallelism = 1
 	return core.Open(cat, opts)

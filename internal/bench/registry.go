@@ -3,33 +3,25 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Runner regenerates one figure of the paper.
 type Runner func(Config) (*Report, error)
 
-// Figures maps figure ids to their runners — the per-experiment index of
-// DESIGN.md §3 in executable form.
+// Figures maps the paper's figure ids to their runners.
 var Figures = map[string]Runner{
-	"fig3":    Fig3,
-	"fig4":    Fig4,
-	"fig5":    Fig5,
-	"fig6":    Fig6,
-	"fig7":    Fig7,
-	"fig8a":   Fig8a,
-	"fig8b":   Fig8b,
-	"fig9":    Fig9,
-	"fig10":   Fig10,
-	"fig11":   Fig11,
-	"fig12":   Fig12,
-	"fig13":   Fig13,
-	"scan":    ScanScale,  // not in the paper: parallel-scan scaling
-	"exec":    ExecFig,    // not in the paper: vectorized vs row execution
-	"profile": ProfileFig, // not in the paper: qtrace profiling overhead
-	"formats": FormatsFig, // not in the paper: raw-format sources, cold vs warm
-	"kernels": KernelsFig, // not in the paper: compiled kernels + skeleton cache
-	"sidecar": SidecarFig, // not in the paper: durable adaptive state restart
+	"fig3":  Fig3,
+	"fig4":  Fig4,
+	"fig5":  Fig5,
+	"fig6":  Fig6,
+	"fig7":  Fig7,
+	"fig8a": Fig8a,
+	"fig8b": Fig8b,
+	"fig9":  Fig9,
+	"fig10": Fig10,
+	"fig11": Fig11,
+	"fig12": Fig12,
+	"fig13": Fig13,
 }
 
 // FigureIDs lists the figure ids in presentation order.
@@ -50,11 +42,8 @@ func FigureIDs() []string {
 	return ids
 }
 
+// splitID splits "fig8a" into its number and suffix: (8, "a").
 func splitID(id string) (int, string) {
-	if !strings.HasPrefix(id, "fig") {
-		// Non-paper figures (e.g. "scan") sort after the paper's.
-		return 1 << 20, id
-	}
 	n := 0
 	i := 3 // skip "fig"
 	for ; i < len(id) && id[i] >= '0' && id[i] <= '9'; i++ {

@@ -9,10 +9,9 @@ import (
 // Figures 7 and 8 compare PostgresRaw against MySQL and a commercial
 // "DBMS X". Both are closed systems we cannot re-implement faithfully; the
 // paper itself only uses them as "another loaded row store, slower/faster
-// than PostgreSQL". Per DESIGN.md's substitution table, this repository
-// measures the real loaded engine (internal/storage, standing in for
-// PostgreSQL) and derives the comparators by the relative factors the
-// paper reports:
+// than PostgreSQL". So this repository measures the real loaded engine
+// (internal/storage, standing in for PostgreSQL) and derives the
+// comparators by the relative factors the paper reports:
 //
 //   - PostgreSQL is "53% slower than DBMS X" in pure query time (§5.1.4)
 //     => DBMS X query time = PostgreSQL / 1.53.

@@ -1,12 +1,23 @@
 package core
 
 import (
+	"context"
+	"flag"
 	"testing"
 	"time"
 
 	"nodb/internal/exec"
+	"nodb/internal/qtrace"
 	"nodb/internal/tpch"
 )
+
+// timingGate enables the wall-clock bounds of the speed-up and profiling
+// overhead tests. A timing ratio only means something on an otherwise idle
+// machine, so the bounds run when asked for — the non-race CI gate steps
+// pass -timing-gate — and never under a plain `go test ./...`, whose
+// packages share the cores. Without the flag those tests still check,
+// deterministically, that the fast path is the one that runs.
+var timingGate = flag.Bool("timing-gate", false, "also enforce the wall-clock speed-up and overhead bounds (run alone on an idle machine)")
 
 // benchWarmEngine opens an engine over a fixture table and runs one
 // warming query so that every column the benchmark touches is fully
@@ -123,21 +134,83 @@ func BenchmarkColdScanBatchVsRow(b *testing.B) {
 	}
 }
 
-// TestBatchSpeedupOnWarmScan is the in-repo demonstration of the
-// acceptance criterion: the vectorized pipeline must clear 1.5x the
-// row-path throughput on a warm cached Filter+Project scan. It measures
-// with testing.Benchmark so CI smoke runs (-benchtime=1x) stay fast, and
-// is skipped in -short mode to keep it off noisy constrained runners.
+// profileQuery runs sql once on e under a fresh qtrace profile and returns
+// the finished snapshot: the operator tree with per-span row and batch
+// counts, and the kernel/generic batch counters.
+func profileQuery(tb testing.TB, e *Engine, sql string) qtrace.Snapshot {
+	tb.Helper()
+	p, err := e.PrepareStmt(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prof := qtrace.New(sql)
+	drainPlanned(tb, p, qtrace.NewContext(context.Background(), prof))
+	prof.Finish()
+	snap := prof.Snapshot()
+	if snap.Plan == nil {
+		tb.Fatalf("%q: profile has no operator tree", sql)
+	}
+	return snap
+}
+
+// spans flattens a profiled operator tree, root first.
+func spans(sp qtrace.SpanInfo) []qtrace.SpanInfo {
+	out := []qtrace.SpanInfo{sp}
+	for _, c := range sp.Children {
+		out = append(out, spans(c)...)
+	}
+	return out
+}
+
+// scanSpans returns the scan leaves of a profiled operator tree.
+func scanSpans(sp qtrace.SpanInfo) []qtrace.SpanInfo {
+	var out []qtrace.SpanInfo
+	for _, s := range spans(sp) {
+		if len(s.Children) == 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestBatchSpeedupOnWarmScan gates the vectorized pipeline on a warm
+// cached Filter+Project scan. Deterministically, every operator from the
+// scan to the projection must move the table batch-at-a-time — one batch
+// per DefaultBatchSize input rows — while the DisableVectorized engine
+// moves no batch at all; both return the same rows. With -timing-gate the
+// vectorized pipeline must also clear 1.5x the row-path throughput,
+// measured with testing.Benchmark.
 func TestBatchSpeedupOnWarmScan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; run without -short")
+	const rows = 20_000
+	sql := "SELECT id, b + 1, c * 2.0 FROM wide WHERE a < 4"
+	wantBatches := int64((rows + exec.DefaultBatchSize - 1) / exec.DefaultBatchSize)
+	shape := func(disable bool) qtrace.Snapshot {
+		e := benchWarmEngine(t, rows, disable)
+		drainQuery(t, e, sql)
+		return profileQuery(t, e, sql)
+	}
+	vec, row := shape(false), shape(true)
+	if vec.Plan.Rows != row.Plan.Rows {
+		t.Fatalf("vectorized and row engines returned %d and %d rows", vec.Plan.Rows, row.Plan.Rows)
+	}
+	for _, sp := range spans(*vec.Plan) {
+		if sp.Batches != wantBatches {
+			t.Errorf("vectorized %s: %d batches for %d rows, want %d", sp.Label, sp.Batches, rows, wantBatches)
+		}
+	}
+	for _, sp := range spans(*row.Plan) {
+		if sp.Batches != 0 {
+			t.Errorf("DisableVectorized %s: %d batches, want a row-at-a-time pipeline", sp.Label, sp.Batches)
+		}
+	}
+	if !*timingGate {
+		return
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the row/batch timing ratio")
 	}
-	sql := "SELECT id, b + 1, c * 2.0 FROM wide WHERE a < 4"
 	measure := func(disable bool) float64 {
-		e := benchWarmEngine(t, 20_000, disable)
+		e := benchWarmEngine(t, rows, disable)
 		drainQuery(t, e, sql)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -162,19 +235,16 @@ func TestBatchSpeedupOnWarmScan(t *testing.T) {
 	t.Errorf("vectorized warm scan speedup %.2fx < 1.5x target after 3 attempts", speedup)
 }
 
-// TestJoinSpeedupOnWarmTPCH is the join gate: with every column cached, the
-// default engine — scans read batch-at-a-time with compiled kernels below a
-// batch-native hash join that feeds the aggregation batches — must answer
-// TPC-H Q3 and Q12 at least 1.3x faster than the DisableVectorized engine,
-// which runs the same join over row-path scans and an interpreted row tail.
-// Each side is its best of five interleaved runs.
+// TestJoinSpeedupOnWarmTPCH is the join gate. With every column cached,
+// the default engine reads every scan under TPC-H Q3's and Q12's hash joins
+// batch-at-a-time and narrows them with compiled kernels; the
+// DisableVectorized engine runs the same joins over row-path scans, with
+// no scan batch and no kernel batch. Both return the same rows. With
+// -timing-gate the default engine must also answer both queries at least
+// 1.3x faster, each side its best of five interleaved runs. (Q12's CASE
+// aggregate arguments run the generic walk on the default engine too, so
+// the gate does not require zero generic batches.)
 func TestJoinSpeedupOnWarmTPCH(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; run without -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the row/batch timing ratio")
-	}
 	dir := t.TempDir()
 	if err := tpch.Generate(dir, 0.005, 3); err != nil {
 		t.Fatal(err)
@@ -195,6 +265,44 @@ func TestJoinSpeedupOnWarmTPCH(t *testing.T) {
 	vec, row := open(false), open(true)
 	for _, name := range []string{"Q3", "Q12"} {
 		sql := tpch.Queries[name]
+		drainQuery(t, vec, sql) // plans, kernels and statistics settle
+		drainQuery(t, row, sql)
+		if parsed := vec.Metrics("lineitem").TuplesParsed; parsed != row.Metrics("lineitem").TuplesParsed {
+			t.Fatalf("%s: engines did not warm alike", name)
+		}
+		vs, rs := profileQuery(t, vec, sql), profileQuery(t, row, sql)
+		if vs.Plan.Rows != rs.Plan.Rows {
+			t.Fatalf("%s: default and row engines returned %d and %d rows", name, vs.Plan.Rows, rs.Plan.Rows)
+		}
+		if vs.Ctrs.KernelBatches == 0 {
+			t.Errorf("%s: default engine ran no compiled kernel batch", name)
+		}
+		if rs.Ctrs.KernelBatches != 0 {
+			t.Errorf("%s: DisableVectorized engine ran %d compiled kernel batches", name, rs.Ctrs.KernelBatches)
+		}
+		for _, c := range []struct {
+			snap qtrace.Snapshot
+			vec  bool
+		}{{vs, true}, {rs, false}} {
+			scans := scanSpans(*c.snap.Plan)
+			if len(scans) < 2 {
+				t.Fatalf("%s: plan has %d scans, want a join", name, len(scans))
+			}
+			for _, sp := range scans {
+				if got := sp.Batches > 0; got != c.vec {
+					t.Errorf("%s (vectorized=%v) %s: %d batches", name, c.vec, sp.Label, sp.Batches)
+				}
+			}
+		}
+	}
+	if !*timingGate {
+		return
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the row/batch timing ratio")
+	}
+	for _, name := range []string{"Q3", "Q12"} {
+		sql := tpch.Queries[name]
 		best := func(e *Engine, cur time.Duration) time.Duration {
 			start := time.Now()
 			drainQuery(t, e, sql)
@@ -202,11 +310,6 @@ func TestJoinSpeedupOnWarmTPCH(t *testing.T) {
 				return d
 			}
 			return cur
-		}
-		drainQuery(t, vec, sql) // untimed: plans, kernels and statistics settle
-		drainQuery(t, row, sql)
-		if parsed := vec.Metrics("lineitem").TuplesParsed; parsed != row.Metrics("lineitem").TuplesParsed {
-			t.Fatalf("%s: engines did not warm alike", name)
 		}
 		var vecBest, rowBest time.Duration
 		for i := 0; i < 5; i++ {

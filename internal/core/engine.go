@@ -89,9 +89,6 @@ type Options struct {
 	PMBudget int64
 	// PMChunkRows overrides the positional map chunk height.
 	PMChunkRows int
-	// PMSpillDir, when set, lets evicted positional-map chunks spill to
-	// files in this directory instead of being lost.
-	PMSpillDir string
 	// CacheBudget caps the binary cache size in bytes; <= 0 is unlimited.
 	CacheBudget int64
 	// Statistics enables on-the-fly statistics collection and
@@ -128,8 +125,9 @@ type Options struct {
 	// DisableVectorized forces row-at-a-time (Volcano) execution
 	// everywhere. The default — vectorized batches from the scans through
 	// filter, projection, limit and hash-aggregation input — produces
-	// byte-identical results; this switch exists for comparison and as an
-	// escape hatch.
+	// byte-identical results. The switch serves the repo benchmark's
+	// result oracle and the ablations that compare the two paths; it is
+	// also an escape hatch.
 	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement LRU cache (entries, not
 	// bytes; 0 = 256). Each cached entry holds the parameterized parse
@@ -141,7 +139,8 @@ type Options struct {
 	// DisableKernels turns off the query-shape kernel compiler: plans fall
 	// back to the generic vectorized expression walk (expr.EvalBatch /
 	// expr.FilterBatch) and the separate Filter/Project operators. Results
-	// are identical; the switch exists for comparison and as an escape
+	// are identical. The switch serves the repo benchmark's result oracle
+	// and the ablations that compare the two paths; it is also an escape
 	// hatch.
 	DisableKernels bool
 	// KernelCacheSize caps the compiled-kernel program cache (entries, not
@@ -186,7 +185,6 @@ func (o Options) env() format.Env {
 		FullParse:     o.FullParse,
 		PMBudget:      o.PMBudget,
 		PMChunkRows:   o.PMChunkRows,
-		PMSpillDir:    o.PMSpillDir,
 		CacheBudget:   o.CacheBudget,
 		ScanChunkSize: o.ScanChunkSize,
 		Parallelism:   o.Parallelism,

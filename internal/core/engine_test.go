@@ -395,24 +395,6 @@ func TestTinyBudgetsStillCorrect(t *testing.T) {
 	}
 }
 
-func TestPMSpillAcrossQueries(t *testing.T) {
-	dir := t.TempDir()
-	cat := buildFixture(t, dir, 800)
-	e := openEngine(t, cat, Options{
-		Mode:        ModePM,
-		PMBudget:    3000, // forces chunk eviction
-		PMChunkRows: 128,
-		PMSpillDir:  dir,
-	})
-	mustQuery(t, e, "SELECT b, c, name FROM wide WHERE a = 1")
-	mustQuery(t, e, "SELECT d FROM wide WHERE a = 2")
-	res := mustQuery(t, e, "SELECT count(*) FROM wide WHERE b IS NOT NULL")
-	want := int64(800 - (800+10)/11)
-	if res.Rows[0][0].Int() != want {
-		t.Errorf("spill-mode count = %v, want %d", res.Rows[0][0], want)
-	}
-}
-
 func TestRandomizedProjectionsMatchLoadFirst(t *testing.T) {
 	dir := t.TempDir()
 	cat := buildFixture(t, dir, 400)

@@ -60,30 +60,41 @@ func benchKernelScan(b *testing.B, sql string, disableKernels bool) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// TestKernelSpeedupOnWarmScan enforces the kernel tier's acceptance
-// criterion: on a warm cached multi-conjunct Filter+Project query, the
-// compiled path must clear 1.1x the throughput of the generic vectorized
-// pipeline. Both sides run the identical batch pipeline over the identical
-// cache, so the delta is pure interpretation tax — which concentrates in
-// the filter passes (per-conjunct selection narrowing), the shape this
-// query weights; projection stores are write-barrier-bound on both paths
-// and measure near parity. Each attempt interleaves generic/kernel pairs
+// TestKernelSpeedupOnWarmScan gates the kernel tier on a warm cached
+// multi-conjunct Filter+Project query. Both engines run the identical
+// batch pipeline over the identical cache. Deterministically, the default
+// engine must run every batch through compiled kernels under a fused
+// projection tail, and the DisableKernels engine every batch through the
+// generic walk under a plain projection; both return the same rows. With
+// -timing-gate the compiled path must also clear 1.1x the generic
+// pipeline's throughput: each attempt interleaves generic/kernel pairs
 // and takes the median ratio, so frequency drift between measurement
-// windows cannot fake a pass or a failure. Skipped in -short mode and
-// under the race detector like its batch-vs-row sibling.
+// windows cannot fake a pass or a failure.
 func TestKernelSpeedupOnWarmScan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; run without -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the timing ratio")
-	}
 	const floor = 1.1
 	sql := "SELECT id FROM wide WHERE a < 6 AND b >= 0 AND c >= 0.0 AND d >= date '1995-01-01' AND name <> 'zz' AND id >= 0"
 	gen := benchKernelEngine(t, 20_000, true)
 	ker := benchKernelEngine(t, 20_000, false)
 	drainQuery(t, gen, sql)
 	drainQuery(t, ker, sql)
+	gs, ks := profileQuery(t, gen, sql), profileQuery(t, ker, sql)
+	if gs.Plan.Rows != ks.Plan.Rows {
+		t.Fatalf("generic and kernel engines returned %d and %d rows", gs.Plan.Rows, ks.Plan.Rows)
+	}
+	if ks.Ctrs.KernelBatches == 0 || ks.Ctrs.GenericBatches != 0 || ks.Plan.Label != "fused project" {
+		t.Errorf("kernel engine: %d kernel batches, %d generic batches, root %q; want > 0, 0 and \"fused project\"",
+			ks.Ctrs.KernelBatches, ks.Ctrs.GenericBatches, ks.Plan.Label)
+	}
+	if gs.Ctrs.KernelBatches != 0 || gs.Ctrs.GenericBatches == 0 || gs.Plan.Label != "project" {
+		t.Errorf("DisableKernels engine: %d kernel batches, %d generic batches, root %q; want 0, > 0 and \"project\"",
+			gs.Ctrs.KernelBatches, gs.Ctrs.GenericBatches, gs.Plan.Label)
+	}
+	if !*timingGate {
+		return
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the timing ratio")
+	}
 	qps := func(e *Engine) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

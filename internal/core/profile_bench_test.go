@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"flag"
 	"sort"
 	"testing"
 	"time"
@@ -62,13 +61,6 @@ func benchProfiledScan(b *testing.B, profiled bool) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// overheadGate enables TestProfileOverheadOnWarmScan's wall-clock bound.
-// A 5 % timing ratio only means something on an otherwise idle machine, so
-// the bound runs when asked for — the non-race CI gate step passes
-// -overhead-gate — and never under a plain `go test ./...`, whose packages
-// share the cores.
-var overheadGate = flag.Bool("overhead-gate", false, "also enforce the profiled warm-scan wall-clock bound (run alone on an idle machine)")
-
 // spanWrapped reports whether a planned pipeline's root carries a qtrace
 // span wrapper.
 func spanWrapped(op exec.Operator) bool {
@@ -88,7 +80,7 @@ func spanWrapped(op exec.Operator) bool {
 // once per component, so a request context that carries no profile must
 // plan the bare operator chain (no span wrappers) and allocate exactly what
 // the same query allocates under context.Background(). With
-// -overhead-gate, a fully profiled run must also stay within 5 % of the
+// -timing-gate, a fully profiled run must also stay within 5 % of the
 // baseline's wall time; the series interleave round-robin and compare by
 // their minimum, because scheduler noise only ever adds time. Skipped
 // under -short and the race detector (whose instrumentation and sync.Pool
@@ -138,7 +130,7 @@ func TestProfileOverheadOnWarmScan(t *testing.T) {
 	if off != base {
 		t.Errorf("profiling-disabled query allocates %.0f times, the bare context %.0f", off, base)
 	}
-	if !*overheadGate {
+	if !*timingGate {
 		return
 	}
 

@@ -62,6 +62,10 @@ func (rt *rawTable) Append(ctx context.Context, rows [][]datum.Datum) error {
 	})
 }
 
+// Close implements format.Source. Scans open the file themselves, so the
+// table holds nothing to release.
+func (rt *rawTable) Close() error { return nil }
+
 // loadedTable adapts a bulk-loaded heap relation to plan.Table.
 type loadedTable struct {
 	tbl *schema.Table

@@ -175,14 +175,8 @@ func (s *Source) Invalidate() {
 	}
 }
 
-// Close implements format.Source.
-func (s *Source) Close() error {
-	err := s.State.Close()
-	if cerr := s.t.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close implements format.Source: it closes the FITS file.
+func (s *Source) Close() error { return s.t.Close() }
 
 // fitsScan is the recording pass over rows [lo, hi): it decodes the
 // needed columns straight into column-major batches (fixed-width rows

@@ -78,8 +78,6 @@ type Env struct {
 	PMBudget int64
 	// PMChunkRows overrides the positional map chunk height.
 	PMChunkRows int
-	// PMSpillDir lets evicted positional-map chunks spill to disk.
-	PMSpillDir string
 	// CacheBudget caps the binary cache in bytes; <= 0 is unlimited.
 	CacheBudget int64
 	// ScanChunkSize overrides the raw-file read chunk.
@@ -167,7 +165,7 @@ type Source interface {
 	// Invalidate drops all auxiliary state, forcing the next query to
 	// rebuild it. It waits for scans of the table in flight.
 	Invalidate()
-	// Close releases the adapter's resources (files, spill handles).
+	// Close releases the adapter's resources (open files).
 	Close() error
 }
 

@@ -2,7 +2,6 @@ package format
 
 import (
 	"context"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 
@@ -66,14 +65,9 @@ func NewState(tbl *schema.Table, env Env) *State {
 		st.Types[i] = c.Type
 	}
 	if env.PosMap {
-		spill := ""
-		if env.PMSpillDir != "" {
-			spill = filepath.Join(env.PMSpillDir, tbl.Name+".pmspill")
-		}
 		st.PM = posmap.New(tbl.NumColumns(), posmap.Options{
 			Budget:    env.PMBudget,
 			ChunkRows: env.PMChunkRows,
-			SpillPath: spill,
 		})
 		st.RecordAttrs = env.AttrPointers
 	}
@@ -303,14 +297,6 @@ func (st *State) StatsLite() Metrics {
 		WarmScans:      warm,
 		ScanRetries:    retries,
 	}
-}
-
-// Close releases the state's disk resources (positional-map spill file).
-func (st *State) Close() error {
-	if st.PM != nil {
-		return st.PM.Close()
-	}
-	return nil
 }
 
 // FoldCollectors folds one partition shard's statistics collectors into

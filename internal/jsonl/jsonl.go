@@ -67,3 +67,7 @@ func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr
 		return &decoder{colIdx: s.colIdx}
 	}), nil
 }
+
+// Close implements format.Source. Scans open the file themselves, so the
+// source holds nothing to release.
+func (s *Source) Close() error { return nil }

@@ -8,8 +8,8 @@
 // per tuple. Per-attribute positions are stored as uint32 offsets relative
 // to the tuple start, vertically partitioned into fixed-size chunks of
 // tuples (default 1024, sized to sit comfortably in CPU caches). A chunk of
-// one attribute is the unit of budget accounting, LRU eviction and disk
-// spill. This realizes the paper's "collection of chunks, partitioned
+// one attribute is the unit of budget accounting and LRU eviction. This
+// realizes the paper's "collection of chunks, partitioned
 // vertically and horizontally": the horizontal dimension is which
 // attributes have chunks at all, the vertical dimension is the tuple range
 // each chunk covers.
@@ -30,10 +30,7 @@ package posmap
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 )
 
 // DefaultChunkRows is the number of tuples covered by one chunk.
@@ -50,23 +47,17 @@ type Options struct {
 	Budget int64
 	// ChunkRows overrides the vertical partition size (default 1024).
 	ChunkRows int
-	// SpillPath, when non-empty, enables writing evicted chunks to this
-	// file so their information survives eviction (paper §4.2
-	// "Maintenance": evicted positional information can be stored on disk).
-	SpillPath string
 }
 
 // Metrics counts the activity of a Map for instrumentation and benchmarks
 // (Fig 3's x-axis is the number of recorded pointers).
 type Metrics struct {
-	Pointers    int64 // live in-memory position entries
-	Recorded    int64 // total Record calls that stored a new entry
-	Hits        int64 // Lookup calls answered from memory
-	Misses      int64 // Lookup calls with no information
-	NearMisses  int64 // Lookup answered via a neighboring attribute
-	Evictions   int64 // chunks evicted
-	SpillWrites int64 // chunks written to the spill file
-	SpillLoads  int64 // chunks reloaded from the spill file
+	Pointers   int64 // live in-memory position entries
+	Recorded   int64 // total Record calls that stored a new entry
+	Hits       int64 // Lookup calls answered from memory
+	Misses     int64 // Lookup calls with no information
+	NearMisses int64 // Lookup answered via a neighboring attribute
+	Evictions  int64 // chunks evicted
 }
 
 // Map is the adaptive positional map for one raw file.
@@ -96,10 +87,6 @@ type Map struct {
 	globalGen int64      // bumped on any chunk arrival/departure/BeginScan
 	evictGen  int64      // bumped when a chunk leaves memory (validates Writer slots)
 
-	spill     *os.File
-	spillPath string
-	spillIdx  map[chunkKey]spillLoc
-
 	m Metrics
 }
 
@@ -118,11 +105,6 @@ func (ac *attrChunks) at(idx int) *chunk {
 }
 
 type chunkKey struct{ attr, idx int }
-
-type spillLoc struct {
-	off int64
-	n   int
-}
 
 type chunk struct {
 	key  chunkKey
@@ -200,8 +182,6 @@ func New(numAttrs int, opts Options) *Map {
 		budget:    opts.Budget,
 		attrs:     make([]attrChunks, numAttrs),
 		lru:       list.New(),
-		spillPath: opts.SpillPath,
-		spillIdx:  make(map[chunkKey]spillLoc),
 	}
 }
 
@@ -384,22 +364,15 @@ func (m *Map) IndexedAttrs() []int {
 	return out
 }
 
-// chunkFor returns the chunk for (attr, idx), optionally creating it. It
-// transparently reloads spilled chunks.
+// chunkFor returns the chunk for (attr, idx), optionally creating it.
 func (m *Map) chunkFor(attr, idx int, create bool) *chunk {
 	if c := m.attrs[attr].at(idx); c != nil {
 		return c
 	}
-	key := chunkKey{attr, idx}
-	if loc, ok := m.spillIdx[key]; ok {
-		if c := m.loadSpilled(key, loc); c != nil {
-			return c
-		}
-	}
 	if !create || !m.makeRoom() {
 		return nil
 	}
-	c := &chunk{key: key, offs: make([]uint32, m.chunkRows)}
+	c := &chunk{key: chunkKey{attr, idx}, offs: make([]uint32, m.chunkRows)}
 	// Fill with noPosition by doubling copies (memmove, not a store loop).
 	c.offs[0] = noPosition
 	for n := 1; n < len(c.offs); n *= 2 {
@@ -515,7 +488,7 @@ func (m *Map) makeRoom() bool {
 		}
 		victim := el.Value.(*chunk)
 		el = el.Prev()
-		m.evict(victim)
+		m.detach(victim)
 	}
 	return true
 }
@@ -527,67 +500,10 @@ func (m *Map) BeginScan() {
 	m.globalGen++ // unpinning may let previously failed creations succeed
 }
 
-// evict removes a chunk from memory, spilling it first when configured.
-func (m *Map) evict(c *chunk) {
-	if m.spillPath != "" {
-		m.spillOut(c)
-	}
-	m.detach(c)
-}
-
 // touch marks a chunk most-recently used and pins it for the current scan.
 func (m *Map) touch(c *chunk) {
 	c.scan = m.curScan
 	m.lru.MoveToFront(c.elem)
-}
-
-// spillOut appends the chunk to the spill file.
-func (m *Map) spillOut(c *chunk) {
-	if m.spill == nil {
-		f, err := os.OpenFile(m.spillPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-		if err != nil {
-			m.spillPath = "" // disable spilling on error
-			return
-		}
-		m.spill = f
-	}
-	off, err := m.spill.Seek(0, io.SeekEnd)
-	if err != nil {
-		return
-	}
-	buf := make([]byte, 4*len(c.offs))
-	for i, v := range c.offs {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	if _, err := m.spill.Write(buf); err != nil {
-		return
-	}
-	m.spillIdx[c.key] = spillLoc{off: off, n: c.n}
-	m.m.SpillWrites++
-}
-
-// loadSpilled reads a chunk back from the spill file into memory, evicting
-// others if needed to fit.
-func (m *Map) loadSpilled(key chunkKey, loc spillLoc) *chunk {
-	if m.spill == nil {
-		return nil
-	}
-	if !m.makeRoom() {
-		return nil
-	}
-	buf := make([]byte, 4*m.chunkRows)
-	if _, err := m.spill.ReadAt(buf, loc.off); err != nil {
-		return nil
-	}
-	c := &chunk{key: key, offs: make([]uint32, m.chunkRows), n: loc.n}
-	for i := range c.offs {
-		c.offs[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	m.attach(c)
-	m.m.Pointers += int64(c.n)
-	m.m.SpillLoads++
-	delete(m.spillIdx, key)
-	return c
 }
 
 // AbsorbShard merges a worker shard — a private Map populated with
@@ -629,19 +545,15 @@ func (m *Map) AbsorbShard(sh *Map, rowOffset int) {
 }
 
 // adopt installs c — a chunk of an absorbed shard — as m's chunk (attr,
-// idx). It reports false, leaving m untouched, when m already holds or has
-// spilled that chunk and the entries must merge instead. A budget that
-// cannot make room drops the chunk, as it would refuse to create one.
+// idx). It reports false, leaving m untouched, when m already holds that
+// chunk and the entries must merge instead. A budget that cannot make room
+// drops the chunk, as it would refuse to create one.
 func (m *Map) adopt(c *chunk, attr, idx int) bool {
 	if m.attrs[attr].at(idx) != nil {
 		return false
 	}
-	key := chunkKey{attr, idx}
-	if _, spilled := m.spillIdx[key]; spilled {
-		return false
-	}
 	if m.makeRoom() {
-		c.key = key
+		c.key = chunkKey{attr, idx}
 		c.scan = m.curScan
 		m.attach(c)
 		m.recorded(c.n)
@@ -649,8 +561,8 @@ func (m *Map) adopt(c *chunk, attr, idx int) bool {
 	return true
 }
 
-// Drop discards all per-attribute positional information (and the spill
-// index), keeping tuple starts. The paper notes the map "may be dropped
+// Drop discards all per-attribute positional information, keeping tuple
+// starts. The paper notes the map "may be dropped
 // fully or partly at any time without any loss of critical information".
 func (m *Map) Drop() {
 	for a := range m.attrs {
@@ -664,7 +576,6 @@ func (m *Map) Drop() {
 	m.m.Pointers = 0
 	m.chunksAt = m.chunksAt[:0]
 	m.attrsAt = m.attrsAt[:0]
-	m.spillIdx = make(map[chunkKey]spillLoc)
 }
 
 // Truncate discards all information from tuple row onward, used when a
@@ -685,25 +596,10 @@ func (m *Map) Truncate(row int) {
 		chunks := m.attrs[a].chunks
 		for idx := cutoff; idx < len(chunks); idx++ {
 			if c := chunks[idx]; c != nil {
-				m.detach(c) // no spill: the rows are gone
+				m.detach(c)
 			}
 		}
 	}
-	for key := range m.spillIdx {
-		if key.idx >= cutoff {
-			delete(m.spillIdx, key)
-		}
-	}
-}
-
-// Close releases the spill file.
-func (m *Map) Close() error {
-	if m.spill != nil {
-		err := m.spill.Close()
-		m.spill = nil
-		return err
-	}
-	return nil
 }
 
 // String summarizes the map for debugging.

@@ -2,7 +2,6 @@ package posmap
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -175,38 +174,6 @@ func TestScanPinningPreventsSelfEviction(t *testing.T) {
 	}
 	if _, ok := m.Lookup(3, 1); !ok {
 		t.Error("new scan should be able to claim the budget")
-	}
-}
-
-func TestSpillRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	m := New(8, Options{
-		ChunkRows: 16,
-		Budget:    1 * (16*4 + 64),
-		SpillPath: filepath.Join(dir, "pm.spill"),
-	})
-	defer m.Close()
-	m.BeginScan()
-	for r := 0; r < 16; r++ {
-		m.Record(r, 0, uint32(1000+r))
-	}
-	// Force eviction of attr 0 by filling attr 1 in a later scan.
-	m.BeginScan()
-	for r := 0; r < 16; r++ {
-		m.Record(r, 1, uint32(2000+r))
-	}
-	if m.Metrics().SpillWrites == 0 {
-		t.Fatal("expected a spill write")
-	}
-	// Reading attr 0 in a later scan must reload from spill (and evict
-	// attr 1).
-	m.BeginScan()
-	rel, ok := m.Lookup(7, 0)
-	if !ok || rel != 1007 {
-		t.Fatalf("spilled lookup = %d,%v", rel, ok)
-	}
-	if m.Metrics().SpillLoads != 1 {
-		t.Errorf("SpillLoads = %d", m.Metrics().SpillLoads)
 	}
 }
 

@@ -124,9 +124,6 @@ type Options struct {
 	PositionalMapBudget int64
 	// CacheBudget caps the binary cache in bytes (0 = unlimited).
 	CacheBudget int64
-	// SpillDir lets evicted positional-map chunks spill to disk files in
-	// this directory instead of being discarded.
-	SpillDir string
 	// DataDir is where ModeLoadFirst writes its page files (default:
 	// next to the raw files).
 	DataDir string
@@ -143,8 +140,9 @@ type Options struct {
 	// setting >= 1.
 	BatchSize int
 	// DisableVectorized forces row-at-a-time execution instead of the
-	// default vectorized batch pipeline. Results are identical; the switch
-	// exists for measurement and as an escape hatch.
+	// default vectorized batch pipeline. Results are identical. The switch
+	// serves the repo benchmark's result oracle (benchmark/oracle.go) and
+	// the ablations that compare the two paths; it is also an escape hatch.
 	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement cache (entries; 0 = 256).
 	// Statements are cached by normalized SQL and shared across sessions;
@@ -155,8 +153,9 @@ type Options struct {
 	// DisableKernels turns off the query-shape kernel compiler: supported
 	// filter and projection shapes then run through the generic vectorized
 	// expression walk instead of fused type-specialized kernels. Results
-	// are identical; the switch exists for measurement and as an escape
-	// hatch.
+	// are identical. The switch serves the repo benchmark's result oracle
+	// (benchmark/oracle.go) and the ablations that compare the two paths;
+	// it is also an escape hatch.
 	DisableKernels bool
 	// KernelCacheSize caps the compiled-kernel program cache (entries;
 	// 0 = 256). Kernels are keyed by normalized plan shape — literals
@@ -365,7 +364,6 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		PMBudget:          opts.PositionalMapBudget,
 		CacheBudget:       opts.CacheBudget,
 		Statistics:        !opts.DisableStatistics,
-		PMSpillDir:        opts.SpillDir,
 		DataDir:           opts.DataDir,
 		Parallelism:       opts.Parallelism,
 		BatchSize:         opts.BatchSize,

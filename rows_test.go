@@ -164,13 +164,6 @@ func TestStreamOpenErrorReleasesOperator(t *testing.T) {
 		_, qerr := db.Query("SELECT count(*) FROM trips")
 		done <- qerr
 	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("follow-up query: %v", err)
-		}
-	default:
-	}
 	if err := <-done; err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
