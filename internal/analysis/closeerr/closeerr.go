@@ -1,6 +1,6 @@
 // Package closeerr machine-checks the engine's resource lifecycle on
-// error paths: a scan-shaped resource opened inside a function — a
-// BatchOperator, Rows, Source, os.File — must be closed before every
+// error paths: a scan-shaped resource opened inside a function — an
+// exec.Operator, Rows, Source, os.File — must be closed before every
 // error return, unless custody is transferred (the value is returned,
 // stored into a field or another variable, or passed to a call) or a
 // defer covers all exits.

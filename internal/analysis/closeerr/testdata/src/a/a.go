@@ -117,7 +117,7 @@ type iter interface {
 
 func newIter() (iter, error) { return nil, nil }
 
-// ifaceLeak: interface-typed resources (BatchOperator, Rows) count too.
+// ifaceLeak: interface-typed resources (Operator, Rows) count too.
 func ifaceLeak() error {
 	it, err := newIter()
 	if err != nil {

@@ -19,8 +19,9 @@
 //     contain a cancellation check: leaf scans are pulled one row or
 //     batch per call, so the check belongs in the method even when it
 //     has no loop. A method that delegates to another Next/NextBatch
-//     call (the RowBatcher/BatchRows adapter shape, which pulls back
-//     through the scan's own checked path) is exempt.
+//     call is exempt: it is a wrapper forwarding to the operator it
+//     wraps (a profiling span, a retry or lock guard around an access
+//     method), which pulls back through that scan's own checked path.
 //  2. Every unbounded loop (`for {...}` / `for cond {...}`) that does
 //     real work (contains a call) must contain a cancellation check.
 //     Bounded three-clause and range loops iterate over one batch or

@@ -100,8 +100,8 @@ func worker(ctx context.Context, next func() (row, error)) func() error {
 	}
 }
 
-// batcherScan delegates to an adapter's NextBatch, which pulls back
-// through the scan's checked path: clean (the RowBatcher shape).
+// batcherScan forwards to the wrapped operator's NextBatch, which pulls
+// back through the scan's checked path: clean (the wrapper shape).
 type batcherScan struct {
 	ctx     context.Context
 	batcher interface{ NextBatch() (row, error) }

@@ -12,8 +12,8 @@ import (
 
 // batchEquivQueries covers every shape the vectorized pipeline handles —
 // typed filter fast paths, BETWEEN/IN/LIKE/IS NULL, projection arithmetic,
-// hash and sort aggregation input, ORDER BY (row fallback above batches),
-// LIMIT truncation, and a residual (non-pushable) conjunct.
+// hash and sort aggregation, ORDER BY, LIMIT truncation, and a residual
+// (non-pushable) conjunct.
 var batchEquivQueries = []string{
 	"SELECT id, name FROM wide WHERE a = 3",
 	"SELECT id, c FROM wide WHERE b >= 300 AND c < 150.5",
@@ -28,8 +28,8 @@ var batchEquivQueries = []string{
 
 // batchLimitQueries terminate the scan early. They must return identical
 // rows, but cumulative metrics are excluded from comparison: a truncated
-// batch scan has materialized (and counted) up to one batch of rows beyond
-// the limit, where the row path stops mid-tuple — the same reason the
+// wide batch may have materialized (and counted) up to one batch of rows
+// beyond the limit, where one-row batches stop at it — the same reason the
 // parallel-scan tests exclude partial-progress counters after LIMIT.
 var batchLimitQueries = []string{
 	"SELECT id FROM wide LIMIT 5",
@@ -54,8 +54,8 @@ func runQuerySequence(t *testing.T, e *Engine, queries []string) ([]*Result, []T
 
 // TestBatchRowEquivalence is the tentpole regression: for every in-situ
 // mode, the vectorized batch pipeline must produce byte-identical rows AND
-// byte-identical adaptive-structure metrics to row-at-a-time execution,
-// on both cold (raw-file) and warm (cache/positional-map) scans.
+// byte-identical adaptive-structure metrics to DisableVectorized's one-row
+// batches, on both cold (raw-file) and warm (cache/positional-map) scans.
 func TestBatchRowEquivalence(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 700)
 	modes := []Options{
@@ -128,8 +128,8 @@ var joinLimitQueries = []string{
 }
 
 // TestJoinBatchRowEquivalence: multi-table queries return byte-identical
-// rows, order included, whether the join runs under the vectorized
-// pipeline or as the root of a Volcano tree over row-path scans, with
+// rows, order included, whether the join runs over wide batches or over
+// DisableVectorized's one-row batches, with
 // kernels on or off, for every worker count, cold and warm — and the
 // vectorized configurations leave identical adaptive structures behind.
 func TestJoinBatchRowEquivalence(t *testing.T) {
@@ -292,33 +292,43 @@ func TestBatchSizeSweep(t *testing.T) {
 	}
 }
 
-// TestVectorizedPlanShape pins that the batch pipeline is the DEFAULT for
-// scan queries, and that DisableVectorized restores the Volcano tree.
+// TestVectorizedPlanShape pins the DisableVectorized contract from query
+// profiles, over a filtered scan, GROUP BY … ORDER BY … LIMIT, a
+// two-table join and the same three on a load-first heap: on the default
+// engine every scan carries more than one row per batch; with
+// DisableVectorized no operator carries more than one live row per batch
+// and no compiled kernel runs. Both engines return the same rows.
 func TestVectorizedPlanShape(t *testing.T) {
-	cat := buildFixture(t, t.TempDir(), 50)
-	e := openEngine(t, cat, Options{Mode: ModePMCache})
-	op, _, err := e.Prepare("SELECT id, c FROM wide WHERE a = 3")
-	if err != nil {
-		t.Fatal(err)
+	cat := buildFixture(t, t.TempDir(), 3000)
+	queries := []string{
+		"SELECT id, c FROM wide WHERE a < 4",
+		"SELECT a, count(*), sum(c) FROM wide GROUP BY a ORDER BY a DESC LIMIT 3",
+		"SELECT x.id, y.c FROM wide x, wide y WHERE x.id = y.b AND x.a < 4",
 	}
-	if _, ok := op.(*exec.BatchRows); !ok {
-		t.Errorf("vectorized engine should plan a batch pipeline, got %T", op)
-	}
-	rowEng := openEngine(t, cat, Options{Mode: ModePMCache, DisableVectorized: true})
-	op, _, err = rowEng.Prepare("SELECT id, c FROM wide WHERE a = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*exec.BatchRows); ok {
-		t.Error("DisableVectorized engine must not plan a batch pipeline")
-	}
-	// Load-first heap scans are row-only leaves: the plan must quietly fall
-	// back even on a vectorized engine.
-	lf := openEngine(t, cat, Options{Mode: ModeLoadFirst})
-	res := mustQuery(t, lf, "SELECT id, c FROM wide WHERE a = 3")
-	ref := mustQuery(t, e, "SELECT id, c FROM wide WHERE a = 3")
-	if !rowsEqual(res.Rows, ref.Rows) {
-		t.Error("load-first row fallback diverged from vectorized in-situ result")
+	for _, mode := range []Mode{ModePMCache, ModeLoadFirst} {
+		vec := openEngine(t, cat, Options{Mode: mode, Parallelism: 1})
+		row := openEngine(t, cat, Options{Mode: mode, Parallelism: 1, DisableVectorized: true})
+		for _, sql := range queries {
+			vs, rs := profileQuery(t, vec, sql), profileQuery(t, row, sql)
+			for _, sp := range scanSpans(*vs.Plan) {
+				if sp.Rows <= sp.Batches {
+					t.Errorf("%v %q: default %s carries %d rows in %d batches, want several rows per batch",
+						mode, sql, sp.Label, sp.Rows, sp.Batches)
+				}
+			}
+			for _, sp := range spans(*rs.Plan) {
+				if sp.Rows > sp.Batches {
+					t.Errorf("%v %q: DisableVectorized %s carries %d rows in %d batches, want one-row batches",
+						mode, sql, sp.Label, sp.Rows, sp.Batches)
+				}
+			}
+			if rs.Ctrs.KernelBatches != 0 {
+				t.Errorf("%v %q: DisableVectorized ran %d compiled kernel batches", mode, sql, rs.Ctrs.KernelBatches)
+			}
+			if !rowsEqual(mustQuery(t, vec, sql).Rows, mustQuery(t, row, sql).Rows) {
+				t.Errorf("%v %q: default and DisableVectorized rows differ", mode, sql)
+			}
+		}
 	}
 }
 

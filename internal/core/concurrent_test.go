@@ -286,13 +286,13 @@ func TestCancelMidScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 100000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}
@@ -338,7 +338,7 @@ func TestWarmCacheScansRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil {
+	if _, err := op.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,7 +377,7 @@ func TestCancelWhileWaitingOnTableLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil {
+	if _, err := op.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -586,7 +586,7 @@ func TestConcurrentJoinCancelOnProbeLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	if _, err := holder.Next(); err != nil {
+	if _, err := holder.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -122,12 +121,12 @@ type Options struct {
 	// operators (0 = exec.DefaultBatchSize). Results are identical for any
 	// setting >= 1.
 	BatchSize int
-	// DisableVectorized forces row-at-a-time (Volcano) execution
-	// everywhere. The default — vectorized batches from the scans through
-	// filter, projection, limit and hash-aggregation input — produces
-	// byte-identical results. The switch serves the repo benchmark's
-	// result oracle and the ablations that compare the two paths; it is
-	// also an escape hatch.
+	// DisableVectorized runs every operator over one-row batches through
+	// the interpreted expression walk: Open translates it into BatchSize 1
+	// plus DisableKernels, and the planner makes the operators it builds
+	// (join, aggregation output, sort) emit one-row batches too. Results
+	// are byte-identical to the default. The switch serves the repo
+	// benchmark's result oracle and the ablations that compare the two.
 	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement LRU cache (entries, not
 	// bytes; 0 = 256). Each cached entry holds the parameterized parse
@@ -143,11 +142,6 @@ type Options struct {
 	// and the ablations that compare the two paths; it is also an escape
 	// hatch.
 	DisableKernels bool
-	// KernelCacheSize caps the compiled-kernel program cache (entries, not
-	// bytes; 0 = 256). Programs are keyed by normalized plan-skeleton
-	// shape — literals replaced by slots — so statements differing only in
-	// their constants share one compilation.
-	KernelCacheSize int
 	// ScanRetries bounds how many additional cold attempts a scan makes
 	// after a retryable raw-file fault — the file changed or vanished
 	// underneath the adaptive structures, or a read failed (0 = default of
@@ -156,9 +150,6 @@ type Options struct {
 	// the query fails with a typed error (ErrRetriesExhausted), never wrong
 	// rows.
 	ScanRetries int
-	// RetryBackoff is the context-aware pause between scan retry attempts
-	// (0 = 5ms).
-	RetryBackoff time.Duration
 	// Sidecar configures crash-safe persistence of the adaptive state
 	// (positional maps, column caches, statistics, hot statements) into
 	// per-table sidecar files, so a restarted engine warm-starts instead of
@@ -190,7 +181,6 @@ func (o Options) env() format.Env {
 		Parallelism:   o.Parallelism,
 		BatchSize:     o.BatchSize,
 		ScanRetries:   o.ScanRetries,
-		RetryBackoff:  o.RetryBackoff,
 	}
 	switch o.Mode {
 	case ModePMCache:
@@ -229,6 +219,9 @@ func Open(cat *schema.Catalog, opts Options) (*Engine, error) {
 	if int(opts.Mode) >= len(modeNames) || opts.Mode < 0 {
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)
 	}
+	if opts.DisableVectorized {
+		opts.BatchSize, opts.DisableKernels = 1, true
+	}
 	e := &Engine{
 		cat:     cat,
 		opts:    opts,
@@ -238,7 +231,7 @@ func Open(cat *schema.Catalog, opts Options) (*Engine, error) {
 		stmts:   newStmtCache(opts.PlanCacheSize),
 	}
 	if !opts.DisableKernels {
-		e.kernels = kernel.NewCache(opts.KernelCacheSize)
+		e.kernels = kernel.NewCache(0)
 	}
 	if opts.Mode == ModeLoadFirst {
 		frames := opts.PoolFrames
@@ -595,7 +588,7 @@ func (e *Engine) loadedFor(tbl *schema.Table) (*loadedTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading table %s: %w", tbl.Name, err)
 	}
-	lt := &loadedTable{tbl: tbl, rel: rel}
+	lt := &loadedTable{tbl: tbl, rel: rel, batchSize: e.opts.BatchSize}
 	e.loaded[tbl.Name] = lt
 	return lt, nil
 }

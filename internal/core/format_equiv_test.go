@@ -85,14 +85,14 @@ var crossFormatQueries = []string{
 
 // TestCrossFormatEquivalence is the cross-format suite: for every format,
 // parallel (workers 1/2/8) scans are bit-identical to sequential ones,
-// batch and row execution paths are byte-identical, per-table metrics are
+// wide and one-row batches are byte-identical, per-table metrics are
 // equal across passes — and all three formats agree on every query.
 func TestCrossFormatEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	const n = 700
 	for _, table := range []string{"obs_csv", "obs_fits", "obs_jsonl"} {
 		t.Run(table, func(t *testing.T) {
-			// Sequential row-path reference.
+			// Sequential one-row-batch reference.
 			ref := openEngine(t, formatFixture(t, t.TempDir(), n), Options{
 				Mode: ModePMCache, Parallelism: 1, DisableVectorized: true,
 			})
@@ -110,7 +110,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 					for qi, q := range crossFormatQueries {
 						got := mustQuery(t, e, fmt.Sprintf(q, table))
 						if !reflect.DeepEqual(got.Rows, want[qi].Rows) {
-							t.Fatalf("workers=%d vectorized=%v query %q differs from sequential row path",
+							t.Fatalf("workers=%d vectorized=%v query %q differs from the sequential one-row-batch reference",
 								w, vec, q)
 						}
 						// Metrics equal across execution strategies. The
@@ -187,7 +187,7 @@ func TestConcurrentWarmFITSScansOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil { // scan held open mid-stream
+	if _, err := op.NextBatch(); err != nil { // scan held open mid-stream
 		t.Fatal(err)
 	}
 
@@ -244,13 +244,13 @@ func TestCancelMidFITSScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 200000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}
@@ -298,13 +298,13 @@ func TestCancelMidJSONLScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 200000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}

@@ -56,7 +56,7 @@ func TestKernelEquivalenceCrossFormat(t *testing.T) {
 
 // TestTPCHKernelEquivalence runs every TPC-H query of the paper's subset
 // with kernels on and off across worker counts and cold/warm passes; rows
-// must be byte-identical. The row-at-a-time configuration rides along as
+// must be byte-identical. The DisableVectorized configuration rides along as
 // a third column (kernels wrap conjuncts whose scalar path must stay
 // untouched).
 func TestTPCHKernelEquivalence(t *testing.T) {

@@ -64,14 +64,8 @@ func benchProfiledScan(b *testing.B, profiled bool) {
 // spanWrapped reports whether a planned pipeline's root carries a qtrace
 // span wrapper.
 func spanWrapped(op exec.Operator) bool {
-	switch o := op.(type) {
-	case *exec.SpanRow:
-		return true
-	case *exec.BatchRows:
-		_, ok := o.Batch().(*exec.SpanBatch)
-		return ok
-	}
-	return false
+	_, ok := op.(*exec.Span)
+	return ok
 }
 
 // TestProfileOverheadOnWarmScan is the overhead gate for the qtrace

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -49,7 +50,7 @@ func newCSVDecoder() format.LineDecoder { return &csvDecoder{} }
 // sequential in-situ pass — until Open, when it acquires the table lock
 // and can decide against the structures as they exist at execution time
 // (by then a concurrent session may already have warmed the table).
-func (rt *rawTable) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
+func (rt *rawTable) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return rt.OpenLineScan(ctx, cols, conjuncts, newCSVDecoder), nil
 }
 
@@ -68,8 +69,9 @@ func (rt *rawTable) Close() error { return nil }
 
 // loadedTable adapts a bulk-loaded heap relation to plan.Table.
 type loadedTable struct {
-	tbl *schema.Table
-	rel *storage.Relation
+	tbl       *schema.Table
+	rel       *storage.Relation
+	batchSize int // rows per scan batch (0 = exec.DefaultBatchSize)
 }
 
 // Name implements plan.Table.
@@ -86,10 +88,7 @@ func (lt *loadedTable) RowCount() int64 { return lt.rel.Stats.RowCount() }
 
 // Scan implements plan.Table: a sequential page scan with the conjuncts
 // evaluated against decoded tuples, projecting the requested ordinals.
-// Tuples are deformed only up to the last needed column, as row stores do.
-// Cancellation is observed every few hundred rows.
 func (lt *loadedTable) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
-	pred := expr.JoinConjuncts(conjuncts)
 	outCols := make([]exec.Col, len(cols))
 	for i, c := range cols {
 		outCols[i] = exec.Col{Name: lt.tbl.Columns[c].Name, Type: lt.tbl.Columns[c].Type}
@@ -100,44 +99,99 @@ func (lt *loadedTable) Scan(ctx context.Context, cols []int, conjuncts []expr.Ex
 			maxNeeded = c
 		}
 	}
-	var it *storage.Iterator
-	var tick int
-	out := make(exec.Row, len(cols))
-	return exec.NewSource(outCols,
-		func() error {
-			it = lt.rel.Heap.ScanPrefix(maxNeeded)
-			return nil
-		},
-		func() (exec.Row, error) {
-			for {
-				if tick++; tick&255 == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				row, err := it.Next()
-				if err != nil {
-					return nil, err
-				}
-				if pred != nil {
-					ok, err := expr.TruthyResult(pred, row)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				for i, c := range cols {
-					out[i] = row[c]
-				}
-				return out, nil
+	size := lt.batchSize
+	if size <= 0 {
+		size = exec.DefaultBatchSize
+	}
+	return &heapScan{ctx: ctx, lt: lt, cols: cols, outCols: outCols, pred: expr.JoinConjuncts(conjuncts),
+		maxNeeded: maxNeeded, size: size, budget: -1}, nil
+}
+
+// heapScan is the load-first access method. Tuples are deformed only up
+// to the last needed column, as row stores do, and qualifying tuples pack
+// their requested ordinals into a reused batch. Cancellation is observed
+// every few hundred rows.
+type heapScan struct {
+	ctx       context.Context
+	lt        *loadedTable
+	cols      []int
+	outCols   []exec.Col
+	pred      expr.Expr
+	maxNeeded int
+	size      int
+	budget    int64 // LIMIT pushdown; -1 = none
+	produced  int64
+
+	it   *storage.Iterator
+	tick int
+	b    *exec.Batch
+}
+
+// SetRowBudget implements exec.RowBudgeter.
+func (h *heapScan) SetRowBudget(n int64) { h.budget = n }
+
+// Columns implements exec.Operator.
+func (h *heapScan) Columns() []exec.Col { return h.outCols }
+
+// Open starts the page scan.
+func (h *heapScan) Open() error {
+	h.it = h.lt.rel.Heap.ScanPrefix(h.maxNeeded)
+	h.produced = 0
+	return nil
+}
+
+// NextBatch packs up to one batch of qualifying tuples, never exceeding
+// the remaining row budget.
+func (h *heapScan) NextBatch() (*exec.Batch, error) {
+	target := h.size
+	if h.budget >= 0 {
+		if rem := h.budget - h.produced; rem < int64(target) {
+			target = int(max(rem, 0))
+		}
+	}
+	if h.b == nil {
+		h.b = exec.NewBatch(len(h.cols), h.size)
+	}
+	b := h.b
+	b.Reset()
+	for b.N < target {
+		if h.tick++; h.tick&255 == 0 {
+			if err := h.ctx.Err(); err != nil {
+				return nil, err
 			}
-		},
-		func() error {
-			if it != nil {
-				it.Close()
+		}
+		row, err := h.it.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if h.pred != nil {
+			ok, err := expr.TruthyResult(h.pred, row)
+			if err != nil {
+				return nil, err
 			}
-			return nil
-		}), nil
+			if !ok {
+				continue
+			}
+		}
+		for i, c := range h.cols {
+			b.Cols[i] = append(b.Cols[i], row[c])
+		}
+		b.N++
+	}
+	if b.N == 0 {
+		return nil, io.EOF
+	}
+	h.produced += int64(b.N)
+	return b, nil
+}
+
+// Close releases the page pin.
+func (h *heapScan) Close() error {
+	if h.it != nil {
+		h.it.Close()
+	}
+	return nil
 }

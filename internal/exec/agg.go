@@ -13,9 +13,9 @@ import (
 
 // accum is one aggregate's state for every group, in columns indexed by
 // group id: the one accumulator behind HashAgg (fed a batch at a time) and
-// SortAgg and HashAgg's row input (fed through add). count doubles as
-// MIN/MAX's "seen" flag; sumI, sumF and anyF exist for SUM and AVG, minMax
-// for MIN and MAX, distinct for DISTINCT aggregates.
+// SortAgg (fed through add). count doubles as MIN/MAX's "seen" flag; sumI,
+// sumF and anyF exist for SUM and AVG, minMax for MIN and MAX, distinct
+// for DISTINCT aggregates.
 type accum struct {
 	kind     expr.AggKind
 	count    []int64
@@ -198,18 +198,32 @@ func (a *accum) result(g int32) datum.Datum {
 	return datum.NewNull(datum.Unknown)
 }
 
-// appendResults appends every aggregate's result for group g to out.
-func appendResults(out Row, accs []accum, g int32) Row {
-	for i := range accs {
-		out = append(out, accs[i].result(g))
+// groupBatch packs groups [g0, g0+n) into b (allocated when nil): the
+// group key columns (keys[k][g], aliased), then every aggregate's result.
+func groupBatch(b *Batch, keys [][]datum.Datum, accs []accum, g0, n int) *Batch {
+	if b == nil {
+		b = NewBatch(len(keys)+len(accs), n)
 	}
-	return out
+	b.Reset()
+	for k, col := range keys {
+		b.Cols[k] = col[g0 : g0+n]
+	}
+	for i := range accs {
+		out := b.Cols[len(keys)+i]
+		for g := g0; g < g0+n; g++ {
+			out = append(out, accs[i].result(int32(g)))
+		}
+		b.Cols[len(keys)+i] = out
+	}
+	b.N = n
+	return b
 }
 
 // aggSpec is shared by the hash and sort aggregation operators: group-by
 // expressions followed by aggregate calls. The output row layout is
 // [group values..., aggregate results...].
 type aggSpec struct {
+	batchOut
 	child   Operator
 	groupBy []expr.Expr
 	aggs    []*expr.Aggregate
@@ -233,27 +247,24 @@ func (a *aggSpec) feedRow(accs []accum, g int32, r Row) error {
 
 // HashAgg groups rows with a hash table — the plan a cost-based optimizer
 // picks when the estimated number of groups is modest. Groups are emitted
-// in first-seen order; each folds its input in input order.
+// in first-seen order, as batches; each folds its input in input order.
 //
-// With batch input (SetBatchInput) each batch's key vectors are hashed
-// once into group ids through the group table (the chain table the hash
-// join builds on), then every aggregate folds its (group id, value) pairs
-// in one loop: over a typed vector when the planner attached a compiled
-// value program to the argument (expr.Kernel.EvalVec) and the batch's
-// values carry the program's types, over the argument's Datum vector
-// otherwise. The row input evaluates keys and arguments per row into the
-// same table and accumulators.
+// Each input batch's key vectors are hashed once into group ids through
+// the group table (the chain table the hash join builds on), then every
+// aggregate folds its (group id, value) pairs in one loop: over a typed
+// vector when the planner attached a compiled value program to the
+// argument (expr.Kernel.EvalVec) and the batch's values carry the
+// program's types, over the argument's Datum vector otherwise.
 type HashAgg struct {
 	aggSpec
 	// SizeHint pre-sizes the group table (a statistics-driven optimization;
 	// see Fig 12). Zero means no hint.
 	SizeHint int
 
-	bsrc BatchOperator // vectorized input; takes precedence over child
-
 	groups groupTable
 	accs   []accum
 	i      int
+	out    *Batch
 
 	span                           *qtrace.Span
 	prof                           *qtrace.Profile
@@ -264,10 +275,6 @@ type HashAgg struct {
 func NewHashAgg(child Operator, groupBy []expr.Expr, aggs []*expr.Aggregate, cols []Col) *HashAgg {
 	return &HashAgg{aggSpec: aggSpec{child: child, groupBy: groupBy, aggs: aggs, cols: cols}}
 }
-
-// SetBatchInput makes the aggregation consume column-major batches from b
-// instead of rows from its child.
-func (h *HashAgg) SetBatchInput(b BatchOperator) { h.bsrc = b }
 
 // SetTraceSpan implements qtrace.SpanSetter: Open annotates the span with
 // its input rows, groups, and argument batches folded typed versus
@@ -292,12 +299,7 @@ func (h *HashAgg) Open() error {
 		h.groups.find(nil, 0, 0) // a global aggregate has exactly one group
 		resizeAll(h.accs, h.groups.len())
 	}
-	var err error
-	if h.bsrc != nil {
-		err = h.buildBatches()
-	} else {
-		err = h.buildRows()
-	}
+	err := h.build()
 	if h.span != nil {
 		h.span.SetDetail(fmt.Sprintf("input_rows=%d groups=%d typed_arg_batches=%d generic_arg_batches=%d",
 			h.rowsIn, h.groups.len(), h.typedArgs, h.genericArgs))
@@ -307,49 +309,13 @@ func (h *HashAgg) Open() error {
 	return err
 }
 
-// buildRows is the row input: keys and arguments evaluate per row.
-func (h *HashAgg) buildRows() error {
+// build drains the input: group ids once per batch, then one fold per
+// aggregate.
+func (h *HashAgg) build() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
 	defer h.child.Close()
-	key := make(Row, len(h.groupBy))
-	kv := make([][]datum.Datum, len(h.groupBy)) // one-row key vectors over key
-	for k := range kv {
-		kv[k] = key[k : k+1]
-	}
-	for {
-		r, err := h.child.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		h.rowsIn++
-		var g int32
-		if len(h.groupBy) > 0 {
-			for k, e := range h.groupBy {
-				if key[k], err = e.Eval(r); err != nil {
-					return err
-				}
-			}
-			g = h.groups.find(kv, 0, tupleHash(kv, 0))
-			resizeAll(h.accs, h.groups.len())
-		}
-		if err := h.feedRow(h.accs, g, r); err != nil {
-			return err
-		}
-	}
-}
-
-// buildBatches is the vectorized build: group ids once per batch, then
-// one fold per aggregate.
-func (h *HashAgg) buildBatches() error {
-	if err := h.bsrc.Open(); err != nil {
-		return err
-	}
-	defer h.bsrc.Close()
 	kv := make([][]datum.Datum, len(h.groupBy))
 	keyScratch := make([][]datum.Datum, len(h.groupBy))
 	argScratch := make([][]datum.Datum, len(h.aggs))
@@ -357,7 +323,7 @@ func (h *HashAgg) buildBatches() error {
 	var hashes []uint64
 	var gids []int32 // all zero for a global aggregate
 	for {
-		b, err := h.bsrc.NextBatch()
+		b, err := h.child.NextBatch()
 		if err == io.EOF {
 			return nil
 		}
@@ -426,18 +392,15 @@ func (h *HashAgg) feed(acc *accum, ag *expr.Aggregate, b *Batch, live []int, gid
 	return nil
 }
 
-// Next emits one group per call.
-func (h *HashAgg) Next() (Row, error) {
+// NextBatch emits the next groups.
+func (h *HashAgg) NextBatch() (*Batch, error) {
 	if h.i >= h.groups.len() {
 		return nil, io.EOF
 	}
-	g := int32(h.i)
-	h.i++
-	out := make(Row, 0, len(h.groupBy)+len(h.accs))
-	for _, col := range h.groups.keys {
-		out = append(out, col[g])
-	}
-	return appendResults(out, h.accs, g), nil
+	n := min(h.height(), h.groups.len()-h.i)
+	h.out = groupBatch(h.out, h.groups.keys, h.accs, h.i, n)
+	h.i += n
+	return h.out, nil
 }
 
 // Close releases the group table.
@@ -457,9 +420,11 @@ func (h *HashAgg) Columns() []Col { return h.cols }
 // cost Fig 12 exposes).
 type SortAgg struct {
 	aggSpec
-	keys []Row // group g's key, groups in key order
-	accs []accum
-	i    int
+	keys    [][]datum.Datum // keys[k][g]: group g's k-th key, groups in key order
+	ngroups int
+	accs    []accum
+	i       int
+	out     *Batch
 }
 
 // NewSortAgg builds a sort-based aggregation operator.
@@ -473,28 +438,39 @@ func (s *SortAgg) Open() error {
 		return err
 	}
 	defer s.child.Close()
-	s.keys, s.accs, s.i = s.keys[:0], newAccums(s.aggs), 0
+	s.keys, s.ngroups, s.accs, s.i = make([][]datum.Datum, len(s.groupBy)), 0, newAccums(s.aggs), 0
 
 	type keyed struct {
 		row Row
 		key Row
 	}
 	var items []keyed
+	kv := make([][]datum.Datum, len(s.groupBy))
+	scratch := make([][]datum.Datum, len(s.groupBy))
 	for {
-		r, err := s.child.Next()
+		b, err := s.child.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		key := make(Row, len(s.groupBy))
 		for k, e := range s.groupBy {
-			if key[k], err = e.Eval(r); err != nil {
+			if kv[k], err = evalVec(e, b, &scratch[k]); err != nil {
 				return err
 			}
 		}
-		items = append(items, keyed{row: CloneRow(r), key: key})
+		for r := 0; r < b.Live(); r++ {
+			p := r
+			if b.Sel != nil {
+				p = b.Sel[r]
+			}
+			key := make(Row, len(s.groupBy))
+			for k := range kv {
+				key[k] = kv[k][p]
+			}
+			items = append(items, keyed{row: b.Row(r, make(Row, len(b.Cols))), key: key})
+		}
 	}
 	cmpKeys := func(a, b Row) int {
 		for i := range a {
@@ -505,33 +481,36 @@ func (s *SortAgg) Open() error {
 		return 0
 	}
 	sort.SliceStable(items, func(a, b int) bool { return cmpKeys(items[a].key, items[b].key) < 0 })
-	g := int32(-1)
+	var prev Row
 	for _, it := range items {
-		if g < 0 || cmpKeys(s.keys[g], it.key) != 0 {
-			s.keys = append(s.keys, it.key)
-			g++
-			resizeAll(s.accs, len(s.keys))
+		if s.ngroups == 0 || cmpKeys(prev, it.key) != 0 {
+			for k, v := range it.key {
+				s.keys[k] = append(s.keys[k], v)
+			}
+			prev = it.key
+			s.ngroups++
+			resizeAll(s.accs, s.ngroups)
 		}
-		if err := s.feedRow(s.accs, g, it.row); err != nil {
+		if err := s.feedRow(s.accs, int32(s.ngroups-1), it.row); err != nil {
 			return err
 		}
 	}
-	if len(s.groupBy) == 0 && len(s.keys) == 0 {
-		s.keys = append(s.keys, Row{})
-		resizeAll(s.accs, len(s.keys))
+	if len(s.groupBy) == 0 && s.ngroups == 0 {
+		s.ngroups = 1 // a global aggregate has exactly one group
+		resizeAll(s.accs, s.ngroups)
 	}
 	return nil
 }
 
-// Next emits one group per call.
-func (s *SortAgg) Next() (Row, error) {
-	if s.i >= len(s.keys) {
+// NextBatch emits the next groups in key order.
+func (s *SortAgg) NextBatch() (*Batch, error) {
+	if s.i >= s.ngroups {
 		return nil, io.EOF
 	}
-	g := int32(s.i)
-	s.i++
-	out := make(Row, 0, len(s.groupBy)+len(s.accs))
-	return appendResults(append(out, s.keys[g]...), s.accs, g), nil
+	n := min(s.height(), s.ngroups-s.i)
+	s.out = groupBatch(s.out, s.keys, s.accs, s.i, n)
+	s.i += n
+	return s.out, nil
 }
 
 // Close releases buffered groups.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // randomValues builds a Values operator of (int, float, text, date) rows
-// with NULLs sprinkled in, for comparing row and batch pipelines.
+// with NULLs sprinkled in, for comparing pipelines across batch sizes.
 func randomValues(rng *rand.Rand, n int) *Values {
 	cols := []Col{
 		{Name: "i", Type: datum.Int},
@@ -61,9 +60,15 @@ func sameRows(t *testing.T, label string, a, b []Row) {
 	}
 }
 
-// TestBatchPipelineMatchesRows runs the same filter+project+limit over the
-// row operators and the batch operators (bridged by the two adapters) and
-// requires identical output.
+// resized returns a fresh Values over v's rows emitting batches of n rows.
+func resized(v *Values, n int) *Values {
+	out := NewValues(v.cols, v.rows)
+	out.SetBatchSize(n)
+	return out
+}
+
+// TestBatchPipelineMatchesRows runs the same filter+project+limit over
+// one-row batches and over wider batches and requires identical output.
 func TestBatchPipelineMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pred := &expr.BinOp{Op: expr.And,
@@ -76,34 +81,25 @@ func TestBatchPipelineMatchesRows(t *testing.T) {
 		&expr.BinOp{Op: expr.Mul, L: &expr.ColRef{Index: 1}, R: &expr.ColRef{Index: 1}},
 	}
 	projCols := []Col{{Name: "i5", Type: datum.Int}, {Name: "s", Type: datum.Text}, {Name: "ff", Type: datum.Float}}
+	pipeline := func(in Operator, limit int64) Operator {
+		var root Operator = NewProject(NewFilter(in, pred), projExprs, projCols)
+		if limit >= 0 {
+			root = NewLimit(root, limit)
+		}
+		return root
+	}
 	for _, limit := range []int64{-1, 0, 7, 1000} {
 		vals := randomValues(rng, 500)
-		var rowRoot Operator = NewProject(NewFilter(vals, pred), projExprs, projCols)
-		if limit >= 0 {
-			rowRoot = NewLimit(rowRoot, limit)
-		}
-		want := drainRows(t, rowRoot)
-
-		for _, size := range []int{1, 3, 64, 2048} {
-			var b BatchOperator = NewRowBatcher(vals, size)
-			b = NewBatchProject(NewBatchFilter(b, pred), projExprs, projCols)
-			if limit >= 0 {
-				b = NewBatchLimit(b, limit)
-			}
-			got := drainRows(t, NewBatchRows(b))
+		want := drainRows(t, pipeline(resized(vals, 1), limit))
+		for _, size := range []int{3, 64, DefaultBatchSize, 2048} {
+			got := drainRows(t, pipeline(resized(vals, size), limit))
 			sameRows(t, "limit/size", want, got)
-			// And through DrainBatches directly.
-			got2, err := DrainBatches(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, "drainbatches", want, got2)
 		}
 	}
 }
 
-// TestBatchHashAggMatchesRows compares the vectorized hash-aggregation
-// input against the row path for grouped and global aggregates.
+// TestBatchHashAggMatchesRows compares hash aggregation over one-row
+// batches against wider batches for grouped and global aggregates.
 func TestBatchHashAggMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	groupBy := []expr.Expr{&expr.ColRef{Index: 2, Type: datum.Text}}
@@ -121,25 +117,13 @@ func TestBatchHashAggMatchesRows(t *testing.T) {
 			outCols = cols[1:]
 		}
 		vals := randomValues(rng, 400)
-		want := drainRows(t, NewHashAgg(vals, gb, aggs, outCols))
-
-		hb := NewHashAgg(nil, gb, aggs, outCols)
-		hb.SetBatchInput(NewRowBatcher(vals, 32))
-		got := drainRows(t, hb)
-		sameRows(t, "hashagg", want, got)
-	}
-}
-
-// TestAsBatch pins the unwrap rules: adapters unwrap, native batch
-// operators pass through, row-only operators don't qualify.
-func TestAsBatch(t *testing.T) {
-	vals := randomValues(rand.New(rand.NewSource(3)), 10)
-	rb := NewRowBatcher(vals, 4)
-	if b, ok := AsBatch(NewBatchRows(rb)); !ok || b != BatchOperator(rb) {
-		t.Error("BatchRows must unwrap to its inner batch operator")
-	}
-	if _, ok := AsBatch(vals); ok {
-		t.Error("Values is row-only and must not register as batch-capable")
+		one := NewHashAgg(resized(vals, 1), gb, aggs, outCols)
+		one.SetBatchSize(1)
+		want := drainRows(t, one)
+		for _, size := range []int{32, DefaultBatchSize} {
+			got := drainRows(t, NewHashAgg(resized(vals, size), gb, aggs, outCols))
+			sameRows(t, "hashagg", want, got)
+		}
 	}
 }
 
@@ -148,23 +132,7 @@ func TestAsBatch(t *testing.T) {
 func TestBatchLimitAcrossBatches(t *testing.T) {
 	vals := randomValues(rand.New(rand.NewSource(5)), 100)
 	pred := &expr.BinOp{Op: expr.Ge, L: &expr.ColRef{Index: 0}, R: &expr.Const{D: datum.NewInt(30)}}
-	want := drainRows(t, NewLimit(NewFilter(vals, pred), 13))
-	got, err := DrainBatches(NewBatchLimit(NewBatchFilter(NewRowBatcher(vals, 8), pred), 13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drainRows(t, NewLimit(NewFilter(resized(vals, 1), pred), 13))
+	got := drainRows(t, NewLimit(NewFilter(resized(vals, 8), pred), 13))
 	sameRows(t, "limit-sel", want, got)
-}
-
-// TestRowBatcherEOF verifies clean EOF behavior on an empty child.
-func TestRowBatcherEOF(t *testing.T) {
-	empty := NewValues(intCols("a"), nil)
-	rb := NewRowBatcher(empty, 16)
-	if err := rb.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.NextBatch(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
-	}
-	rb.Close()
 }

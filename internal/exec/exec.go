@@ -1,6 +1,7 @@
-// Package exec implements a volcano-style (iterator) execution engine:
-// filter, project, sort, limit, hash aggregation, sort aggregation and hash
-// join operators over rows of datums.
+// Package exec implements a batch-at-a-time execution engine: filter,
+// project, limit, sort, hash aggregation, sort aggregation and hash join
+// operators exchanging column-major batches of datums (Batch). Rows exist
+// only at the edge — Drain and Count here, and the client cursor above.
 //
 // The same operators execute over every access method — in-situ raw-file
 // scans, cached binary columns and loaded heap files — mirroring how
@@ -10,7 +11,6 @@
 package exec
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -18,8 +18,8 @@ import (
 	"nodb/internal/expr"
 )
 
-// Row is one tuple flowing between operators. Producers may reuse the
-// backing array between Next calls; operators that buffer rows must copy.
+// Row is one tuple gathered out of a batch. Gather buffers may be reused
+// between calls; holders that keep rows must copy.
 type Row = []datum.Datum
 
 // Col describes one output column of an operator.
@@ -28,130 +28,62 @@ type Col struct {
 	Type datum.Type
 }
 
-// Operator is the volcano iterator interface. Next returns io.EOF when the
-// stream is exhausted.
+// Operator is the iterator interface every operator and access method
+// implements. NextBatch returns io.EOF when the stream is exhausted;
+// returned batches are owned by the producer and valid until the next
+// call.
 type Operator interface {
 	Open() error
-	Next() (Row, error)
+	NextBatch() (*Batch, error)
 	Close() error
 	Columns() []Col
 }
 
-// CloneRow copies a row so it survives producer reuse.
-func CloneRow(r Row) Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// Drain runs an operator to completion and returns all rows (copied).
-// It opens and closes the operator. A batch pipeline (BatchRows root)
-// drains batch-at-a-time, copying rows straight out of the batches.
+// Drain runs an operator to completion and returns all live rows (copied).
+// It opens and closes the operator.
 func Drain(op Operator) ([]Row, error) {
-	if br, ok := op.(*BatchRows); ok {
-		return DrainBatches(br.Batch())
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
 	var out []Row
-	for {
-		r, err := op.Next()
-		if err == io.EOF {
-			return out, nil
+	err := run(op, func(b *Batch) {
+		for k := 0; k < b.Live(); k++ {
+			out = append(out, b.Row(k, make(Row, len(b.Cols))))
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CloneRow(r))
-	}
+	})
+	return out, err
 }
 
-// Count runs an operator to completion, returning only the row count.
-// A batch pipeline counts whole batches without materializing rows.
+// Count runs an operator to completion, returning only the live row
+// count; no row is materialized.
 func Count(op Operator) (int64, error) {
-	if br, ok := op.(*BatchRows); ok {
-		return countBatches(br.Batch())
-	}
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
 	var n int64
-	for {
-		_, err := op.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
+	err := run(op, func(b *Batch) { n += int64(b.Live()) })
+	return n, err
 }
 
-// countBatches drains a batch operator, summing live rows.
-func countBatches(op BatchOperator) (int64, error) {
+// run opens op, hands every batch to fn and closes op.
+func run(op Operator, fn func(*Batch)) error {
 	if err := op.Open(); err != nil {
-		return 0, err
+		return err
 	}
 	defer op.Close()
-	var n int64
 	for {
 		b, err := op.NextBatch()
 		if err == io.EOF {
-			return n, nil
+			return nil
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		n += int64(b.Live())
+		fn(b)
 	}
 }
-
-// Source adapts an external row producer (heap iterator, in-situ scan,
-// generator) into the Operator tree.
-type Source struct {
-	cols  []Col
-	open  func() error
-	next  func() (Row, error)
-	close func() error
-}
-
-// NewSource builds a leaf operator from callbacks; open and close may be
-// nil.
-func NewSource(cols []Col, open func() error, next func() (Row, error), close func() error) *Source {
-	return &Source{cols: cols, open: open, next: next, close: close}
-}
-
-// Open calls the open callback.
-func (s *Source) Open() error {
-	if s.open != nil {
-		return s.open()
-	}
-	return nil
-}
-
-// Next pulls from the callback.
-func (s *Source) Next() (Row, error) { return s.next() }
-
-// Close calls the close callback.
-func (s *Source) Close() error {
-	if s.close != nil {
-		return s.close()
-	}
-	return nil
-}
-
-// Columns returns the source schema.
-func (s *Source) Columns() []Col { return s.cols }
 
 // Values is a fixed in-memory rowset, useful for tests and tiny tables.
 type Values struct {
+	batchOut
 	cols []Col
 	rows []Row
 	i    int
+	b    *Batch
 }
 
 // NewValues creates a Values operator.
@@ -162,14 +94,15 @@ func NewValues(cols []Col, rows []Row) *Values {
 // Open resets the cursor.
 func (v *Values) Open() error { v.i = 0; return nil }
 
-// Next returns the next stored row.
-func (v *Values) Next() (Row, error) {
+// NextBatch packs the next stored rows into a reused batch.
+func (v *Values) NextBatch() (*Batch, error) {
 	if v.i >= len(v.rows) {
 		return nil, io.EOF
 	}
-	r := v.rows[v.i]
-	v.i++
-	return r, nil
+	n := min(v.height(), len(v.rows)-v.i)
+	v.b = packRows(v.b, v.rows[v.i:v.i+n])
+	v.i += n
+	return v.b, nil
 }
 
 // Close is a no-op.
@@ -178,117 +111,23 @@ func (v *Values) Close() error { return nil }
 // Columns returns the schema.
 func (v *Values) Columns() []Col { return v.cols }
 
-// Filter passes through rows satisfying the predicate (NULL = drop).
-type Filter struct {
-	child Operator
-	pred  expr.Expr
-}
-
-// NewFilter wraps child with a predicate.
-func NewFilter(child Operator, pred expr.Expr) *Filter {
-	return &Filter{child: child, pred: pred}
-}
-
-// Open opens the child.
-func (f *Filter) Open() error { return f.child.Open() }
-
-// Next pulls until a row qualifies.
-func (f *Filter) Next() (Row, error) {
-	for {
-		r, err := f.child.Next()
-		if err != nil {
-			return nil, err
+// packRows copies rows (at least one, all of equal width) into b's
+// columns, allocating b when nil or of another width, and returns it.
+func packRows(b *Batch, rows []Row) *Batch {
+	if b == nil || len(b.Cols) != len(rows[0]) {
+		b = NewBatch(len(rows[0]), len(rows))
+	}
+	b.Reset()
+	for j := range b.Cols {
+		col := b.Cols[j]
+		for _, r := range rows {
+			col = append(col, r[j])
 		}
-		ok, err := expr.TruthyResult(f.pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return r, nil
-		}
+		b.Cols[j] = col
 	}
+	b.N = len(rows)
+	return b
 }
-
-// Close closes the child.
-func (f *Filter) Close() error { return f.child.Close() }
-
-// Columns passes through the child schema.
-func (f *Filter) Columns() []Col { return f.child.Columns() }
-
-// Project computes output expressions over each input row.
-type Project struct {
-	child Operator
-	exprs []expr.Expr
-	cols  []Col
-	buf   Row
-}
-
-// NewProject wraps child with projection expressions and output schema.
-func NewProject(child Operator, exprs []expr.Expr, cols []Col) *Project {
-	if len(exprs) != len(cols) {
-		panic(fmt.Sprintf("exec: %d exprs but %d cols", len(exprs), len(cols)))
-	}
-	return &Project{child: child, exprs: exprs, cols: cols, buf: make(Row, len(exprs))}
-}
-
-// Open opens the child.
-func (p *Project) Open() error { return p.child.Open() }
-
-// Next computes the projection (output row reused between calls).
-func (p *Project) Next() (Row, error) {
-	r, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range p.exprs {
-		v, err := e.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		p.buf[i] = v
-	}
-	return p.buf, nil
-}
-
-// Close closes the child.
-func (p *Project) Close() error { return p.child.Close() }
-
-// Columns returns the projected schema.
-func (p *Project) Columns() []Col { return p.cols }
-
-// Limit stops after n rows (n < 0 means no limit).
-type Limit struct {
-	child Operator
-	n     int64
-	seen  int64
-}
-
-// NewLimit wraps child with a row limit.
-func NewLimit(child Operator, n int64) *Limit {
-	return &Limit{child: child, n: n}
-}
-
-// Open opens the child and resets the counter.
-func (l *Limit) Open() error { l.seen = 0; return l.child.Open() }
-
-// Next forwards until the limit is hit.
-func (l *Limit) Next() (Row, error) {
-	if l.n >= 0 && l.seen >= l.n {
-		return nil, io.EOF
-	}
-	r, err := l.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.seen++
-	return r, nil
-}
-
-// Close closes the child.
-func (l *Limit) Close() error { return l.child.Close() }
-
-// Columns passes through the child schema.
-func (l *Limit) Columns() []Col { return l.child.Columns() }
 
 // SortKey orders by an expression over the input row.
 type SortKey struct {
@@ -296,12 +135,15 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes the child and emits rows in key order.
+// Sort materializes the child and emits its rows in key order; rows with
+// equal keys keep their input order.
 type Sort struct {
+	batchOut
 	child Operator
 	keys  []SortKey
 	rows  []Row
 	i     int
+	b     *Batch
 }
 
 // NewSort wraps child with ORDER BY keys.
@@ -309,39 +151,45 @@ func NewSort(child Operator, keys []SortKey) *Sort {
 	return &Sort{child: child, keys: keys}
 }
 
-// Open drains and sorts the child.
+// Open drains the child, evaluating the keys once per input batch, and
+// sorts.
 func (s *Sort) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
 	defer s.child.Close()
-	s.rows = s.rows[:0]
 	s.i = 0
-	// Precompute key values alongside rows to avoid re-evaluating during
-	// comparisons.
 	type keyed struct {
 		row  Row
 		keys Row
 	}
 	var items []keyed
+	kv := make([][]datum.Datum, len(s.keys))
+	scratch := make([][]datum.Datum, len(s.keys))
 	for {
-		r, err := s.child.Next()
+		b, err := s.child.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		c := CloneRow(r)
-		ks := make(Row, len(s.keys))
 		for i, k := range s.keys {
-			v, err := k.E.Eval(c)
-			if err != nil {
+			if kv[i], err = evalVec(k.E, b, &scratch[i]); err != nil {
 				return err
 			}
-			ks[i] = v
 		}
-		items = append(items, keyed{row: c, keys: ks})
+		for k := 0; k < b.Live(); k++ {
+			p := k
+			if b.Sel != nil {
+				p = b.Sel[k]
+			}
+			ks := make(Row, len(s.keys))
+			for i := range kv {
+				ks[i] = kv[i][p]
+			}
+			items = append(items, keyed{row: b.Row(k, make(Row, len(b.Cols))), keys: ks})
+		}
 	}
 	sort.SliceStable(items, func(a, b int) bool {
 		for i, k := range s.keys {
@@ -362,14 +210,15 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// Next emits the next sorted row.
-func (s *Sort) Next() (Row, error) {
+// NextBatch emits the next sorted rows.
+func (s *Sort) NextBatch() (*Batch, error) {
 	if s.i >= len(s.rows) {
 		return nil, io.EOF
 	}
-	r := s.rows[s.i]
-	s.i++
-	return r, nil
+	n := min(s.height(), len(s.rows)-s.i)
+	s.b = packRows(s.b, s.rows[s.i:s.i+n])
+	s.i += n
+	return s.b, nil
 }
 
 // Close releases the materialized rows.
@@ -380,3 +229,19 @@ func (s *Sort) Close() error {
 
 // Columns passes through the child schema.
 func (s *Sort) Columns() []Col { return s.child.Columns() }
+
+// batchOut is the output batch height of an operator that builds its own
+// output batches (values, sort, aggregation, join).
+type batchOut struct{ size int }
+
+// SetBatchSize sets how many rows each output batch carries at most
+// (n <= 0 restores DefaultBatchSize). The planner sets 1 for one-row
+// batches when vectorization is off; results are identical for any n.
+func (o *batchOut) SetBatchSize(n int) { o.size = n }
+
+func (o *batchOut) height() int {
+	if o.size > 0 {
+		return o.size
+	}
+	return DefaultBatchSize
+}

@@ -32,6 +32,18 @@ func intRows(vals ...[]int64) []Row {
 	return rows
 }
 
+// batchSizes are the batch heights the operator tests run at: one-row
+// batches, a size that splits runs of equal keys across batches, and the
+// default.
+var batchSizes = []int{1, 7, DefaultBatchSize}
+
+// sizedValues is a Values operator emitting batches of n rows.
+func sizedValues(cols []Col, rows []Row, n int) *Values {
+	v := NewValues(cols, rows)
+	v.SetBatchSize(n)
+	return v
+}
+
 func col(i int) *expr.ColRef  { return &expr.ColRef{Index: i} }
 func lit(v int64) *expr.Const { return &expr.Const{D: datum.NewInt(v)} }
 
@@ -122,52 +134,64 @@ func TestLimit(t *testing.T) {
 }
 
 func TestSortAscDesc(t *testing.T) {
-	v := NewValues(intCols("a", "b"), intRows(
-		[]int64{3, 1}, []int64{1, 2}, []int64{2, 3}, []int64{1, 1}))
-	s := NewSort(v, []SortKey{{E: col(0)}, {E: col(1), Desc: true}})
-	rows, err := Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int64{{1, 2}, {1, 1}, {2, 3}, {3, 1}}
-	for i, w := range want {
-		if rows[i][0].Int() != w[0] || rows[i][1].Int() != w[1] {
-			t.Fatalf("sort order wrong at %d: %v", i, rows)
+	for _, size := range batchSizes {
+		v := sizedValues(intCols("a", "b"), intRows(
+			[]int64{3, 1}, []int64{1, 2}, []int64{2, 3}, []int64{1, 1}), size)
+		s := NewSort(v, []SortKey{{E: col(0)}, {E: col(1), Desc: true}})
+		s.SetBatchSize(size)
+		rows, err := Drain(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][2]int64{{1, 2}, {1, 1}, {2, 3}, {3, 1}}
+		for i, w := range want {
+			if rows[i][0].Int() != w[0] || rows[i][1].Int() != w[1] {
+				t.Fatalf("size %d: sort order wrong at %d: %v", size, i, rows)
+			}
 		}
 	}
 }
 
+// TestSortAgainstStdlib sorts 500 rows over 100 distinct keys, so runs of
+// equal keys cross batch boundaries at every size; the second column is
+// the input position, which a stable sort keeps ascending within a run.
 func TestSortAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var rows []Row
-	var vals []int64
+	var want [][2]int64
 	for i := 0; i < 500; i++ {
 		v := rng.Int63n(100)
-		rows = append(rows, Row{datum.NewInt(v)})
-		vals = append(vals, v)
+		rows = append(rows, Row{datum.NewInt(v), datum.NewInt(int64(i))})
+		want = append(want, [2]int64{v, int64(i)})
 	}
-	s := NewSort(NewValues(intCols("a"), rows), []SortKey{{E: col(0)}})
-	got, err := Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for i := range vals {
-		if got[i][0].Int() != vals[i] {
-			t.Fatalf("mismatch at %d", i)
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0] < want[j][0] })
+	for _, size := range batchSizes {
+		s := NewSort(sizedValues(intCols("a", "pos"), rows, size), []SortKey{{E: col(0)}})
+		s.SetBatchSize(size)
+		got, err := Drain(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i][0].Int() != want[i][0] || got[i][1].Int() != want[i][1] {
+				t.Fatalf("size %d: row %d = %v, want %v", size, i, got[i], want[i])
+			}
 		}
 	}
 }
 
 func TestSortNullsFirst(t *testing.T) {
 	rows := []Row{{datum.NewInt(1)}, {datum.NewNull(datum.Int)}, {datum.NewInt(-5)}}
-	s := NewSort(NewValues(intCols("a"), rows), []SortKey{{E: col(0)}})
-	got, err := Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0][0].Null() {
-		t.Error("NULL must sort first ascending")
+	for _, size := range batchSizes {
+		s := NewSort(sizedValues(intCols("a"), rows, size), []SortKey{{E: col(0)}})
+		s.SetBatchSize(size)
+		got, err := Drain(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[0][0].Null() {
+			t.Errorf("size %d: NULL must sort first ascending", size)
+		}
 	}
 }
 
@@ -180,33 +204,36 @@ func aggCols(n int) []Col {
 }
 
 func TestHashAggGrouped(t *testing.T) {
-	v := NewValues(intCols("g", "x"), intRows(
-		[]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{3, 1}))
-	agg := NewHashAgg(v,
-		[]expr.Expr{col(0)},
-		[]*expr.Aggregate{
-			{Kind: expr.AggSum, Arg: col(1)},
-			{Kind: expr.AggCountStar},
-			{Kind: expr.AggMin, Arg: col(1)},
-		},
-		aggCols(4))
-	rows, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("groups = %d", len(rows))
-	}
-	// Groups come out in first-seen order: 1, 2, 3.
-	checks := map[int64][3]int64{1: {40, 2, 10}, 2: {25, 2, 5}, 3: {1, 1, 1}}
-	for _, r := range rows {
-		w := checks[r[0].Int()]
-		if r[1].Int() != w[0] || r[2].Int() != w[1] || r[3].Int() != w[2] {
-			t.Errorf("group %v = %v, want %v", r[0], r[1:], w)
+	for _, size := range batchSizes {
+		v := sizedValues(intCols("g", "x"), intRows(
+			[]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{3, 1}), size)
+		agg := NewHashAgg(v,
+			[]expr.Expr{col(0)},
+			[]*expr.Aggregate{
+				{Kind: expr.AggSum, Arg: col(1)},
+				{Kind: expr.AggCountStar},
+				{Kind: expr.AggMin, Arg: col(1)},
+			},
+			aggCols(4))
+		agg.SetBatchSize(size)
+		rows, err := Drain(agg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rows[0][0].Int() != 1 || rows[1][0].Int() != 2 || rows[2][0].Int() != 3 {
-		t.Error("first-seen order violated")
+		if len(rows) != 3 {
+			t.Fatalf("size %d: groups = %d", size, len(rows))
+		}
+		// Groups come out in first-seen order: 1, 2, 3.
+		checks := map[int64][3]int64{1: {40, 2, 10}, 2: {25, 2, 5}, 3: {1, 1, 1}}
+		for _, r := range rows {
+			w := checks[r[0].Int()]
+			if r[1].Int() != w[0] || r[2].Int() != w[1] || r[3].Int() != w[2] {
+				t.Errorf("size %d: group %v = %v, want %v", size, r[0], r[1:], w)
+			}
+		}
+		if rows[0][0].Int() != 1 || rows[1][0].Int() != 2 || rows[2][0].Int() != 3 {
+			t.Errorf("size %d: first-seen order violated", size)
+		}
 	}
 }
 
@@ -246,6 +273,9 @@ func TestHashAggNullGroupKeys(t *testing.T) {
 	}
 }
 
+// TestSortAggMatchesHashAgg: both strategies fold the same groups to the
+// same values at every batch size; the sort strategy emits them in key
+// order.
 func TestSortAggMatchesHashAgg(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var rows []Row
@@ -263,35 +293,40 @@ func TestSortAggMatchesHashAgg(t *testing.T) {
 			{Kind: expr.AggCountStar},
 		}
 	}
-	h := NewHashAgg(NewValues(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
-	s := NewSortAgg(NewValues(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
-	hr, err := Drain(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hr) != len(sr) {
-		t.Fatalf("group counts differ: %d vs %d", len(hr), len(sr))
-	}
-	index := func(rows []Row) map[int64]Row {
-		m := map[int64]Row{}
-		for _, r := range rows {
-			m[r[0].Int()] = r
+	for _, size := range batchSizes {
+		h := NewHashAgg(sizedValues(intCols("g", "x"), rows, size), groupBy, aggs(), aggCols(5))
+		s := NewSortAgg(sizedValues(intCols("g", "x"), rows, size), groupBy, aggs(), aggCols(5))
+		h.SetBatchSize(size)
+		s.SetBatchSize(size)
+		hr, err := Drain(h)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
-	}
-	hm, sm := index(hr), index(sr)
-	for g, r := range hm {
-		o := sm[g]
-		if o == nil {
-			t.Fatalf("group %d missing in sortagg", g)
+		sr, err := Drain(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range r {
-			if datum.Compare(r[i], o[i]) != 0 {
-				t.Fatalf("group %d col %d: %v vs %v", g, i, r[i], o[i])
+		if len(hr) != len(sr) {
+			t.Fatalf("size %d: group counts differ: %d vs %d", size, len(hr), len(sr))
+		}
+		for i := 1; i < len(sr); i++ {
+			if datum.Compare(sr[i-1][0], sr[i][0]) >= 0 {
+				t.Fatalf("size %d: sort aggregation out of key order at %d", size, i)
+			}
+		}
+		hm := map[int64]Row{}
+		for _, r := range hr {
+			hm[r[0].Int()] = r
+		}
+		for _, o := range sr {
+			r := hm[o[0].Int()]
+			if r == nil {
+				t.Fatalf("size %d: group %d missing in hashagg", size, o[0].Int())
+			}
+			for i := range r {
+				if datum.Compare(r[i], o[i]) != 0 {
+					t.Fatalf("size %d: group %d col %d: %v vs %v", size, o[0].Int(), i, r[i], o[i])
+				}
 			}
 		}
 	}
@@ -409,9 +444,10 @@ func anyCols(n int) []Col {
 	return cols
 }
 
-// TestHashJoinAgainstNestedLoop drains every case through both executor
-// interfaces, over row-only inputs and over batch inputs carrying a Sel,
-// and requires the nested-loop reference's rows in its order.
+// TestHashJoinAgainstNestedLoop drains every case over default-size,
+// one-row and Sel-carrying input batches, into one-row and default-size
+// output batches, and requires the nested-loop reference's rows in its
+// order.
 func TestHashJoinAgainstNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	I, F, T, D := datum.NewInt, datum.NewFloat, datum.NewText, datum.NewDate
@@ -488,9 +524,12 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 		return out
 	}
 	inputs := map[string]func(rows []Row, width int) Operator{
-		"rows": func(rows []Row, width int) Operator { return NewValues(anyCols(width), rows) },
+		"values": func(rows []Row, width int) Operator { return NewValues(anyCols(width), rows) },
+		"one-row batches": func(rows []Row, width int) Operator {
+			return sizedValues(anyCols(width), rows, 1)
+		},
 		"sel batches": func(rows []Row, width int) Operator {
-			return NewBatchRows(&selBatches{cols: anyCols(width), rows: rows, size: 100})
+			return &selBatches{cols: anyCols(width), rows: rows, size: 100}
 		},
 	}
 	for _, tc := range cases {
@@ -500,25 +539,20 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 			width = 2
 		}
 		for inName, in := range inputs {
-			newJoin := func() *HashJoin {
-				return NewHashJoin(in(tc.build, width), in(tc.probe, width), keyExprs(tc.bk), keyExprs(tc.pk))
-			}
-			viaNext, err := Drain(newJoin())
-			if err != nil {
-				t.Fatalf("%s/%s: Next: %v", tc.name, inName, err)
-			}
-			viaBatch, err := DrainBatches(newJoin())
-			if err != nil {
-				t.Fatalf("%s/%s: NextBatch: %v", tc.name, inName, err)
-			}
-			for label, got := range map[string][]Row{"Next": viaNext, "NextBatch": viaBatch} {
+			for _, out := range []int{1, DefaultBatchSize} {
+				j := NewHashJoin(in(tc.build, width), in(tc.probe, width), keyExprs(tc.bk), keyExprs(tc.pk))
+				j.SetBatchSize(out)
+				got, err := Drain(j)
+				if err != nil {
+					t.Fatalf("%s/%s/out %d: %v", tc.name, inName, out, err)
+				}
 				if len(got) != len(want) {
-					t.Errorf("%s/%s via %s: %d rows, nested loop %d", tc.name, inName, label, len(got), len(want))
+					t.Errorf("%s/%s/out %d: %d rows, nested loop %d", tc.name, inName, out, len(got), len(want))
 					continue
 				}
 				for i := range want {
 					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Errorf("%s/%s via %s: row %d = %v, nested loop %v", tc.name, inName, label, i, got[i], want[i])
+						t.Errorf("%s/%s/out %d: row %d = %v, nested loop %v", tc.name, inName, out, i, got[i], want[i])
 						break
 					}
 				}
@@ -551,11 +585,7 @@ func TestHashJoinExpressionKeys(t *testing.T) {
 func TestHashJoinBuildClosedBeforeProbeOpens(t *testing.T) {
 	var events []string
 	leaf := func(name string, rows []Row) Operator {
-		v := NewValues(intCols("k"), rows)
-		return NewSource(v.Columns(),
-			func() error { events = append(events, name+" open"); return v.Open() },
-			v.Next,
-			func() error { events = append(events, name+" close"); return nil })
+		return &hooked{Operator: NewValues(intCols("k"), rows), name: name, events: &events}
 	}
 	j := NewHashJoin(leaf("build", intRows([]int64{1})), leaf("probe", intRows([]int64{1})),
 		[]expr.Expr{col(0)}, []expr.Expr{col(0)})
@@ -571,32 +601,21 @@ func TestHashJoinBuildClosedBeforeProbeOpens(t *testing.T) {
 	}
 }
 
-func TestSourceAdapter(t *testing.T) {
-	i := 0
-	opened, closed := false, false
-	src := NewSource(intCols("n"),
-		func() error { opened = true; i = 0; return nil },
-		func() (Row, error) {
-			if i >= 3 {
-				return nil, io.EOF
-			}
-			i++
-			return Row{datum.NewInt(int64(i))}, nil
-		},
-		func() error { closed = true; return nil },
-	)
-	rows, err := Drain(src)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("source rows = %v err %v", rows, err)
-	}
-	if !opened || !closed {
-		t.Error("open/close callbacks not invoked")
-	}
-	// Nil callbacks are fine.
-	src2 := NewSource(nil, nil, func() (Row, error) { return nil, io.EOF }, nil)
-	if _, err := Drain(src2); err != nil {
-		t.Error(err)
-	}
+// hooked logs its Open and Close calls into events.
+type hooked struct {
+	Operator
+	name   string
+	events *[]string
+}
+
+func (h *hooked) Open() error {
+	*h.events = append(*h.events, h.name+" open")
+	return h.Operator.Open()
+}
+
+func (h *hooked) Close() error {
+	*h.events = append(*h.events, h.name+" close")
+	return h.Operator.Close()
 }
 
 func TestCount(t *testing.T) {
@@ -662,7 +681,7 @@ func TestOrderedBatchSource(t *testing.T) {
 		t.Errorf("finish ran %d times", finished)
 	}
 	// EOF is sticky and does not re-run finish.
-	if _, err := src.Next(); err != io.EOF {
+	if _, err := src.NextBatch(); err != io.EOF {
 		t.Errorf("second EOF = %v", err)
 	}
 	if finished != 1 {

@@ -16,10 +16,7 @@ import (
 // cardinality statistics to put the smaller input on the build side — one
 // of the stats-driven choices behind Fig 12.
 //
-// The operator is batch-native and serves both executor interfaces
-// (DualOperator), so a join root extends the vectorized pipeline exactly
-// like a scan root does. Both inputs are read batch-at-a-time (AsBatch,
-// else a RowBatcher over a row-only child). The build side lands
+// Both inputs are read batch-at-a-time. The build side lands
 // column-major in one arena indexed by a power-of-two chain table; each
 // probe batch has its key vectors evaluated once, is matched into
 // (build row, probe position) pairs, and is gathered into dense output
@@ -29,11 +26,12 @@ import (
 // HashJoin deliberately does not implement RowBudgeter: a LIMIT above a
 // join says nothing about how many input rows the join needs.
 type HashJoin struct {
+	batchOut
 	left, right         Operator
 	leftKeys, rightKeys []expr.Expr
 	cols                []Col
 	lw                  int // build-side width
-	size                int // output batch capacity
+	size                int // output batch capacity, fixed at the first Open
 
 	// Build table. Row r (0-based) of the build side is arena[c][r]; chain
 	// links are r+1 so the zero value of heads/next means "end".
@@ -46,7 +44,7 @@ type HashJoin struct {
 
 	// Probe state: the current probe batch, the next live index to match,
 	// and the chain node an output-full return stopped at.
-	probe    BatchOperator
+	probe    Operator
 	pb       *Batch
 	pk       int
 	resume   int32
@@ -56,11 +54,6 @@ type HashJoin struct {
 	pairB    []int32 // matched build rows
 	pairP    []int32 // matched probe positions
 	out      *Batch
-
-	// Row interface: cursor over the last output batch.
-	rb  *Batch
-	ri  int
-	row Row
 
 	span       *qtrace.Span
 	probeRows  int64
@@ -79,23 +72,12 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr) *HashJoi
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		cols: cols,
 		lw:   len(left.Columns()),
-		size: DefaultBatchSize,
 	}
 }
 
 // SetTraceSpan implements qtrace.SpanSetter: Close annotates the span with
 // build rows, probe rows and output batches.
 func (j *HashJoin) SetTraceSpan(sp *qtrace.Span) { j.span = sp }
-
-// batchInput returns the batch view of a join input: native when the child
-// has one, a RowBatcher over its row interface otherwise (heap scans,
-// Values, and scans the planner pinned to their row path).
-func (j *HashJoin) batchInput(op Operator) BatchOperator {
-	if b, ok := AsBatch(op); ok {
-		return b
-	}
-	return NewRowBatcher(op, j.size)
-}
 
 // Open materializes the build side. The build input is fully closed before
 // the probe side opens, so at most one scan is live at any moment — scans
@@ -104,12 +86,11 @@ func (j *HashJoin) batchInput(op Operator) BatchOperator {
 // queries visiting the tables in opposite orders (or a self-deadlock on a
 // self-join).
 func (j *HashJoin) Open() error {
-	src := j.batchInput(j.left)
-	if err := src.Open(); err != nil {
+	if err := j.left.Open(); err != nil {
 		return err
 	}
-	err := j.drainBuild(src)
-	if cerr := src.Close(); err == nil {
+	err := j.drainBuild(j.left)
+	if cerr := j.left.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -118,22 +99,22 @@ func (j *HashJoin) Open() error {
 	j.index()
 
 	if j.out == nil {
+		j.size = j.height()
 		j.out = NewBatch(len(j.cols), j.size)
-		j.row = make(Row, len(j.cols))
 		j.pkeys = make([][]datum.Datum, len(j.rightKeys))
 		j.pscratch = make([][]datum.Datum, len(j.rightKeys))
 		j.pairB = make([]int32, 0, j.size)
 		j.pairP = make([]int32, 0, j.size)
 	}
-	j.pb, j.rb, j.done = nil, nil, false
+	j.pb, j.done = nil, false
 	j.probeRows, j.outBatches = 0, 0
-	j.probe = j.batchInput(j.right)
+	j.probe = j.right
 	return j.probe.Open()
 }
 
 // drainBuild appends every build row whose keys are all non-NULL to the
 // arena, column by column per input batch.
-func (j *HashJoin) drainBuild(src BatchOperator) error {
+func (j *HashJoin) drainBuild(src Operator) error {
 	j.arena = make([][]datum.Datum, j.lw)
 	j.bkeys = make([][]datum.Datum, len(j.leftKeys))
 	j.nb = 0
@@ -365,7 +346,7 @@ func (j *HashJoin) gather(out *Batch, base int) {
 	}
 }
 
-// NextBatch implements BatchOperator: it fills one dense output batch of
+// NextBatch fills one dense output batch of
 // up to size rows, finishing with each probe batch (its pending matches
 // included) before pulling the next — producers reuse their batches.
 func (j *HashJoin) NextBatch() (*Batch, error) {
@@ -410,28 +391,13 @@ func (j *HashJoin) NextBatch() (*Batch, error) {
 	return out, nil
 }
 
-// Next implements Operator: the row view of the same output batches (the
-// returned row is reused between calls).
-func (j *HashJoin) Next() (Row, error) {
-	for j.rb == nil || j.ri >= j.rb.N {
-		b, err := j.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		j.rb, j.ri = b, 0
-	}
-	r := j.rb.Row(j.ri, j.row)
-	j.ri++
-	return r, nil
-}
-
 // Close closes the probe side and releases the table.
 func (j *HashJoin) Close() error {
 	if j.span != nil {
 		j.span.SetDetail(fmt.Sprintf("build_rows=%d probe_rows=%d out_batches=%d", j.nb, j.probeRows, j.outBatches))
 	}
 	j.arena, j.bkeys, j.ikeys, j.tbl = nil, nil, nil, chainTable{}
-	j.pb, j.rb = nil, nil
+	j.pb = nil
 	if j.probe == nil {
 		return nil // Open failed before the probe side was reached
 	}

@@ -15,9 +15,8 @@ type BatchMsg struct {
 // channels back into one ordered stream: channel i is drained to
 // completion before channel i+1 is touched, so concurrent producers
 // (partition workers of a parallel scan) yield exactly the row order of a
-// sequential pass. It serves both executor interfaces: NextBatch hands the
-// merged batches straight to a vectorized pipeline, Next explodes them
-// into rows for row-only consumers. Producers must close their channel
+// sequential pass; NextBatch hands the merged batches straight to the
+// operators above. Producers must close their channel
 // after the last batch; bounded channel capacity is what keeps a worker
 // from running unboundedly ahead of consumption.
 type OrderedBatchSource struct {
@@ -30,7 +29,6 @@ type OrderedBatchSource struct {
 
 	chans    []<-chan BatchMsg
 	cur      int
-	rows     *BatchRows // lazy row view over NextBatch, for row consumers
 	finished bool
 	budget   int64 // stop after this many live rows; -1 = unlimited
 	seen     int64
@@ -48,7 +46,7 @@ func NewOrderedBatchSource(cols []Col, start func() ([]<-chan BatchMsg, error), 
 // SetRowBudget implements RowBudgeter: once the merged stream has delivered
 // n live rows, NextBatch reports EOF without draining the remaining
 // producers (Close tears them down). The finish callback does not run on a
-// budget cut — the file was not fully seen, exactly like a row-at-a-time
+// budget cut — the file was not fully seen, exactly like a sequential
 // scan abandoned by a LIMIT.
 func (o *OrderedBatchSource) SetRowBudget(n int64) { o.budget = n }
 
@@ -69,7 +67,6 @@ func (o *OrderedBatchSource) Open() error {
 	}
 	o.chans = chans
 	o.cur = 0
-	o.rows = nil
 	o.finished = false
 	o.seen = 0
 	return nil
@@ -106,15 +103,6 @@ func (o *OrderedBatchSource) NextBatch() (*Batch, error) {
 		o.seen += int64(m.B.Live())
 		return m.B, nil
 	}
-}
-
-// Next returns the next row in partition order, exploding batches through
-// a row adapter over this source's own NextBatch.
-func (o *OrderedBatchSource) Next() (Row, error) {
-	if o.rows == nil {
-		o.rows = NewBatchRows(o)
-	}
-	return o.rows.Next()
 }
 
 // Close stops the producers.

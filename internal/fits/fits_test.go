@@ -201,7 +201,7 @@ func drainScan(t *testing.T, s *Source, cols []int, conjuncts []expr.Expr) []exe
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Drain(format.AsRowOperator(op))
+	rows, err := exec.Drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}

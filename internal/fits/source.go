@@ -105,12 +105,12 @@ func validateBinding(t *Table, tbl *schema.Table) error {
 // decision: read-only cache scans under shared holds when the cache
 // covers, a row-index-partitioned worker-pool pass on a cold table, a
 // sequential recording pass otherwise.
-func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
+func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return s.NewScan(ctx, cols, conjuncts, format.ScanPlan{
-		Seq: func(ctx context.Context) format.ScanOperator {
+		Seq: func(ctx context.Context) exec.Operator {
 			return newFITSScan(ctx, s, cols, conjuncts, 0, s.t.NRows, s.Cache, 0, &s.Counters)
 		},
-		Par: func(ctx context.Context, workers int) format.ScanOperator {
+		Par: func(ctx context.Context, workers int) exec.Operator {
 			return newParallelFITSScan(ctx, s, cols, conjuncts, workers)
 		},
 		Refresh: s.refresh,
@@ -182,8 +182,7 @@ func (s *Source) Close() error { return s.t.Close() }
 // needed columns straight into column-major batches (fixed-width rows
 // columnarize trivially), filters with the vectorized kernels, and fills
 // the binary cache as it goes. Cancellation is observed every 256 rows,
-// exactly like the CSV pipeline. It serves both executor interfaces and
-// honors LIMIT row budgets.
+// exactly like the CSV pipeline. It honors LIMIT row budgets.
 type fitsScan struct {
 	ctx       context.Context
 	prof      *qtrace.Profile // nil unless the query context carries one
@@ -212,7 +211,6 @@ type fitsScan struct {
 	batch     *exec.Batch
 	outBatch  *exec.Batch
 	selBuf    []int
-	rowView   *exec.BatchRows // lazy row adapter over NextBatch
 }
 
 func newFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr,
@@ -353,22 +351,13 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 	}
 }
 
-// Next implements exec.Operator through a row adapter over this scan's own
-// NextBatch (the adapter only gathers rows; Open/Close stay on the scan).
-func (s *fitsScan) Next() (exec.Row, error) {
-	if s.rowView == nil {
-		s.rowView = exec.NewBatchRows(s)
-	}
-	return s.rowView.Next()
-}
-
 // newParallelFITSScan partitions [0, NRows) into contiguous row ranges and
 // runs one decode worker per range through the shared worker pool. Each
 // worker fills a private cache shard (absorbed into the shared cache at
 // merge, where the budget applies) and private counters; batches merge
 // back in row order, so results are bit-identical to the sequential pass
 // for any worker count.
-func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) format.ScanOperator {
+func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) exec.Operator {
 	var shards []*fitsScan
 	return format.NewPool(ctx, format.PoolConfig{
 		Cols: format.OutputSchema(src.Tbl, outCols),
@@ -401,7 +390,7 @@ func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjun
 				return err
 			}
 			defer s.Close()
-			return format.PumpRows(s, len(outCols), format.BatchRowsPerMsg, emit)
+			return format.PumpBatches(s, format.BatchRowsPerMsg, emit)
 		},
 		Merge: func(n int, clean bool) error {
 			for _, sh := range shards[:n] {

@@ -30,14 +30,11 @@ type CacheScan struct {
 	needed    []int
 	readonly  bool
 
-	row    int
-	nrows  int64 // State.Rows snapshot, stable for the scan's lifetime
-	rowBuf exec.Row
-	out    exec.Row
-	views  []colcache.View
+	row   int
+	nrows int64 // State.Rows snapshot, stable for the scan's lifetime
+	views []colcache.View
 
-	c    ScanCounters
-	tick int
+	c ScanCounters
 
 	batchSize int
 	budget    int64       // LIMIT pushdown; -1 = none
@@ -91,8 +88,6 @@ func NewCacheScan(ctx context.Context, st *State, outCols []int, conjuncts []exp
 		outCols:   outCols,
 		conjuncts: conjuncts,
 		readonly:  readonly,
-		rowBuf:    make(exec.Row, st.Tbl.NumColumns()),
-		out:       make(exec.Row, len(outCols)),
 		batchSize: st.BatchSize(),
 		budget:    -1,
 	}
@@ -108,7 +103,7 @@ func NewCacheScan(ctx context.Context, st *State, outCols []int, conjuncts []exp
 // Columns implements exec.Operator.
 func (s *CacheScan) Columns() []exec.Col { return s.cols }
 
-// SetRowBudget implements exec.RowBudgeter (applied by the batch path).
+// SetRowBudget implements exec.RowBudgeter.
 func (s *CacheScan) SetRowBudget(n int64) { s.budget = n }
 
 // Open resets the cursor and acquires column views.
@@ -117,7 +112,7 @@ func (s *CacheScan) Open() error {
 	s.produced = 0
 	s.nrows = s.st.Rows.Load()
 	if s.views == nil {
-		s.views = make([]colcache.View, len(s.rowBuf))
+		s.views = make([]colcache.View, s.st.Tbl.NumColumns())
 	}
 	for i := range s.views {
 		s.views[i] = colcache.View{}
@@ -143,64 +138,18 @@ func (s *CacheScan) Close() error {
 	return nil
 }
 
-// Next emits the next qualifying row from the cache.
-func (s *CacheScan) Next() (exec.Row, error) {
-	for {
-		if s.tick++; s.tick&255 == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if int64(s.row) >= s.nrows {
-			return nil, io.EOF
-		}
-		qualifies := true
-		for i, conj := range s.conjuncts {
-			for _, c := range s.conjCols[i] {
-				v, ok := s.views[c].Get(s.row)
-				if !ok {
-					return nil, fmt.Errorf("format: cache scan lost column %d row %d (concurrent eviction?)", c, s.row)
-				}
-				s.rowBuf[c] = v
-				s.c.CacheHits++
-			}
-			ok, err := expr.TruthyResult(conj, s.rowBuf)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				qualifies = false
-				break
-			}
-		}
-		if !qualifies {
-			s.row++
-			continue
-		}
-		for i, c := range s.outCols {
-			v, ok := s.views[c].Get(s.row)
-			if !ok {
-				return nil, fmt.Errorf("format: cache scan lost column %d row %d", c, s.row)
-			}
-			s.out[i] = v
-			s.c.CacheHits++
-		}
-		s.row++
-		return s.out, nil
-	}
-}
-
-// NextBatch implements exec.BatchOperator: it fills table-width column
-// vectors densely from the cache (colcache.View.GetBatch), narrows a
-// selection vector conjunct by conjunct with expr.FilterBatch, and hands
-// out an output batch whose columns alias the filled vectors — no per-row
-// lookups, no value movement. Cache-hit accounting mirrors the row path
-// exactly: each conjunct charges its columns only for rows that survived
-// the conjuncts before it, and output columns only for qualifying rows.
+// NextBatch fills table-width column vectors densely from the cache
+// (colcache.View.GetBatch), narrows a selection vector conjunct by
+// conjunct with expr.FilterBatch, and hands out an output batch whose
+// columns alias the filled vectors — no per-row lookups, no value
+// movement. Cache-hit accounting matches the in-situ scan's conjunct-first
+// evaluation: each conjunct charges its columns only for rows that
+// survived the conjuncts before it, and output columns only for qualifying
+// rows.
 func (s *CacheScan) NextBatch() (*exec.Batch, error) {
 	if s.batch == nil {
 		// Table-width column table, but only needed columns ever allocate.
-		s.batch = &exec.Batch{Cols: make([][]datum.Datum, len(s.rowBuf))}
+		s.batch = &exec.Batch{Cols: make([][]datum.Datum, len(s.views))}
 		s.outBatch = &exec.Batch{Cols: make([][]datum.Datum, len(s.outCols))}
 	}
 	for {

@@ -74,10 +74,12 @@ func Retryable(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// RetryBudget resolves the Env retry knobs to concrete values: retries
-// is the number of additional cold attempts after the first failure
-// (default 2, negative disables), backoff the ctx-aware sleep between
-// attempts (default 5ms).
+// retryBackoff is the ctx-aware pause between scan retry attempts.
+const retryBackoff = 5 * time.Millisecond
+
+// RetryBudget resolves the Env retry knob to concrete values: retries is
+// the number of additional cold attempts after the first failure (default
+// 2, negative disables), backoff the ctx-aware sleep between attempts.
 func (e *Env) RetryBudget() (retries int, backoff time.Duration) {
 	retries = e.ScanRetries
 	switch {
@@ -86,9 +88,5 @@ func (e *Env) RetryBudget() (retries int, backoff time.Duration) {
 	case retries == 0:
 		retries = 2
 	}
-	backoff = e.RetryBackoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
-	}
-	return retries, backoff
+	return retries, retryBackoff
 }

@@ -46,7 +46,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -90,8 +89,6 @@ type Env struct {
 	// ScanRetries bounds how many additional cold attempts a scan makes
 	// after a retryable raw-file fault (0 = default of 2, negative = none).
 	ScanRetries int
-	// RetryBackoff is the ctx-aware pause between attempts (0 = 5ms).
-	RetryBackoff time.Duration
 
 	// Sidecar, when non-nil, persists each table's adaptive state across
 	// restarts: NewState asks it to reload a checkpoint at open, recording
@@ -149,11 +146,9 @@ type Source interface {
 	RowCount() int64
 	// OpenScan creates (without opening) the leaf operator emitting the
 	// table ordinals in cols for tuples accepted by every conjunct, as
-	// native column-major batches. The returned operator should also
-	// implement exec.Operator for row-at-a-time consumers; wrap with
-	// AsRowOperator otherwise. ctx bounds the execution: implementations
+	// column-major batches. ctx bounds the execution: implementations
 	// observe cancellation at scan-progress boundaries (every ~256 rows).
-	OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error)
+	OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error)
 	// Metrics snapshots the auxiliary-structure instrumentation. It waits
 	// for a recording scan of the table in flight, so the picture is
 	// consistent.
@@ -182,13 +177,6 @@ type Driver interface {
 	Open(tbl *schema.Table, env Env) (Source, error)
 	// Caps reports the format's capabilities (known without opening files).
 	Caps() Caps
-}
-
-// ScanOperator is the dual-interface contract of scan leaves: every access
-// method serves both the vectorized and the row-at-a-time executor.
-type ScanOperator interface {
-	exec.Operator
-	exec.BatchOperator
 }
 
 var (
@@ -262,23 +250,9 @@ func (t Table) Stats() *stats.Table { return t.Src.Stats() }
 // RowCount returns the known row count, or -1.
 func (t Table) RowCount() int64 { return t.Src.RowCount() }
 
-// Scan creates the leaf operator in its row-capable view.
+// Scan creates the leaf operator.
 func (t Table) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
-	b, err := t.Src.OpenScan(ctx, cols, conjuncts)
-	if err != nil {
-		return nil, err
-	}
-	return AsRowOperator(b), nil
-}
-
-// AsRowOperator returns the row view of a batch operator: the operator
-// itself when it serves both interfaces (scan leaves do), an adapter
-// otherwise.
-func AsRowOperator(b exec.BatchOperator) exec.Operator {
-	if op, ok := b.(exec.Operator); ok {
-		return op
-	}
-	return exec.NewBatchRows(b)
+	return t.Src.OpenScan(ctx, cols, conjuncts)
 }
 
 // EnsureTrailingNewline appends '\n' to f when it is non-empty and its

@@ -246,8 +246,8 @@ func TestGuardedScanSharedOverlap(t *testing.T) {
 	cols := []exec.Col{{Name: "v", Type: datum.Int}}
 	mk := func() *GuardedScan {
 		return NewGuardedScan(context.Background(), lk, cols,
-			func() (ScanOperator, error) { return stubScanOp{cols}, nil },
-			func() (ScanOperator, bool, error) { t.Fatal("exclusive path must not run"); return nil, false, nil },
+			func() (exec.Operator, error) { return stubScanOp{cols}, nil },
+			func() (exec.Operator, bool, error) { t.Fatal("exclusive path must not run"); return nil, false, nil },
 		)
 	}
 	a, b := mk(), mk()
@@ -280,6 +280,5 @@ type stubScanOp struct{ cols []exec.Col }
 func (s stubScanOp) Open() error                     { return nil }
 func (s stubScanOp) Close() error                    { return nil }
 func (s stubScanOp) Columns() []exec.Col             { return s.cols }
-func (s stubScanOp) Next() (exec.Row, error)         { return nil, io.EOF }
 func (s stubScanOp) NextBatch() (*exec.Batch, error) { return nil, io.EOF }
 func (s stubScanOp) SetRowBudget(int64)              {}

@@ -27,15 +27,12 @@ import (
 // first parse, and the rest re-decide afterwards (and typically downgrade
 // to shared cache scans). Lock waits abort when ctx is cancelled, and the
 // scan itself re-checks ctx at batch (and every-few-rows) boundaries.
-//
-// GuardedScan implements both executor interfaces; every inner access
-// method is natively batch-capable (ScanOperator).
 type GuardedScan struct {
 	ctx       context.Context
 	lk        *TableLock
 	cols      []exec.Col
-	shared    func() (ScanOperator, error)
-	exclusive func() (ScanOperator, bool, error)
+	shared    func() (exec.Operator, error)
+	exclusive func() (exec.Operator, bool, error)
 	budget    int64 // LIMIT pushdown; -1 = none
 
 	retries    int           // additional cold attempts after a retryable fault
@@ -44,11 +41,10 @@ type GuardedScan struct {
 	onRetry    func()        // instrumentation: one call per consumed retry
 	onRecorded func()        // fires in Close (lock released) after a recording pass ran
 
-	inner          ScanOperator
+	inner          exec.Operator
 	unlock         func()
-	tick           int
 	attempt        int  // retries consumed so far
-	emitted        bool // a row or batch has left this operator
+	emitted        bool // a batch has left this operator
 	recorded       bool // a recording (non-downgraded exclusive) pass opened
 	holdsExclusive bool
 
@@ -67,8 +63,8 @@ type GuardedScan struct {
 // under the exclusive hold and must return the access method; its second
 // result requests a downgrade to a shared hold for read-only scans.
 func NewGuardedScan(ctx context.Context, lk *TableLock, cols []exec.Col,
-	shared func() (ScanOperator, error),
-	exclusive func() (ScanOperator, bool, error)) *GuardedScan {
+	shared func() (exec.Operator, error),
+	exclusive func() (exec.Operator, bool, error)) *GuardedScan {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -302,40 +298,8 @@ func (g *GuardedScan) restart(err error) error {
 	return g.openExclusiveLocked()
 }
 
-// Next implements exec.Operator, re-checking cancellation every 64 rows.
-func (g *GuardedScan) Next() (exec.Row, error) {
-	if g.inner == nil {
-		return nil, io.EOF
-	}
-	if g.tick++; g.tick&63 == 0 {
-		if err := g.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		var start time.Time
-		if g.prof != nil {
-			start = time.Now()
-		}
-		row, err := g.inner.Next()
-		if g.prof != nil {
-			g.prof.Add(g.phase, time.Since(start))
-		}
-		switch {
-		case err == nil:
-			g.emitted = true
-			return row, nil
-		case err == io.EOF:
-			return nil, io.EOF
-		}
-		if rerr := g.restart(err); rerr != nil {
-			return nil, rerr
-		}
-	}
-}
-
-// NextBatch implements exec.BatchOperator, re-checking cancellation at
-// every batch boundary.
+// NextBatch pulls the access method's next batch, re-checking
+// cancellation at every batch boundary.
 func (g *GuardedScan) NextBatch() (*exec.Batch, error) {
 	if g.inner == nil {
 		return nil, io.EOF

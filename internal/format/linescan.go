@@ -131,15 +131,16 @@ type LineScan struct {
 	rowBuf exec.Row // sparse per-tuple materialization (table width)
 	gen    []int    // generation marks for rowBuf validity
 	curGen int
-	out    exec.Row
+	eof    bool // finish ran cleanly: the input is exhausted
 
 	cacheViews []colcache.View
 	collectors []*stats.Collector // indexed by column ordinal; nil entries
 	collecting bool
 
 	batchSize int
-	budget    int64            // LIMIT pushdown row budget; -1 = none
-	batcher   *exec.RowBatcher // lazily built by NextBatch, reused per call
+	budget    int64 // LIMIT pushdown row budget; -1 = none
+	produced  int64 // rows delivered by NextBatch
+	batch     *exec.Batch
 }
 
 func newLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr.Expr, dec LineDecoder) *LineScan {
@@ -159,7 +160,6 @@ func newLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr
 		cols:      OutputSchema(st.Tbl, outCols),
 		rowBuf:    make(exec.Row, width),
 		gen:       make([]int, width),
-		out:       make(exec.Row, len(outCols)),
 		batchSize: st.BatchSize(),
 		budget:    -1,
 	}
@@ -172,13 +172,8 @@ func newLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr
 // Columns implements exec.Operator.
 func (s *LineScan) Columns() []exec.Col { return s.cols }
 
-// SetRowBudget implements exec.RowBudgeter (applied by the batch path).
-func (s *LineScan) SetRowBudget(n int64) {
-	s.budget = n
-	if s.batcher != nil {
-		s.batcher.SetRowBudget(n)
-	}
-}
+// SetRowBudget implements exec.RowBudgeter.
+func (s *LineScan) SetRowBudget(n int64) { s.budget = n }
 
 // RowErr locates cause at the current tuple; col < 0 blames the whole line.
 func (s *LineScan) RowErr(col int, cause error) error {
@@ -215,6 +210,8 @@ func (s *LineScan) Open() error {
 	s.expect = st.Rows.Load()
 	s.Row = 0
 	s.curGen = 0
+	s.eof = false
+	s.produced = 0
 	for i := range s.gen {
 		s.gen[i] = -1
 	}
@@ -286,25 +283,74 @@ func (s *LineScan) Close() error {
 	return nil
 }
 
-// Next produces the next qualifying tuple's output columns. Cancellation
-// is observed every 256 input lines, so even a highly selective predicate
-// over a huge file aborts promptly.
-func (s *LineScan) Next() (exec.Row, error) {
+// NextBatch packs the next qualifying tuples into a reused batch of at
+// most the batch size, never exceeding the remaining row budget.
+func (s *LineScan) NextBatch() (*exec.Batch, error) {
+	target := s.batchSize
+	if s.budget >= 0 {
+		rem := s.budget - s.produced
+		if rem <= 0 {
+			return nil, io.EOF
+		}
+		if int64(target) > rem {
+			target = int(rem)
+		}
+	}
+	if s.batch == nil {
+		s.batch = exec.NewBatch(len(s.outCols), s.batchSize)
+	}
+	s.batch.Reset()
+	err := s.pack(s.batch, target)
+	if err == io.EOF && s.batch.N > 0 {
+		err = nil // the final rows; the next call reports EOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.produced += int64(s.batch.N)
+	return s.batch, nil
+}
+
+// pack appends qualifying tuples' output columns to b until it holds
+// target rows. It returns io.EOF once the input is exhausted, with b
+// holding whatever the last call packed.
+func (s *LineScan) pack(b *exec.Batch, target int) error {
+	for b.N < target {
+		if err := s.step(); err != nil {
+			return err
+		}
+		for i, c := range s.outCols {
+			b.Cols[i] = append(b.Cols[i], s.rowBuf[c])
+		}
+		b.N++
+	}
+	return nil
+}
+
+// step runs the selective pipeline up to the next qualifying tuple, whose
+// output columns it leaves in rowBuf. Cancellation is observed every 256
+// input lines, so even a highly selective predicate over a huge file
+// aborts promptly.
+func (s *LineScan) step() error {
+	if s.eof {
+		return io.EOF
+	}
 	for {
 		if s.tick++; s.tick&255 == 0 {
 			if err := s.ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		line, off, err := s.lr.Next()
 		if err == io.EOF {
 			if ferr := s.finish(); ferr != nil {
-				return nil, ferr
+				return ferr
 			}
-			return nil, io.EOF
+			s.eof = true
+			return io.EOF
 		}
 		if err != nil {
-			return nil, WrapFileErr(s.St.Tbl.Name, err)
+			return WrapFileErr(s.St.Tbl.Name, err)
 		}
 		if !s.dec.StartLine(line) {
 			continue
@@ -320,7 +366,7 @@ func (s *LineScan) Next() (exec.Row, error) {
 			// else, as external-files engines do.
 			for c := 0; c < len(s.rowBuf); c++ {
 				if err := s.fill(line, c); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -329,12 +375,12 @@ func (s *LineScan) Next() (exec.Row, error) {
 		for i, conj := range s.conjuncts {
 			for _, c := range s.conjCols[i] {
 				if err := s.fill(line, c); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			ok, err := expr.TruthyResult(conj, s.rowBuf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				qualifies = false
@@ -346,31 +392,14 @@ func (s *LineScan) Next() (exec.Row, error) {
 			continue
 		}
 		// Selective tuple formation: only now convert the SELECT columns.
-		for i, c := range s.outCols {
+		for _, c := range s.outCols {
 			if err := s.fill(line, c); err != nil {
-				return nil, err
+				return err
 			}
-			s.out[i] = s.rowBuf[c]
 		}
 		s.Row++
-		return s.out, nil
+		return nil
 	}
-}
-
-// NextBatch implements exec.BatchOperator: it runs the identical selective
-// pipeline as Next — so every adaptive structure and metric evolves
-// byte-identically — and accumulates qualifying tuples into a reused
-// column-major batch (exec.RowBatcher does the packing), amortizing the
-// per-tuple operator interface so everything above runs vectorized. The
-// batcher only packs; Open/Close stay on the scan itself.
-func (s *LineScan) NextBatch() (*exec.Batch, error) {
-	if s.batcher == nil {
-		s.batcher = exec.NewRowBatcher(s, s.batchSize)
-		if s.budget >= 0 {
-			s.batcher.SetRowBudget(s.budget)
-		}
-	}
-	return s.batcher.NextBatch()
 }
 
 // fill makes rowBuf[col] hold the current tuple's value of table ordinal
@@ -441,10 +470,10 @@ func (s *LineScan) finish() error {
 // partition worker of a cold parallel pass.
 func (st *State) OpenLineScan(ctx context.Context, cols []int, conjuncts []expr.Expr, newDecoder func() LineDecoder) *GuardedScan {
 	return st.NewScan(ctx, cols, conjuncts, ScanPlan{
-		Seq: func(ctx context.Context) ScanOperator {
+		Seq: func(ctx context.Context) exec.Operator {
 			return newLineScan(ctx, st, cols, conjuncts, newDecoder())
 		},
-		Par: func(ctx context.Context, workers int) ScanOperator {
+		Par: func(ctx context.Context, workers int) exec.Operator {
 			return NewPartitionedLineScan(ctx, st, cols, conjuncts, workers, newDecoder)
 		},
 	})
@@ -477,7 +506,7 @@ type linePartitions struct {
 // (State.ScanWorkers); workers must be >= 2. Workers observe ctx
 // cancellation inside their partition scans and the merged stream surfaces
 // the context error.
-func NewPartitionedLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr.Expr, workers int, newDecoder func() LineDecoder) ScanOperator {
+func NewPartitionedLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr.Expr, workers int, newDecoder func() LineDecoder) exec.Operator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -544,17 +573,19 @@ func (p *linePartitions) start() (int, error) {
 	return len(parts), nil
 }
 
-// run drains one partition through its private scan, accumulating
-// qualifying rows into column-major batches (PumpRows allocates each batch
-// freshly, so the consumer owns it outright and the merged stream hands
-// them straight to the vectorized executor).
+// run drains one partition through its private scan, packing qualifying
+// tuples straight into each message's freshly allocated batch (the
+// consumer owns it outright and the merged stream hands it to the
+// operators above).
 func (p *linePartitions) run(part int, emit func(*exec.Batch) bool) error {
 	s := p.shards[part]
 	if err := s.Open(); err != nil {
 		return err
 	}
 	defer s.Close()
-	return PumpRows(s, len(p.outCols), BatchRowsPerMsg, emit)
+	return pump(len(p.outCols), BatchRowsPerMsg, func(b *exec.Batch) error {
+		return s.pack(b, BatchRowsPerMsg)
+	}, emit)
 }
 
 // merge folds shards[0..n) — in file order, offsetting rows by the

@@ -83,7 +83,7 @@ func TestLineScanParallelEquivalence(t *testing.T) {
 		if err := st.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		var op ScanOperator = newLineScan(context.Background(), st, []int{0, 2}, filter, newDecoder())
+		var op exec.Operator = newLineScan(context.Background(), st, []int{0, 2}, filter, newDecoder())
 		if workers > 0 {
 			op = NewPartitionedLineScan(context.Background(), st, []int{0, 2}, filter, workers, newDecoder)
 		}

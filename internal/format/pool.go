@@ -218,18 +218,46 @@ func (p *pool) stop() error {
 	return err
 }
 
-// PumpRows drains a row operator into freshly allocated column-major
-// batches of at most size rows, emitting each. It is the standard body of
-// a partition worker's Run: it returns nil on EOF, ErrStopped when emit
-// refuses a batch before EOF (teardown), or the scan error. A refused
-// final batch still returns nil: the partition was read completely, the
-// consumer is gone (teardown) or finish reports the cancellation, so the
-// rows are never missed and the shard is whole. The caller opens and
-// closes the operator.
-func PumpRows(src exec.Operator, width, size int, emit func(*exec.Batch) bool) error {
-	b := exec.NewBatch(width, size)
+// PumpBatches is the standard body of a partition worker's Run: it packs
+// the live rows of src's batches into freshly allocated batches of at most
+// size rows — the consumer owns each outright — and emits them. The
+// caller opens and closes src.
+func PumpBatches(src exec.Operator, size int, emit func(*exec.Batch) bool) error {
+	var in *exec.Batch
+	k := 0
+	return pump(len(src.Columns()), size, func(b *exec.Batch) error {
+		for b.N < size {
+			if in == nil || k >= in.Live() {
+				var err error
+				if in, err = src.NextBatch(); err != nil {
+					return err
+				}
+				k = 0
+			}
+			i := k
+			if in.Sel != nil {
+				i = in.Sel[k]
+			}
+			for j := range b.Cols {
+				b.Cols[j] = append(b.Cols[j], in.Cols[j][i])
+			}
+			b.N++
+			k++
+		}
+		return nil
+	}, emit)
+}
+
+// pump emits the batches fill packs, each freshly allocated with room for
+// size rows, until fill reports io.EOF. It returns nil on EOF, ErrStopped
+// when emit refuses a batch before EOF (teardown), or the scan error. A
+// refused final batch still returns nil: the partition was read
+// completely, the consumer is gone (teardown) or finish reports the
+// cancellation, so the rows are never missed and the shard is whole.
+func pump(width, size int, fill func(*exec.Batch) error, emit func(*exec.Batch) bool) error {
 	for {
-		r, err := src.Next()
+		b := exec.NewBatch(width, size)
+		err := fill(b)
 		if err == io.EOF {
 			if b.N > 0 {
 				emit(b)
@@ -239,15 +267,8 @@ func PumpRows(src exec.Operator, width, size int, emit func(*exec.Batch) bool) e
 		if err != nil {
 			return err
 		}
-		for j := range b.Cols {
-			b.Cols[j] = append(b.Cols[j], r[j])
-		}
-		b.N++
-		if b.N == size {
-			if !emit(b) {
-				return ErrStopped
-			}
-			b = exec.NewBatch(width, size)
+		if !emit(b) {
+			return ErrStopped
 		}
 	}
 }

@@ -344,8 +344,8 @@ func PublishCollectors(st *stats.Table, rows int64, merged []*stats.Collector) {
 // parallel pass for a cold table; Refresh (optional) overrides the
 // row-oriented State.Refresh reconciliation.
 type ScanPlan struct {
-	Seq     func(ctx context.Context) ScanOperator
-	Par     func(ctx context.Context, workers int) ScanOperator
+	Seq     func(ctx context.Context) exec.Operator
+	Par     func(ctx context.Context, workers int) exec.Operator
 	Refresh func() error
 }
 
@@ -367,9 +367,9 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	}
 
 	prof := qtrace.FromContext(ctx)
-	var shared func() (ScanOperator, error)
+	var shared func() (exec.Operator, error)
 	if st.Cache != nil && st.Env.CacheBudget <= 0 {
-		shared = func() (ScanOperator, error) {
+		shared = func() (exec.Operator, error) {
 			if st.FileUnchanged() && st.CacheCovers(needed) {
 				st.Counters.ScanStarted(true)
 				prof.Count(qtrace.CtrWarmScans, 1)
@@ -382,7 +382,7 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	if refresh == nil {
 		refresh = st.Refresh
 	}
-	exclusive := func() (ScanOperator, bool, error) {
+	exclusive := func() (exec.Operator, bool, error) {
 		if err := refresh(); err != nil {
 			return nil, false, err
 		}

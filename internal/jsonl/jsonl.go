@@ -62,7 +62,7 @@ func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
 // decision: read-only cache scans under shared holds when the cache
 // covers, a partitioned worker-pool pass on a cold table, the sequential
 // selective-parse pass otherwise.
-func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
+func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return s.OpenLineScan(ctx, cols, conjuncts, func() format.LineDecoder {
 		return &decoder{colIdx: s.colIdx}
 	}), nil

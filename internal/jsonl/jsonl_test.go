@@ -128,15 +128,11 @@ func drainScan(t *testing.T, s *Source, cols []int, conjuncts []expr.Expr) []exe
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Drain(format.AsRowOperator(op))
+	rows, err := exec.Drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]exec.Row, len(rows))
-	for i, r := range rows {
-		out[i] = exec.CloneRow(r)
-	}
-	return out
+	return rows
 }
 
 func pmcEnv() format.Env {
@@ -261,7 +257,7 @@ func TestScanErrorsLocateRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = exec.Drain(format.AsRowOperator(op))
+		_, err = exec.Drain(op)
 		if err == nil || !strings.Contains(err.Error(), "row 3") {
 			t.Errorf("workers %d: error should locate row 3: %v", w, err)
 		}
@@ -276,7 +272,7 @@ func TestScanErrorsLocateRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Drain(format.AsRowOperator(op)); err == nil || !strings.Contains(err.Error(), "row 2") {
+	if _, err := exec.Drain(op); err == nil || !strings.Contains(err.Error(), "row 2") {
 		t.Errorf("broken JSON should locate row 2: %v", err)
 	}
 }

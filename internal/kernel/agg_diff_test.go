@@ -343,10 +343,14 @@ func TestKernelAggregationDifferential(t *testing.T) {
 				t.Errorf("%s via %s: %d groups, reference %d; first difference %s", label, how, len(got), len(exp), firstDiff(got, exp))
 			}
 		}
-		check("HashAgg rows", exec.NewHashAgg(exec.NewValues(diffCols, rows), gb, aggs, outCols), false)
-		check("SortAgg", exec.NewSortAgg(exec.NewValues(diffCols, rows), gb, aggs, outCols), true)
 		for _, size := range []int{1, 7, 1024} {
 			for _, junk := range []bool{false, true} {
+				src := func() *diffSource {
+					return &diffSource{rows: rows, size: size, junk: junk, rng: rand.New(rand.NewSource(int64(trial)))}
+				}
+				sa := exec.NewSortAgg(src(), gb, aggs, outCols)
+				sa.SetBatchSize(size)
+				check(fmt.Sprintf("SortAgg (size %d, sel %v)", size, junk), sa, true)
 				for _, typed := range []bool{false, true} {
 					bound := aggs
 					if typed {
@@ -359,10 +363,10 @@ func TestKernelAggregationDifferential(t *testing.T) {
 							bound[i] = &cp
 						}
 					}
-					h := exec.NewHashAgg(nil, gb, bound, outCols)
+					h := exec.NewHashAgg(src(), gb, bound, outCols)
+					h.SetBatchSize(size)
 					sp := qtrace.NewSpan("hash aggregate")
 					h.SetTraceSpan(sp)
-					h.SetBatchInput(&diffSource{rows: rows, size: size, junk: junk, rng: rand.New(rand.NewSource(int64(trial)))})
 					check(fmt.Sprintf("HashAgg batches (size %d, sel %v, typed %v)", size, junk, typed), h, false)
 					var in, groups, tb, gen int64
 					fmt.Sscanf(sp.Detail(), "input_rows=%d groups=%d typed_arg_batches=%d generic_arg_batches=%d", &in, &groups, &tb, &gen)

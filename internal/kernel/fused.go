@@ -8,14 +8,14 @@ import (
 
 // Fused is the compiled tail of a vectorized pipeline: any residual filter
 // plus the output projection run in one pass over each child batch,
-// replacing the BatchFilter and BatchProject operator hops. Bare column
+// replacing the Filter and Project operator hops. Bare column
 // references alias the child's vectors outright, value shapes run their
 // typed programs and materialize Datums, and anything else (or a batch
 // whose values do not carry the program's types) falls back to the generic
 // expr.EvalBatch walk per column — so a partially supported projection
 // still fuses what it can.
 type Fused struct {
-	child exec.BatchOperator
+	child exec.Operator
 	pred  expr.Expr // residual conjunction (already kernelized); nil if none
 	outs  []fusedOut
 	cols  []exec.Col
@@ -34,8 +34,8 @@ type fusedOut struct {
 
 // NewFused compiles the projection list against the cache and wraps child.
 // pred, when non-nil, is applied before projecting (its survivors narrow
-// the selection, exactly like a BatchFilter would).
-func NewFused(c *Cache, child exec.BatchOperator, pred expr.Expr, exprs []expr.Expr, cols []exec.Col) *Fused {
+// the selection, exactly like a Filter would).
+func NewFused(c *Cache, child exec.Operator, pred expr.Expr, exprs []expr.Expr, cols []exec.Col) *Fused {
 	f := &Fused{child: child, pred: pred, cols: cols, outs: make([]fusedOut, len(exprs))}
 	for i, e := range exprs {
 		f.outs[i] = fusedOut{alias: -1, e: e}

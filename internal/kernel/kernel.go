@@ -24,7 +24,7 @@
 //     ride the conjuncts pushed into scans, so the cache scan's selection
 //     narrowing runs compiled; value programs ride aggregate arguments and
 //     the outputs of the Fused operator (projection plus any residual
-//     filter in one pass, replacing BatchFilter+BatchProject).
+//     filter in one pass, replacing Filter+Project).
 //
 // Supported predicate shapes: Int/Float/Date/Text/Bool comparisons against
 // literals, comparisons between two columns, BETWEEN, IN, IS [NOT] NULL
@@ -152,7 +152,8 @@ func (c *Cache) lookup(key string, build func() *program) *program {
 
 // Predicate returns the conjunct wrapped with a compiled filter kernel when
 // its shape is supported, e unchanged otherwise. The wrapped node keeps the
-// interpreted tree for the row-at-a-time path and for structural walks.
+// interpreted tree for per-tuple evaluation (the in-situ and heap scans'
+// conjuncts) and for structural walks.
 func (c *Cache) Predicate(e expr.Expr) expr.Expr {
 	if c == nil {
 		return e

@@ -42,11 +42,9 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		}
 	}
 
-	// Build the scan leaves (span-wrapped when profiling; the wrapper keeps
-	// the dual row/batch interface and RowBudgeter pushdown intact). A hash
-	// join reads its inputs batch-at-a-time whenever they offer batches, so
-	// with vectorization off the scans below a join are pinned to their row
-	// path: the join then batches rows the scan produced one Next at a time.
+	// Build the scan leaves (span-wrapped when profiling; the wrapper
+	// forwards RowBudgeter pushdown). Batches a scan narrows with a
+	// compiled conjunct count as kernel batches.
 	scans := make([]exec.Operator, n)
 	scanSpans := make([]*qtrace.Span, n)
 	for ti := range sk.tables {
@@ -54,15 +52,8 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		if err != nil {
 			return nil, nil, err
 		}
-		scans[ti], scanSpans[ti] = bi.spanDual("scan "+sk.tables[ti].alias, op)
-		if sd, ok := scans[ti].(*exec.SpanDual); ok && hasKernel(pushed[ti]...) {
-			// Batches the scan narrows with a compiled conjunct count as
-			// kernel batches (row pulls count nothing).
-			sd.CountBatches(bi.prof, qtrace.CtrKernelBatches)
-		}
-		if n > 1 && !bi.opts.Vectorize {
-			scans[ti] = exec.NewBatchRows(exec.NewRowBatcher(scans[ti], 0))
-		}
+		scans[ti] = bi.span("scan "+sk.tables[ti].alias, op, qtrace.CtrKernelBatches, hasKernel(pushed[ti]...))
+		scanSpans[ti] = bi.curSpan
 	}
 
 	// Join order: with stats, greedily grow from the smallest estimated
@@ -158,18 +149,16 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		buildNew := bi.opts.UseStats && est[ti] <= treeEst
 		if buildNew {
 			// Build on the new (smaller) table; output = new ++ tree.
-			root, bi.curSpan = bi.spanDual("hash join",
-				exec.NewHashJoin(scans[ti], root, newKeys, treeKeys),
-				scanSpans[ti], bi.curSpan)
+			root = bi.span("hash join", bi.sized(exec.NewHashJoin(scans[ti], root, newKeys, treeKeys)),
+				0, false, scanSpans[ti], bi.curSpan)
 			for sc, pos := range layout {
 				layout[sc] = pos + newWidth
 			}
 			addTable(ti, 0)
 		} else {
 			// Build on the accumulated tree; output = tree ++ new.
-			root, bi.curSpan = bi.spanDual("hash join",
-				exec.NewHashJoin(root, scans[ti], treeKeys, newKeys),
-				bi.curSpan, scanSpans[ti])
+			root = bi.span("hash join", bi.sized(exec.NewHashJoin(root, scans[ti], treeKeys, newKeys)),
+				0, false, bi.curSpan, scanSpans[ti])
 			addTable(ti, width)
 		}
 		width += newWidth
@@ -181,6 +170,18 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 	return root, layout, nil
 }
 
+// sized makes an operator that builds its own output batches emit one-row
+// batches when vectorization is off.
+func (bi *binder) sized(op interface {
+	exec.Operator
+	SetBatchSize(int)
+}) exec.Operator {
+	if !bi.opts.Vectorize {
+		op.SetBatchSize(1)
+	}
+	return op
+}
+
 func indexOf(xs []int, v int) int {
 	for i, x := range xs {
 		if x == v {
@@ -190,23 +191,21 @@ func indexOf(xs []int, v int) int {
 	return -1
 }
 
-// buildAggregate plans the aggregation above root (when broot is non-nil,
-// root is its row-adapter mirror: hash aggregation then consumes the
-// batches directly, sort aggregation reads the mirrored rows). The choice
+// buildAggregate plans the aggregation above root. The choice
 // between hash and sort aggregation is statistics-driven: without stats
 // the planner must assume arbitrarily many groups and picks the sort
 // strategy, with stats it pre-sizes a hash table (Fig 12). Group and
 // aggregate expressions re-bind per execution.
-func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, layout map[int]int) (exec.Operator, error) {
+func (bi *binder) buildAggregate(root exec.Operator, layout map[int]int) (exec.Operator, error) {
 	sk := bi.sk
 	// A global aggregate has exactly one group; the hash/sort strategy
 	// question only exists for GROUP BY queries.
 	sortAgg := !bi.opts.UseStats && len(sk.groupBy) > 0
-	// Hash aggregation over batches binds its arguments through the kernel
-	// cache, as pushed conjuncts are bound: a compiled value program hands
-	// the aggregate a typed vector per batch.
+	// Hash aggregation binds its arguments through the kernel cache, as
+	// pushed conjuncts are bound: a compiled value program hands the
+	// aggregate a typed vector per batch.
 	kc := bi.opts.KernelCache
-	if sortAgg || broot == nil {
+	if sortAgg {
 		kc = nil
 	}
 	rg := make([]expr.Expr, len(sk.groupBy))
@@ -246,17 +245,14 @@ func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, l
 	}
 
 	if sortAgg {
-		return bi.spanRow("sort aggregate", exec.NewSortAgg(root, rg, ra, cols), bi.curSpan), nil
+		return bi.span("sort aggregate", bi.sized(exec.NewSortAgg(root, rg, ra, cols)), 0, false, bi.curSpan), nil
 	}
 	h := exec.NewHashAgg(root, rg, ra, cols)
-	if broot != nil {
-		h.SetBatchInput(broot)
-	}
 	if hint := bi.estimateGroups(sk.groupBy); hint > 0 {
 		h.SizeHint = hint
 	}
 	h.CountBatches(bi.prof) // a nil profile counts nothing
-	return bi.spanRow("hash aggregate", h, bi.curSpan), nil
+	return bi.span("hash aggregate", bi.sized(h), 0, false, bi.curSpan), nil
 }
 
 // estimateGroups pre-sizes the aggregation hash table: the product of the

@@ -74,15 +74,11 @@ type Options struct {
 	// sort-based aggregation — the conservative plan shapes a DBMS picks
 	// without ANALYZE data (Fig 12's "w/o statistics" line).
 	UseStats bool
-	// Vectorize builds a batch-at-a-time pipeline above the join tree:
-	// filters, projections and limits run over column-major batches
-	// (exec.Batch) and hash aggregation consumes batches directly. Every
-	// raw-format scan (CSV, FITS, JSONL) and the hash join are
-	// batch-capable, so multi-table queries stay on the pipeline; row-only
-	// leaves (heap scans) and row-only operators (sort, sort aggregation)
-	// keep the Volcano path, bridged by adapters. When false, the same
-	// hash join is driven through its row interface and the scans below it
-	// are pinned to their row path. Results are identical either way.
+	// Vectorize lets the operators the planner builds — hash joins,
+	// aggregation output and sorts — emit batches of up to
+	// exec.DefaultBatchSize rows. When false they emit one-row batches,
+	// matching scans run at batch size 1 (the engine's DisableVectorized).
+	// Every operator speaks batches either way, and results are identical.
 	Vectorize bool
 	// KernelCache, when non-nil, enables the query-shape kernel compiler
 	// (internal/kernel): supported filter conjuncts attach compiled

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -36,37 +35,46 @@ func (m *memTable) RowCount() int64          { return int64(len(m.rows)) }
 func (m *memTable) Scan(_ context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	m.lastScanCols = append([]int(nil), cols...)
 	m.lastScanConjuncts = append([]expr.Expr(nil), conjuncts...)
-	pred := expr.JoinConjuncts(conjuncts)
-	i := 0
-	out := make(exec.Row, len(cols))
 	outCols := make([]exec.Col, len(cols))
 	for k, c := range cols {
 		outCols[k] = exec.Col{Name: m.cols[c].Name, Type: m.cols[c].Type}
 	}
-	return exec.NewSource(outCols,
-		func() error { i = 0; return nil },
-		func() (exec.Row, error) {
-			for {
-				if i >= len(m.rows) {
-					return nil, io.EOF
-				}
-				row := m.rows[i]
-				i++
-				if pred != nil {
-					ok, err := expr.TruthyResult(pred, row)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				for k, c := range cols {
-					out[k] = row[c]
-				}
-				return out, nil
+	return &memScan{m: m, cols: cols, outCols: outCols, pred: expr.JoinConjuncts(conjuncts)}, nil
+}
+
+// memScan filters and projects the table's rows when opened, then emits
+// them as one Values stream.
+type memScan struct {
+	*exec.Values
+	m       *memTable
+	cols    []int
+	outCols []exec.Col
+	pred    expr.Expr
+}
+
+func (s *memScan) Columns() []exec.Col { return s.outCols }
+func (s *memScan) Close() error        { return nil }
+
+func (s *memScan) Open() error {
+	var out []exec.Row
+	for _, row := range s.m.rows {
+		if s.pred != nil {
+			ok, err := expr.TruthyResult(s.pred, row)
+			if err != nil {
+				return err
 			}
-		}, nil), nil
+			if !ok {
+				continue
+			}
+		}
+		r := make(exec.Row, len(s.cols))
+		for k, c := range s.cols {
+			r[k] = row[c]
+		}
+		out = append(out, r)
+	}
+	s.Values = exec.NewValues(s.outCols, out)
+	return s.Values.Open()
 }
 
 type memResolver map[string]*memTable

@@ -279,27 +279,14 @@ func (bi *binder) bind() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Batch pipeline: when the join tree's root is batch-capable (a scan —
-	// in-situ, cache or parallel — or a hash join, which is batch-native
-	// over any inputs), the hot operators below stack on the vectorized
-	// interface; broot carries that pipeline and root always mirrors it
-	// through a row adapter, so a consumer that reads rows sees the
-	// identical (filtered) stream.
-	var broot exec.BatchOperator
-	var bleaf exec.RowBudgeter // the scan root, when it accepts a row budget (a join never does)
-	if bi.opts.Vectorize {
-		if bo, ok := exec.AsBatch(root); ok {
-			broot = bo
-			bleaf, _ = bo.(exec.RowBudgeter)
-		}
-	}
+	// The scan root, when it accepts a row budget (a join never does).
+	leaf, _ := root.(exec.RowBudgeter)
 
 	// Residual filter (multi-table, non-equi). A residual filter breaks
 	// the live-row-count correspondence between the leaf and the pipeline
 	// top, so LIMIT pushdown must not reach past it. With kernels on and
 	// no aggregation the residual is deferred into the fused tail operator
-	// instead of its own BatchFilter hop.
+	// instead of its own Filter hop.
 	var fusedPred expr.Expr
 	if len(sk.residual) > 0 {
 		bound, err := bi.bindList(sk.residual)
@@ -310,34 +297,29 @@ func (bi *binder) bind() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		leaf = nil
 		if kc != nil {
 			re = kc.Predicate(re)
 		}
-		switch {
-		case broot != nil && kc != nil && !sk.aggregated:
+		if kc != nil && !sk.aggregated {
 			fusedPred = re
-			bleaf = nil
-		case broot != nil:
+		} else {
 			ctr := qtrace.CtrGenericBatches
 			if hasKernel(re) {
 				ctr = qtrace.CtrKernelBatches
 			}
-			broot = bi.spanBatch("filter", exec.NewBatchFilter(broot, re), ctr, true, bi.curSpan)
-			root = exec.NewBatchRows(broot)
-			bleaf = nil
-		default:
-			root = bi.spanRow("filter", exec.NewFilter(root, re), bi.curSpan)
+			root = bi.span("filter", exec.NewFilter(root, re), ctr, true, bi.curSpan)
 		}
 	}
 
 	// Aggregation. Select items were rewritten during resolution to
 	// reference the aggregate output layout [groups..., aggs...].
 	if sk.aggregated {
-		root, err = bi.buildAggregate(root, broot, layout)
+		root, err = bi.buildAggregate(root, layout)
 		if err != nil {
 			return nil, err
 		}
-		broot = nil // aggregation emits rows
+		leaf = nil
 	}
 
 	// Final projection. Output types re-derive from the bound expressions,
@@ -362,41 +344,29 @@ func (bi *binder) bind() (*Result, error) {
 		outExprs[i] = e
 		outCols[i] = exec.Col{Name: it.name, Type: typ}
 	}
-	if broot != nil {
-		if kc != nil {
-			broot = bi.spanBatch("fused project", kernel.NewFused(kc, broot, fusedPred, outExprs, outCols),
-				qtrace.CtrKernelBatches, true, bi.curSpan)
-		} else {
-			broot = bi.spanBatch("project", exec.NewBatchProject(broot, outExprs, outCols),
-				qtrace.CtrGenericBatches, true, bi.curSpan)
-		}
-		root = exec.NewBatchRows(broot)
+	if kc != nil {
+		root = bi.span("fused project", kernel.NewFused(kc, root, fusedPred, outExprs, outCols),
+			qtrace.CtrKernelBatches, true, bi.curSpan)
 	} else {
-		root = bi.spanRow("project", exec.NewProject(root, outExprs, outCols), bi.curSpan)
+		root = bi.span("project", exec.NewProject(root, outExprs, outCols),
+			qtrace.CtrGenericBatches, true, bi.curSpan)
 	}
 
-	// ORDER BY over the projection output (sort materializes rows, so the
-	// batch pipeline ends here when present; root already mirrors it).
+	// ORDER BY over the projection output.
 	if len(sk.orderBy) > 0 {
-		broot = nil
-		root = bi.spanRow("sort", exec.NewSort(root, sk.orderBy), bi.curSpan)
+		root = bi.span("sort", bi.sized(exec.NewSort(root, sk.orderBy)), 0, false, bi.curSpan)
+		leaf = nil
 	}
 
-	// LIMIT. When the batch pipeline between the scan leaf and the limit
-	// preserves live-row counts (projections only, conjuncts evaluated
-	// inside the scan), the limit also flows into the leaf as a row
-	// budget: the scan stops at the limit instead of materializing one
-	// full batch past it.
+	// LIMIT. When only projections sit between the scan leaf and the limit
+	// (conjuncts evaluated inside the scan), the limit also flows into the
+	// leaf as a row budget: the scan stops at the limit instead of
+	// materializing one full batch past it.
 	if sk.limit >= 0 {
-		if broot != nil {
-			if bleaf != nil {
-				bleaf.SetRowBudget(sk.limit)
-			}
-			bl := bi.spanBatch("limit", exec.NewBatchLimit(broot, sk.limit), 0, false, bi.curSpan)
-			root = exec.NewBatchRows(bl)
-		} else {
-			root = bi.spanRow("limit", exec.NewLimit(root, sk.limit), bi.curSpan)
+		if leaf != nil {
+			leaf.SetRowBudget(sk.limit)
 		}
+		root = bi.span("limit", exec.NewLimit(root, sk.limit), 0, false, bi.curSpan)
 	}
 	if bi.prof != nil {
 		bi.prof.SetRoot(bi.curSpan)

@@ -37,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"nodb/internal/core"
 	"nodb/internal/datum"
@@ -139,10 +138,12 @@ type Options struct {
 	// between operators (0 = 1024). Results are identical for any
 	// setting >= 1.
 	BatchSize int
-	// DisableVectorized forces row-at-a-time execution instead of the
-	// default vectorized batch pipeline. Results are identical. The switch
-	// serves the repo benchmark's result oracle (benchmark/oracle.go) and
-	// the ablations that compare the two paths; it is also an escape hatch.
+	// DisableVectorized runs the one executor over one-row batches through
+	// the interpreted expression walk: BatchSize becomes 1, the kernel
+	// compiler is off, and joins, aggregation output and sorts emit one-row
+	// batches too. Results are identical to the default. The switch serves
+	// the repo benchmark's result oracle (benchmark/oracle.go) and the
+	// ablations that compare the two; it is also an escape hatch.
 	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement cache (entries; 0 = 256).
 	// Statements are cached by normalized SQL and shared across sessions;
@@ -157,11 +158,6 @@ type Options struct {
 	// (benchmark/oracle.go) and the ablations that compare the two paths;
 	// it is also an escape hatch.
 	DisableKernels bool
-	// KernelCacheSize caps the compiled-kernel program cache (entries;
-	// 0 = 256). Kernels are keyed by normalized plan shape — literals
-	// replaced by slots — so statements differing only in constants share
-	// one compilation.
-	KernelCacheSize int
 	// ScanRetries bounds how many additional cold attempts a scan makes
 	// after a retryable raw-file fault — the file changed or vanished
 	// underneath the adaptive structures, or a read failed (0 = default
@@ -170,9 +166,6 @@ type Options struct {
 	// budget surfaces ErrRetriesExhausted. Queries never return rows from
 	// mixed file versions regardless of this setting.
 	ScanRetries int
-	// RetryBackoff is the context-aware pause between scan retry attempts
-	// (0 = 5ms).
-	RetryBackoff time.Duration
 	// Sidecar configures durable adaptive state: when enabled, each
 	// table's positional map, cached columns, statistics and access
 	// counters checkpoint into a versioned, checksummed sidecar file next
@@ -300,17 +293,11 @@ func (o *Options) validate() error {
 	if o.PlanCacheSize < 0 {
 		return fmt.Errorf("nodb: PlanCacheSize must be >= 0 (0 = default 256), got %d", o.PlanCacheSize)
 	}
-	if o.KernelCacheSize < 0 {
-		return fmt.Errorf("nodb: KernelCacheSize must be >= 0 (0 = default 256), got %d", o.KernelCacheSize)
-	}
 	if o.PositionalMapBudget < 0 {
 		return fmt.Errorf("nodb: PositionalMapBudget must be >= 0 (0 = unlimited), got %d", o.PositionalMapBudget)
 	}
 	if o.CacheBudget < 0 {
 		return fmt.Errorf("nodb: CacheBudget must be >= 0 (0 = unlimited), got %d", o.CacheBudget)
-	}
-	if o.RetryBackoff < 0 {
-		return fmt.Errorf("nodb: RetryBackoff must be >= 0 (0 = default 5ms), got %v", o.RetryBackoff)
 	}
 	if o.Sidecar.MaxBytes < 0 {
 		return fmt.Errorf("nodb: Sidecar.MaxBytes must be >= 0 (0 = unlimited), got %d", o.Sidecar.MaxBytes)
@@ -370,9 +357,7 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		DisableVectorized: opts.DisableVectorized,
 		PlanCacheSize:     opts.PlanCacheSize,
 		DisableKernels:    opts.DisableKernels,
-		KernelCacheSize:   opts.KernelCacheSize,
 		ScanRetries:       opts.ScanRetries,
-		RetryBackoff:      opts.RetryBackoff,
 		Sidecar: core.SidecarOptions{
 			Enable:   opts.Sidecar.Enable,
 			Dir:      opts.Sidecar.Dir,

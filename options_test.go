@@ -3,7 +3,6 @@ package nodb
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestOptionsValidation: invalid option values must be rejected at Open
@@ -18,10 +17,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative parallelism", Options{Parallelism: -1}, "Parallelism"},
 		{"negative batch size", Options{BatchSize: -8}, "BatchSize"},
 		{"negative plan cache", Options{PlanCacheSize: -1}, "PlanCacheSize"},
-		{"negative kernel cache", Options{KernelCacheSize: -2}, "KernelCacheSize"},
 		{"negative pm budget", Options{PositionalMapBudget: -1}, "PositionalMapBudget"},
 		{"negative cache budget", Options{CacheBudget: -100}, "CacheBudget"},
-		{"negative backoff", Options{RetryBackoff: -time.Second}, "RetryBackoff"},
 		{"unknown mode", Options{Mode: Mode(99)}, "Mode"},
 		{"negative mode", Options{Mode: Mode(-1)}, "Mode"},
 		{"negative sidecar max bytes", Options{Sidecar: SidecarOptions{MaxBytes: -1}}, "Sidecar.MaxBytes"},

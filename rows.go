@@ -32,7 +32,10 @@ import (
 type Rows struct {
 	op   exec.Operator
 	cols []Column
-	cur  []Value
+	b    *exec.Batch // current batch; k is the next live row to gather
+	k    int
+	buf  []Value // gather buffer behind cur
+	cur  []Value // the current row; nil before the first Next and after the end
 	err  error
 	done bool
 
@@ -51,22 +54,30 @@ func (r *Rows) Next() bool {
 	if r.done {
 		return false
 	}
-	row, err := r.op.Next()
-	if err == io.EOF {
-		r.close(nil)
-		return false
+	for r.b == nil || r.k >= r.b.Live() {
+		b, err := r.op.NextBatch()
+		if err == io.EOF {
+			r.close(nil)
+			return false
+		}
+		if err != nil {
+			r.close(err)
+			return false
+		}
+		r.b, r.k = b, 0
 	}
-	if err != nil {
-		r.close(err)
-		return false
+	if len(r.buf) != len(r.b.Cols) {
+		r.buf = make([]Value, len(r.b.Cols))
 	}
-	r.cur = row
+	r.cur = r.b.Row(r.k, r.buf)
+	r.k++
 	r.nrows++
 	return true
 }
 
-// Values returns the current row. The slice is reused between Next calls;
-// copy values out if you retain them.
+// Values returns the current row, or nil once the stream has ended or
+// the cursor is closed. The slice is reused between Next calls; copy
+// values out if you retain them.
 func (r *Rows) Values() []Value { return r.cur }
 
 // Scan copies the current row into dest, which must hold one pointer per
@@ -104,6 +115,7 @@ func (r *Rows) close(err error) {
 		return
 	}
 	r.done = true
+	r.b, r.cur = nil, nil
 	cerr := r.op.Close()
 	if err == nil {
 		err = cerr

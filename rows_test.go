@@ -45,6 +45,53 @@ func TestQueryContextRowsCursor(t *testing.T) {
 	}
 }
 
+// TestRowsNoStaleRowAfterEnd: once Next has returned false, or after
+// Close, the cursor has no current row — Scan reports the missing Next and
+// Values is nil, instead of handing out the last row (or a zeroed one).
+func TestRowsNoStaleRowAfterEnd(t *testing.T) {
+	db, err := Open(testCatalog(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	noRow := func(label string, rows *Rows) {
+		t.Helper()
+		x := int64(-1)
+		if err := rows.Scan(&x); err == nil {
+			t.Errorf("%s: Scan returned nil with x = %d, want an error", label, x)
+		}
+		if v := rows.Values(); v != nil {
+			t.Errorf("%s: Values = %v, want nil", label, v)
+		}
+	}
+
+	rows, err := db.QueryContext(context.Background(), "SELECT id FROM trips WHERE id < 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRow("before Next", rows)
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil || n != 3 {
+		t.Fatalf("drained %d rows, err %v", n, err)
+	}
+	noRow("after the stream ended", rows)
+
+	rows, err = db.QueryContext(context.Background(), "SELECT id FROM trips WHERE id < 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noRow("after Close", rows)
+}
+
 func TestStmtReuseAndNamedArgs(t *testing.T) {
 	db, err := Open(testCatalog(t), Options{})
 	if err != nil {
