@@ -10,6 +10,7 @@ import (
 
 	"nodb/internal/datum"
 	"nodb/internal/fits"
+	"nodb/internal/qtrace"
 )
 
 // attribFixture builds a catalog with one table per raw format — csv,
@@ -95,31 +96,33 @@ func checkPhaseAccount(t *testing.T, p *Profile, label string) {
 	}
 }
 
-// checkCountersMatchMetrics asserts that, on a single-query engine, the
-// per-query profile counters equal the deltas of the engine-wide table
-// metrics — the profile is the per-query slice of the same account.
-func checkCountersMatchMetrics(t *testing.T, label string, p *Profile, before, after Metrics) {
-	t.Helper()
-	type pair struct {
-		name      string
-		profile   int64
-		metricCur int64
-		metricOld int64
+// counterViews snapshots the table-scope counters as two views: the
+// named tables' metrics summed, and the engine-wide Stats.
+type counterViews struct{ tables, engine qtrace.ScanTotals }
+
+func snapshotViews(db *DB, tables ...string) counterViews {
+	var sum qtrace.Counts
+	for _, name := range tables {
+		m := db.Metrics(name)
+		for _, c := range qtrace.TableCounters() {
+			sum[c] += m.Get(c)
+		}
 	}
-	for _, c := range []pair{
-		{"tuples_parsed", p.Ctrs.TuplesParsed, after.TuplesParsed, before.TuplesParsed},
-		{"fields_parsed", p.Ctrs.FieldsParsed, after.FieldsParsed, before.FieldsParsed},
-		{"fields_from_map", p.Ctrs.FieldsFromMap, after.FieldsFromMap, before.FieldsFromMap},
-		{"fields_from_scan", p.Ctrs.FieldsFromScan, after.FieldsFromScan, before.FieldsFromScan},
-		{"short_rows", p.Ctrs.ShortRows, after.ShortRows, before.ShortRows},
-		{"cache_hits", p.Ctrs.CacheHits, after.CacheHits, before.CacheHits},
-		{"cache_misses", p.Ctrs.CacheMisses, after.CacheMisses, before.CacheMisses},
-		{"cold_scans", p.Ctrs.ColdScans, int64(after.ColdScans), int64(before.ColdScans)},
-		{"warm_scans", p.Ctrs.WarmScans, int64(after.WarmScans), int64(before.WarmScans)},
-		{"retries", p.Ctrs.Retries, int64(after.ScanRetries), int64(before.ScanRetries)},
-	} {
-		if delta := c.metricCur - c.metricOld; c.profile != delta {
-			t.Errorf("%s: profile %s = %d, metrics delta = %d", label, c.name, c.profile, delta)
+	return counterViews{tables: qtrace.Totals(&sum), engine: db.Stats().ScanTotals}
+}
+
+// checkCountersMatchMetrics asserts that, on a single-query engine, every
+// table-scope counter of the per-query profile equals the delta of the
+// table metrics and of the engine-wide Stats — the profile is the
+// per-query slice of the same account.
+func checkCountersMatchMetrics(t *testing.T, label string, p *Profile, before, after counterViews) {
+	t.Helper()
+	for _, c := range qtrace.TableCounters() {
+		if d := after.tables.Get(c) - before.tables.Get(c); p.Ctrs.Get(c) != d {
+			t.Errorf("%s: profile %s = %d, metrics delta = %d", label, c, p.Ctrs.Get(c), d)
+		}
+		if d := after.engine.Get(c) - before.engine.Get(c); p.Ctrs.Get(c) != d {
+			t.Errorf("%s: profile %s = %d, stats delta = %d", label, c, p.Ctrs.Get(c), d)
 		}
 	}
 }
@@ -140,9 +143,9 @@ func TestAttributionColdWarm(t *testing.T) {
 			defer db.Close()
 			sql := "SELECT id, distance FROM " + table + " WHERE id >= 0"
 
-			before := db.Metrics(table)
+			before := snapshotViews(db, table)
 			cold := profiledQuery(t, db, sql)
-			mid := db.Metrics(table)
+			mid := snapshotViews(db, table)
 			checkPhaseAccount(t, cold, table+"/cold")
 			checkCountersMatchMetrics(t, table+"/cold", cold, before, mid)
 			if cold.Ctrs.RowsOut != rows {
@@ -162,7 +165,7 @@ func TestAttributionColdWarm(t *testing.T) {
 			}
 
 			warm := profiledQuery(t, db, sql)
-			after := db.Metrics(table)
+			after := snapshotViews(db, table)
 			checkPhaseAccount(t, warm, table+"/warm")
 			checkCountersMatchMetrics(t, table+"/warm", warm, mid, after)
 			if warm.Ctrs.WarmScans != 1 || warm.Ctrs.ColdScans != 0 {
@@ -199,9 +202,9 @@ func TestAttributionParallelWorkers(t *testing.T) {
 			defer db.Close()
 			sql := "SELECT id, distance FROM " + table + " WHERE id >= 0"
 
-			before := db.Metrics(table)
+			before := snapshotViews(db, table)
 			cold := profiledQuery(t, db, sql)
-			after := db.Metrics(table)
+			after := snapshotViews(db, table)
 			checkCountersMatchMetrics(t, table+"/parallel-cold", cold, before, after)
 			if cold.Ctrs.Workers < 2 {
 				t.Fatalf("parallel scan used %d workers", cold.Ctrs.Workers)
@@ -289,20 +292,7 @@ func TestAttributionJoin(t *testing.T) {
 	}
 	defer db.Close()
 	sql := "SELECT c.id, j.distance FROM tcsv c, tjsonl j WHERE c.id = j.id AND j.distance >= 0"
-	sum := func() Metrics {
-		a, b := db.Metrics("tcsv"), db.Metrics("tjsonl")
-		a.TuplesParsed += b.TuplesParsed
-		a.FieldsParsed += b.FieldsParsed
-		a.FieldsFromMap += b.FieldsFromMap
-		a.FieldsFromScan += b.FieldsFromScan
-		a.ShortRows += b.ShortRows
-		a.CacheHits += b.CacheHits
-		a.CacheMisses += b.CacheMisses
-		a.ColdScans += b.ColdScans
-		a.WarmScans += b.WarmScans
-		a.ScanRetries += b.ScanRetries
-		return a
-	}
+	sum := func() counterViews { return snapshotViews(db, "tcsv", "tjsonl") }
 
 	before := sum()
 	cold := profiledQuery(t, db, sql)

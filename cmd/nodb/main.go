@@ -57,7 +57,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode, err := parseMode(*modeName)
+	mode, err := nodb.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,23 +113,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			}
 		}
-	}
-}
-
-func parseMode(name string) (nodb.Mode, error) {
-	switch strings.ToLower(name) {
-	case "pm+cache", "pmcache", "pm+c":
-		return nodb.ModePMCache, nil
-	case "pm":
-		return nodb.ModePM, nil
-	case "cache", "c":
-		return nodb.ModeCache, nil
-	case "external-files", "external", "baseline":
-		return nodb.ModeExternalFiles, nil
-	case "load-first", "loaded":
-		return nodb.ModeLoadFirst, nil
-	default:
-		return 0, fmt.Errorf("nodb: unknown mode %q", name)
 	}
 }
 

@@ -73,7 +73,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode, err := parseMode(*modeName)
+	mode, err := nodb.ParseMode(*modeName)
 	if err != nil {
 		log.Fatalf("nodbd: %v", err)
 	}
@@ -155,22 +155,5 @@ func main() {
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("nodbd: shutdown: %v", err)
-	}
-}
-
-func parseMode(name string) (nodb.Mode, error) {
-	switch name {
-	case "pm+cache", "pmcache":
-		return nodb.ModePMCache, nil
-	case "pm":
-		return nodb.ModePM, nil
-	case "cache":
-		return nodb.ModeCache, nil
-	case "external-files", "external":
-		return nodb.ModeExternalFiles, nil
-	case "load-first", "loaded":
-		return nodb.ModeLoadFirst, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
 	}
 }

@@ -117,20 +117,11 @@ func parseDSN(dsn string) (config, error) {
 		case "dir":
 			cfg.dir = v
 		case "mode":
-			switch strings.ToLower(v) {
-			case "pm+cache", "pmcache":
-				cfg.opts.Mode = nodb.ModePMCache
-			case "pm":
-				cfg.opts.Mode = nodb.ModePM
-			case "cache":
-				cfg.opts.Mode = nodb.ModeCache
-			case "external-files", "external":
-				cfg.opts.Mode = nodb.ModeExternalFiles
-			case "load-first", "loaded":
-				cfg.opts.Mode = nodb.ModeLoadFirst
-			default:
-				return cfg, fmt.Errorf("%w: unknown mode %q", ErrBadDSN, v)
+			m, err := nodb.ParseMode(v)
+			if err != nil {
+				return cfg, fmt.Errorf("%w: %w", ErrBadDSN, err)
 			}
+			cfg.opts.Mode = m
 		case "parallelism":
 			n, err := strconv.Atoi(v)
 			if err != nil {

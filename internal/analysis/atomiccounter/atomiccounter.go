@@ -7,9 +7,9 @@
 //     when the schedule cooperates; this check catches it at vet time.
 //  2. Scan instrumentation counters flush to the shared format.Counters
 //     once, at Close — never from Next/NextBatch. The per-row hot path
-//     works on private unsynchronized ScanCounters precisely so that
-//     scans pay no synchronization per tuple; a Counters.Add (or
-//     Snapshot) on the row path reintroduces shared-cache traffic.
+//     works on a private unsynchronized qtrace.Counts precisely so that
+//     scans pay no synchronization per tuple; a Counters.Flush (or Load)
+//     on the row path reintroduces shared-cache traffic.
 package atomiccounter
 
 import (
@@ -78,7 +78,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Rule 2: Counters.Add / Counters.Snapshot on the scan hot path.
+	// Rule 2: Counters.Flush / Counters.Load on the scan hot path.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -94,7 +94,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				_, recvType, name, ok := analysis.MethodCall(pass.TypesInfo, call)
-				if !ok || (name != "Add" && name != "Snapshot") {
+				if !ok || (name != "Flush" && name != "Load") {
 					return true
 				}
 				if analysis.IsNamedType(recvType, "internal/format", "Counters") {

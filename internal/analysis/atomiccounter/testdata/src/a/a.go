@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"nodb/internal/format"
+	"nodb/internal/qtrace"
 )
 
 type table struct {
@@ -39,26 +40,27 @@ func (t *table) plainOnly() int64 {
 }
 
 type scan struct {
+	prof   *qtrace.Profile
 	shared *format.Counters
-	c      format.ScanCounters
+	c      qtrace.Counts
 }
 
-// Next must not flush: counters are private until Close.
-func (s *scan) Next() (int, error) {
-	s.c.TuplesParsed++ // private counters on the hot path are the point
-	s.shared.Add(&s.c) // want `flush once at Close`
+// NextBatch must not flush: counters are private until Close.
+func (s *scan) NextBatch() (int, error) {
+	s.c[qtrace.CtrTuplesParsed]++ // private counters on the hot path are the point
+	s.shared.Flush(s.prof, &s.c)  // want `flush once at Close`
 	return 0, nil
 }
 
-// NextBatch must not snapshot the shared counters either.
-func (s *scan) NextBatch() (int, error) {
-	_ = s.shared.Snapshot() // want `flush once at Close`
+// Next must not load the shared counters either.
+func (s *scan) Next() (int, error) {
+	_ = s.shared.Load() // want `flush once at Close`
 	return 0, nil
 }
 
 // Close is where the flush belongs.
 func (s *scan) Close() error {
-	s.shared.Add(&s.c)
+	s.shared.Flush(s.prof, &s.c)
 	return nil
 }
 

@@ -2,17 +2,16 @@
 // surface for the analyzers' test packages to typecheck against.
 package format
 
-// ScanCounters mirrors the real private per-scan counters.
-type ScanCounters struct {
-	TuplesParsed int64
-	FieldsParsed int64
-}
+import "nodb/internal/qtrace"
 
 // Counters mirrors the real shared per-table counters.
-type Counters struct{}
+type Counters [2]int64
 
-// Add publishes a scan's counters.
-func (tc *Counters) Add(c *ScanCounters) {}
+// Flush publishes a scan's counters to the profile and the table.
+func (tc *Counters) Flush(prof *qtrace.Profile, c *qtrace.Counts) {}
 
-// Snapshot loads the cumulative totals.
-func (tc *Counters) Snapshot() ScanCounters { return ScanCounters{} }
+// Count records a decision-time counter.
+func (tc *Counters) Count(prof *qtrace.Profile, ctr qtrace.Counter, n int64) {}
+
+// Load reads the cumulative totals.
+func (tc *Counters) Load() qtrace.Counts { return qtrace.Counts{} }

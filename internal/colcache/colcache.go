@@ -32,10 +32,9 @@ const victimWindow = 4
 // entryOverhead approximates the fixed footprint of one column entry.
 const entryOverhead = 128
 
-// Metrics counts cache activity.
+// Metrics counts cache activity. Hits and misses are not here: the scans
+// that consult the cache count them (qtrace.CtrCacheHits, CtrCacheMisses).
 type Metrics struct {
-	Hits      int64
-	Misses    int64
 	Puts      int64
 	Evictions int64
 }
@@ -95,10 +94,8 @@ func (c *Cache) Usage() float64 {
 func (c *Cache) Get(col, row int) (datum.Datum, bool) {
 	e, ok := c.cols[col]
 	if !ok || row < 0 || !bitGet(e.present, row) {
-		c.m.Misses++
 		return datum.Datum{}, false
 	}
-	c.m.Hits++
 	c.lru.MoveToFront(e.elem)
 	if bitGet(e.nulls, row) {
 		return datum.NewNull(e.typ), true

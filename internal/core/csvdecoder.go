@@ -3,6 +3,7 @@ package core
 import (
 	"nodb/internal/datum"
 	"nodb/internal/format"
+	"nodb/internal/qtrace"
 	"nodb/internal/scan"
 )
 
@@ -67,7 +68,7 @@ func (d *csvDecoder) Field(line []byte, col int, dst *datum.Datum) error {
 	field, ok, fromMap := d.locateField(line, col)
 	if !ok {
 		// Short row: missing trailing fields read as NULL.
-		s.C.ShortRows++
+		s.C[qtrace.CtrShortRows]++
 		*dst = datum.NewNull(typ)
 		return nil
 	}
@@ -80,7 +81,7 @@ func (d *csvDecoder) Field(line []byte, col int, dst *datum.Datum) error {
 		if pos, found := d.prefixPos(line, col); found {
 			*dst, err = datum.ParseBytes(typ, scan.FieldAt(line, pos, d.delim))
 		} else {
-			s.C.ShortRows++
+			s.C[qtrace.CtrShortRows]++
 			*dst, err = datum.NewNull(typ), nil
 		}
 	}
@@ -98,7 +99,7 @@ func (d *csvDecoder) Field(line []byte, col int, dst *datum.Datum) error {
 func (d *csvDecoder) locateField(line []byte, col int) (field []byte, ok, fromMap bool) {
 	if d.s.PMCursors != nil {
 		if f, found := d.mapField(line, col); found {
-			d.s.C.FieldsFromMap++
+			d.s.C[qtrace.CtrFieldsFromMap]++
 			return f, true, true
 		}
 	}
@@ -108,7 +109,7 @@ func (d *csvDecoder) locateField(line []byte, col int) (field []byte, ok, fromMa
 	// query). The prefix is shared across the tuple's column accesses, so
 	// each character is examined at most once.
 	pos, found := d.prefixPos(line, col)
-	d.s.C.FieldsFromScan++
+	d.s.C[qtrace.CtrFieldsFromScan]++
 	if !found {
 		return nil, false, false
 	}

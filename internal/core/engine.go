@@ -133,7 +133,8 @@ type Options struct {
 	// result AND its resolved plan skeleton, both shared by all sessions;
 	// executions re-bind the skeleton's literal slots and re-derive the
 	// statistics-driven choices (conjunct order, join order) from the bound
-	// values, so late binding survives the caching.
+	// values, so late binding survives the caching. Only tests set it;
+	// nodb.Options does not expose it.
 	PlanCacheSize int
 	// DisableKernels turns off the query-shape kernel compiler: plans fall
 	// back to the generic vectorized expression walk (expr.EvalBatch /
@@ -148,7 +149,7 @@ type Options struct {
 	// 2, negative = no retries). Recovery invalidates the table's auxiliary
 	// state and rebuilds from the current bytes; when the budget runs out
 	// the query fails with a typed error (ErrRetriesExhausted), never wrong
-	// rows.
+	// rows. Only tests set it; nodb.Options does not expose it.
 	ScanRetries int
 	// Sidecar configures crash-safe persistence of the adaptive state
 	// (positional maps, column caches, statistics, hot statements) into

@@ -2,6 +2,7 @@ package core
 
 import (
 	"nodb/internal/format"
+	"nodb/internal/qtrace"
 	"nodb/internal/sidecar"
 )
 
@@ -28,16 +29,8 @@ type EngineStats struct {
 	// tables not fully scanned yet, count as 0).
 	RowsKnown int64
 
-	// Scan-mode and parse-work totals over all touched tables.
-	ColdScans      int64
-	WarmScans      int64
-	ScanRetries    int64
-	TuplesParsed   int64
-	FieldsParsed   int64
-	FieldsFromMap  int64
-	FieldsFromScan int64
-	CacheHits      int64
-	CacheMisses    int64
+	// Scan counters summed over all touched tables.
+	qtrace.ScanTotals
 
 	// Sidecar reports durable-adaptive-state activity (zero value when
 	// Options.Sidecar.Enable is off).
@@ -63,21 +56,17 @@ func (e *Engine) Stats() EngineStats {
 	}
 	e.mu.Unlock()
 	s.TablesTouched = len(srcs)
+	var sum qtrace.Counts
 	for _, src := range srcs {
 		m := src.StatsLite()
 		if m.Rows > 0 {
 			s.RowsKnown += m.Rows
 		}
-		s.ColdScans += m.ColdScans
-		s.WarmScans += m.WarmScans
-		s.ScanRetries += m.ScanRetries
-		s.TuplesParsed += m.TuplesParsed
-		s.FieldsParsed += m.FieldsParsed
-		s.FieldsFromMap += m.FieldsFromMap
-		s.FieldsFromScan += m.FieldsFromScan
-		s.CacheHits += m.CacheHits
-		s.CacheMisses += m.CacheMisses
+		for _, c := range qtrace.TableCounters() {
+			sum[c] += m.Get(c)
+		}
 	}
+	s.ScanTotals = qtrace.Totals(&sum)
 	return s
 }
 

@@ -202,7 +202,7 @@ type fitsScan struct {
 	views   []colcache.View
 	row     int64 // next absolute row to decode
 	readBuf []datum.Datum
-	c       format.ScanCounters
+	c       qtrace.Counts
 	tick    int
 
 	batchSize int
@@ -268,11 +268,10 @@ func (s *fitsScan) Open() error {
 	return nil
 }
 
-// Close publishes the scan's counters (per-query profile first — Add
-// zeroes the struct; each worker shard flushes exactly once).
+// Close publishes the scan's counters (each worker shard flushes exactly
+// once).
 func (s *fitsScan) Close() error {
-	format.FlushProfile(s.prof, &s.c)
-	s.sink.Add(&s.c)
+	s.sink.Flush(s.prof, &s.c)
 	return nil
 }
 
@@ -329,8 +328,8 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 				}
 			}
 		}
-		s.c.TuplesParsed += int64(n)
-		s.c.FieldsParsed += int64(n * len(s.needed))
+		s.c[qtrace.CtrTuplesParsed] += int64(n)
+		s.c[qtrace.CtrFieldsParsed] += int64(n * len(s.needed))
 		b.N = n
 		sel, live, err := format.NarrowSelection(s.conjuncts, b.Cols, n, &s.selBuf, nil)
 		if err != nil {
@@ -397,8 +396,8 @@ func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjun
 				if src.Cache != nil {
 					src.Cache.Absorb(sh.cache, int(sh.lo))
 				}
-				c := sh.sink.Snapshot()
-				src.Counters.Add(&c)
+				c := sh.sink.Load()
+				src.Counters.Flush(nil, &c)
 			}
 			return nil
 		},

@@ -34,7 +34,7 @@ type CacheScan struct {
 	nrows int64 // State.Rows snapshot, stable for the scan's lifetime
 	views []colcache.View
 
-	c ScanCounters
+	c qtrace.Counts
 
 	batchSize int
 	budget    int64       // LIMIT pushdown; -1 = none
@@ -130,11 +130,9 @@ func (s *CacheScan) Open() error {
 	return nil
 }
 
-// Close publishes the scan's counters (per-query profile first — Add
-// zeroes the struct).
+// Close publishes the scan's counters.
 func (s *CacheScan) Close() error {
-	FlushProfile(qtrace.FromContext(s.ctx), &s.c)
-	s.st.Counters.Add(&s.c)
+	s.st.Counters.Flush(qtrace.FromContext(s.ctx), &s.c)
 	return nil
 }
 
@@ -185,7 +183,7 @@ func (s *CacheScan) NextBatch() (*exec.Batch, error) {
 		}
 		b.N = n
 		sel, live, err := NarrowSelection(s.conjuncts, b.Cols, n, &s.selBuf,
-			func(ci, live int) { s.c.CacheHits += int64(live * len(s.conjCols[ci])) })
+			func(ci, live int) { s.c[qtrace.CtrCacheHits] += int64(live * len(s.conjCols[ci])) })
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +191,7 @@ func (s *CacheScan) NextBatch() (*exec.Batch, error) {
 		if live == 0 && len(s.conjuncts) > 0 {
 			continue
 		}
-		s.c.CacheHits += int64(live * len(s.outCols))
+		s.c[qtrace.CtrCacheHits] += int64(live * len(s.outCols))
 		s.produced += int64(live)
 		out := s.outBatch
 		for i, c := range s.outCols {

@@ -34,7 +34,8 @@ var (
 	ErrCorruptAux = errors.New("auxiliary scan state corrupt")
 
 	// ErrRetriesExhausted: a scan hit retryable faults on every attempt
-	// allowed by Options.ScanRetries. Wraps the last underlying cause.
+	// its retry budget allowed (Env.RetryBudget). Wraps the last
+	// underlying cause.
 	ErrRetriesExhausted = errors.New("scan retries exhausted")
 )
 

@@ -38,7 +38,7 @@ type GuardedScan struct {
 	retries    int           // additional cold attempts after a retryable fault
 	backoff    time.Duration // ctx-aware pause between attempts
 	invalidate func()        // drops the table's adaptive state (call holding Lk exclusive)
-	onRetry    func()        // instrumentation: one call per consumed retry
+	ctrs       *Counters     // where consumed retries count
 	onRecorded func()        // fires in Close (lock released) after a recording pass ran
 
 	inner          exec.Operator
@@ -108,14 +108,11 @@ func (g *GuardedScan) SetRowBudget(n int64) { g.budget = n }
 // times. Mid-scan recovery applies only before the first row leaves the
 // operator; emitted results cannot be retracted, so later faults
 // surface as errors (typed, with the state still invalidated for the
-// next query).
-func (g *GuardedScan) SetRetry(retries int, backoff time.Duration, invalidate func()) {
-	g.retries, g.backoff, g.invalidate = retries, backoff, invalidate
+// next query). Each consumed retry counts qtrace.CtrRetries into ctrs
+// and the query profile.
+func (g *GuardedScan) SetRetry(retries int, backoff time.Duration, invalidate func(), ctrs *Counters) {
+	g.retries, g.backoff, g.invalidate, g.ctrs = retries, backoff, invalidate, ctrs
 }
-
-// OnRetry installs an instrumentation hook invoked once per consumed
-// retry attempt (observability; never on the per-tuple hot path).
-func (g *GuardedScan) OnRetry(fn func()) { g.onRetry = fn }
 
 // OnRecorded installs a hook fired from Close — after the table lock is
 // released — when a recording pass (an exclusive, non-downgraded access
@@ -233,10 +230,7 @@ func (g *GuardedScan) takeRetry(err error) bool {
 		return false
 	}
 	g.attempt++
-	if g.onRetry != nil {
-		g.onRetry()
-	}
-	g.prof.Count(qtrace.CtrRetries, 1)
+	g.ctrs.Count(g.prof, qtrace.CtrRetries, 1)
 	return true
 }
 

@@ -42,8 +42,8 @@ type LineDecoder interface {
 	// measured ~7 ns per field, 4-6 % of a cold scan). The frame calls it
 	// at most once per (tuple, column), only when the binary cache could
 	// not supply the value. A missing attribute is NULL (count
-	// s.C.ShortRows); the decoder counts s.C.FieldsFromMap or
-	// s.C.FieldsFromScan for how it located the bytes.
+	// qtrace.CtrShortRows in s.C); the decoder counts CtrFieldsFromMap or
+	// CtrFieldsFromScan for how it located the bytes.
 	Field(line []byte, col int, dst *datum.Datum) error
 }
 
@@ -95,7 +95,7 @@ type LineScan struct {
 	// C holds this scan's private instrumentation counters; they flush
 	// into St.Counters once, at Close, so the per-tuple hot path never
 	// touches shared memory.
-	C ScanCounters
+	C qtrace.Counts
 	// Needed lists the distinct table ordinals the query touches.
 	Needed []int
 	// PMCursors and PMWriter are the scan-lifetime positional-map accessors
@@ -263,14 +263,12 @@ func (s *LineScan) Open() error {
 	return nil
 }
 
-// Close releases the file handle and publishes the scan's counters
-// (per-query profile first — Add zeroes the struct). Partition worker
-// shards each run their own Close, so the shared profile accumulates
-// every worker's counters exactly once; the partitioned merge folds shard
-// counters into the table without touching the profile again.
+// Close releases the file handle and publishes the scan's counters.
+// Partition worker shards each run their own Close, so the shared profile
+// accumulates every worker's counters exactly once; the partitioned merge
+// folds shard counters into the table without touching the profile again.
 func (s *LineScan) Close() error {
-	FlushProfile(s.prof, &s.C)
-	s.St.Counters.Add(&s.C)
+	s.St.Counters.Flush(s.prof, &s.C)
 	if s.lr != nil {
 		s.lr.Release()
 		s.lr = nil
@@ -359,7 +357,7 @@ func (s *LineScan) step() error {
 			s.St.PM.RecordTupleStart(s.Row, off)
 		}
 		s.curGen++
-		s.C.TuplesParsed++
+		s.C[qtrace.CtrTuplesParsed]++
 
 		if s.St.Env.FullParse {
 			// Straw-man path: convert the entire tuple before anything
@@ -411,17 +409,17 @@ func (s *LineScan) fill(line []byte, col int) error {
 	cached := s.cacheViews != nil && s.cacheViews[col].Valid()
 	if cached {
 		if v, ok := s.cacheViews[col].Get(s.Row); ok {
-			s.C.CacheHits++
+			s.C[qtrace.CtrCacheHits]++
 			s.rowBuf[col] = v
 			s.gen[col] = s.curGen
 			return nil
 		}
-		s.C.CacheMisses++
+		s.C[qtrace.CtrCacheMisses]++
 	}
 	if err := s.dec.Field(line, col, &s.rowBuf[col]); err != nil {
 		return err
 	}
-	s.C.FieldsParsed++
+	s.C[qtrace.CtrFieldsParsed]++
 	if cached {
 		s.cacheViews[col].Put(s.Row, s.rowBuf[col])
 	}
@@ -612,8 +610,8 @@ func (p *linePartitions) merge(n int, clean bool) error {
 		}
 		// The worker flushed its scan counters into its private shard table
 		// at Close; fold them into the shared table here.
-		c := sh.Counters.Snapshot()
-		st.Counters.Add(&c)
+		c := sh.Counters.Load()
+		st.Counters.Flush(nil, &c)
 		merged = FoldCollectors(merged, s.collectors)
 		total += s.Row
 	}

@@ -13,6 +13,7 @@ import (
 	"nodb/internal/datum"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
+	"nodb/internal/qtrace"
 	"nodb/internal/schema"
 )
 
@@ -27,10 +28,10 @@ func (d *fixedDecoder) StartLine(line []byte) bool { return len(line) == 0 || li
 
 func (d *fixedDecoder) Field(line []byte, col int, dst *datum.Datum) error {
 	s := d.s
-	s.C.FieldsFromScan++
+	s.C[qtrace.CtrFieldsFromScan]++
 	off := 4 * col
 	if off+4 > len(line) {
-		s.C.ShortRows++
+		s.C[qtrace.CtrShortRows]++
 		*dst = datum.NewNull(datum.Int)
 		return nil
 	}

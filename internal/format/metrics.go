@@ -7,122 +7,52 @@ import (
 )
 
 // Metrics reports the auxiliary-structure state of a raw table, used by
-// the benchmark harness and tests (cache usage, positional-map pointers,
-// parse accounting). Fields are zero for structures a format does not
-// keep.
+// the benchmark harness and tests (cache usage, positional-map pointers),
+// and the table's scan counters, derived from the qtrace definitions.
+// Fields are zero for structures a format does not keep.
 type Metrics struct {
-	Rows           int64
-	PMPointers     int64
-	PMBytes        int64
-	PMEvictions    int64
-	CacheBytes     int64
-	CacheUsage     float64
-	CacheHits      int64
-	CacheMisses    int64
-	StatsColumns   int
-	ShortRows      int64
-	TuplesParsed   int64
-	FieldsParsed   int64
-	FieldsFromMap  int64
-	FieldsFromScan int64
-	// Scan-mode accounting: how many scans of this table ran cold (a
-	// recording raw-file pass) versus warm (served read-only from the
-	// binary cache), and how many fault-recovery retry attempts the
-	// guarded scans consumed.
-	ColdScans   int64
-	WarmScans   int64
-	ScanRetries int64
+	Rows         int64
+	PMPointers   int64
+	PMBytes      int64
+	PMEvictions  int64
+	CacheBytes   int64
+	CacheUsage   float64
+	StatsColumns int
+	qtrace.ScanTotals
 }
 
-// ScanCounters are one scan's private (unsynchronized) instrumentation
-// counters: scans accumulate here on their hot path and flush into the
-// shared Counters once, at Close.
-type ScanCounters struct {
-	ShortRows      int64
-	TuplesParsed   int64
-	FieldsParsed   int64
-	FieldsFromMap  int64
-	FieldsFromScan int64
-	CacheHits      int64
-	CacheMisses    int64
-}
+// Counters are a table's cumulative scan counters, indexed by
+// qtrace.Counter (table-scope entries only), safe for concurrent use.
+// Scans count into a private qtrace.Counts on the hot path and Flush it
+// once, at Close; access-method decisions and retries Count directly.
+type Counters [qtrace.NumCounters]atomic.Int64
 
-// Counters are the cumulative per-table instrumentation counters, safe for
-// concurrent flushes.
-type Counters struct {
-	shortRows      atomic.Int64
-	tuplesParsed   atomic.Int64
-	fieldsParsed   atomic.Int64
-	fieldsFromMap  atomic.Int64
-	fieldsFromScan atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-
-	// Scan-mode counters update at decision time (NewScan's access-method
-	// choice, GuardedScan's retry loop), not through the ScanCounters
-	// flush: they count scans, not per-tuple work.
-	scansCold   atomic.Int64
-	scansWarm   atomic.Int64
-	scanRetries atomic.Int64
-}
-
-// ScanStarted records one access-method decision: warm scans serve from
-// the binary cache read-only, cold scans run a recording raw-file pass.
-func (tc *Counters) ScanStarted(warm bool) {
-	if warm {
-		tc.scansWarm.Add(1)
-	} else {
-		tc.scansCold.Add(1)
+// Flush publishes a scan's private counts to the query profile (nil when
+// the query is not profiled) and to the table, then zeroes them. Each scan
+// (or parallel worker shard) flushes exactly once, so profiles merge across
+// workers without double counting.
+func (tc *Counters) Flush(prof *qtrace.Profile, c *qtrace.Counts) {
+	for i, n := range c {
+		if n != 0 {
+			tc[i].Add(n)
+			prof.Count(qtrace.Counter(i), n)
+		}
 	}
+	*c = qtrace.Counts{}
 }
 
-// RetryTaken records one consumed fault-recovery retry attempt.
-func (tc *Counters) RetryTaken() { tc.scanRetries.Add(1) }
-
-// ScanModes loads the scan-mode counters (cold, warm, retries).
-func (tc *Counters) ScanModes() (cold, warm, retries int64) {
-	return tc.scansCold.Load(), tc.scansWarm.Load(), tc.scanRetries.Load()
+// Count records n of a decision-time counter (a scan's access method, a
+// retry) in the query profile and the table.
+func (tc *Counters) Count(prof *qtrace.Profile, ctr qtrace.Counter, n int64) {
+	tc[ctr].Add(n)
+	prof.Count(ctr, n)
 }
 
-// FlushProfile copies a scan's private counters into the per-query
-// profile. Scans call it in Close, immediately before Counters.Add zeroes
-// the struct — each scan (or parallel worker shard) flushes exactly once,
-// so profiles merge across workers without double counting.
-func FlushProfile(p *qtrace.Profile, c *ScanCounters) {
-	if p == nil {
-		return
+// Load reads the cumulative totals.
+func (tc *Counters) Load() qtrace.Counts {
+	var c qtrace.Counts
+	for i := range tc {
+		c[i] = tc[i].Load()
 	}
-	p.Count(qtrace.CtrShortRows, c.ShortRows)
-	p.Count(qtrace.CtrTuplesParsed, c.TuplesParsed)
-	p.Count(qtrace.CtrFieldsParsed, c.FieldsParsed)
-	p.Count(qtrace.CtrFieldsFromMap, c.FieldsFromMap)
-	p.Count(qtrace.CtrFieldsFromScan, c.FieldsFromScan)
-	p.Count(qtrace.CtrCacheHits, c.CacheHits)
-	p.Count(qtrace.CtrCacheMisses, c.CacheMisses)
-}
-
-// Add publishes a scan's private counters and zeroes them.
-func (tc *Counters) Add(c *ScanCounters) {
-	tc.shortRows.Add(c.ShortRows)
-	tc.tuplesParsed.Add(c.TuplesParsed)
-	tc.fieldsParsed.Add(c.FieldsParsed)
-	tc.fieldsFromMap.Add(c.FieldsFromMap)
-	tc.fieldsFromScan.Add(c.FieldsFromScan)
-	tc.cacheHits.Add(c.CacheHits)
-	tc.cacheMisses.Add(c.CacheMisses)
-	*c = ScanCounters{}
-}
-
-// Snapshot loads the cumulative totals (e.g. to fold a worker shard's
-// counters into the shared table at merge time).
-func (tc *Counters) Snapshot() ScanCounters {
-	return ScanCounters{
-		ShortRows:      tc.shortRows.Load(),
-		TuplesParsed:   tc.tuplesParsed.Load(),
-		FieldsParsed:   tc.fieldsParsed.Load(),
-		FieldsFromMap:  tc.fieldsFromMap.Load(),
-		FieldsFromScan: tc.fieldsFromScan.Load(),
-		CacheHits:      tc.cacheHits.Load(),
-		CacheMisses:    tc.cacheMisses.Load(),
-	}
+	return c
 }

@@ -262,11 +262,8 @@ func (st *State) Metrics() Metrics {
 		m.PMEvictions = pm.Evictions
 	}
 	if st.Cache != nil {
-		cm := st.Cache.Metrics()
 		m.CacheBytes = st.Cache.Bytes()
 		m.CacheUsage = st.Cache.Usage()
-		m.CacheHits += cm.Hits
-		m.CacheMisses += cm.Misses
 	}
 	if st.St != nil {
 		m.StatsColumns = st.St.CoveredColumns()
@@ -277,26 +274,12 @@ func (st *State) Metrics() Metrics {
 // StatsLite implements Source: the atomically maintained subset of
 // Metrics, read WITHOUT the table lock, so observability scrapes never
 // wait behind a recording scan in flight. Positional-map and cache sizes
-// (owned by the exclusive hold) are omitted; cache hit/miss here covers
-// only the flushed scan counters, and per-tuple counters of a scan still
-// running are not yet included — the numbers trail in-flight work by one
-// scan, which is the right trade for a non-blocking scrape.
+// (owned by the exclusive hold) are omitted, and per-tuple counters of a
+// scan still running are not yet included — the numbers trail in-flight
+// work by one scan, which is the right trade for a non-blocking scrape.
 func (st *State) StatsLite() Metrics {
-	c := st.Counters.Snapshot()
-	cold, warm, retries := st.Counters.ScanModes()
-	return Metrics{
-		Rows:           st.Rows.Load(),
-		ShortRows:      c.ShortRows,
-		TuplesParsed:   c.TuplesParsed,
-		FieldsParsed:   c.FieldsParsed,
-		FieldsFromMap:  c.FieldsFromMap,
-		FieldsFromScan: c.FieldsFromScan,
-		CacheHits:      c.CacheHits,
-		CacheMisses:    c.CacheMisses,
-		ColdScans:      cold,
-		WarmScans:      warm,
-		ScanRetries:    retries,
-	}
+	c := st.Counters.Load()
+	return Metrics{Rows: st.Rows.Load(), ScanTotals: qtrace.Totals(&c)}
 }
 
 // FoldCollectors folds one partition shard's statistics collectors into
@@ -371,8 +354,7 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	if st.Cache != nil && st.Env.CacheBudget <= 0 {
 		shared = func() (exec.Operator, error) {
 			if st.FileUnchanged() && st.CacheCovers(needed) {
-				st.Counters.ScanStarted(true)
-				prof.Count(qtrace.CtrWarmScans, 1)
+				st.Counters.Count(prof, qtrace.CtrWarmScans, 1)
 				return NewCacheScan(ctx, st, outCols, conjuncts, true), nil
 			}
 			return nil, nil
@@ -392,12 +374,10 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 			// in parallel. (With a budget, reads churn the LRU and may
 			// create entries, so the scan keeps the exclusive hold.)
 			readonly := st.Env.CacheBudget <= 0
-			st.Counters.ScanStarted(true)
-			prof.Count(qtrace.CtrWarmScans, 1)
+			st.Counters.Count(prof, qtrace.CtrWarmScans, 1)
 			return NewCacheScan(ctx, st, outCols, conjuncts, readonly), readonly, nil
 		}
-		st.Counters.ScanStarted(false)
-		prof.Count(qtrace.CtrColdScans, 1)
+		st.Counters.Count(prof, qtrace.CtrColdScans, 1)
 		if w := st.ScanWorkers(); w > 1 && plan.Par != nil {
 			return plan.Par(ctx, w), false, nil
 		}
@@ -405,8 +385,7 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	}
 	gs := NewGuardedScan(ctx, st.Lk, cols, shared, exclusive)
 	retries, backoff := st.Env.RetryBudget()
-	gs.SetRetry(retries, backoff, st.InvalidateLocked)
-	gs.OnRetry(st.Counters.RetryTaken)
+	gs.SetRetry(retries, backoff, st.InvalidateLocked, &st.Counters)
 	if mgr := st.Env.Sidecar; mgr != nil {
 		// A recording scan may have extended the adaptive structures;
 		// schedule a (debounced) checkpoint once the scan closes and the

@@ -7,6 +7,7 @@ import (
 
 	"nodb/internal/datum"
 	"nodb/internal/format"
+	"nodb/internal/qtrace"
 )
 
 // decoder is the JSONL half of the in-situ scan (format.LineScan is the
@@ -73,7 +74,7 @@ func (d *decoder) Field(line []byte, col int, dst *datum.Datum) error {
 	if s.PMCursors != nil {
 		if rel, ok := s.PMCursors[col].Get(s.Row); ok && int(rel) < len(line) {
 			if v, err := d.parseValueAt(line, int(rel), col); err == nil {
-				s.C.FieldsFromMap++
+				s.C[qtrace.CtrFieldsFromMap]++
 				*dst = v
 				return nil
 			}
@@ -89,10 +90,10 @@ func (d *decoder) Field(line []byte, col int, dst *datum.Datum) error {
 		}
 		d.tokenized = true
 	}
-	s.C.FieldsFromScan++
+	s.C[qtrace.CtrFieldsFromScan]++
 	if d.tupGen[col] != d.curGen {
 		// Field absent from this object: NULL, like a short CSV row.
-		s.C.ShortRows++
+		s.C[qtrace.CtrShortRows]++
 		*dst = datum.NewNull(s.St.Types[col])
 		return nil
 	}

@@ -3,10 +3,14 @@
 // leaves, accumulating phase times (plan, bind, lock-wait, raw-scan,
 // cache-scan, IO) and resource counters (bytes read, tuples tokenized,
 // fields parsed, positional-map probes, cache hits, kernel batches) as the
-// query executes. It is the per-query view of what format.Metrics reports
-// engine-wide: NoDB's adaptation story — cost shifting from raw-file
+// query executes. NoDB's adaptation story — cost shifting from raw-file
 // parsing toward the positional map and the binary cache — made visible
 // one query at a time.
+//
+// qtrace also owns the counter taxonomy: each counter is defined once
+// (Counter and its CounterDef row), and the per-scan (Counts), per-query
+// (CounterSet), per-table and per-engine (ScanTotals) and Prometheus
+// views are derived from that definition.
 //
 // Threading contract: the profile rides the context (NewContext /
 // FromContext). Call sites capture the *Profile once at construction time;
@@ -73,62 +77,99 @@ func (ph Phase) String() string {
 	return "unknown"
 }
 
-// Counter identifies one per-query resource counter. The taxonomy mirrors
-// format.Metrics so the attribution tests can equate a single query's
-// profile with the engine-wide deltas it caused.
+// Counter identifies one resource counter. Its row in defs is its one
+// definition; every view of it derives from that row.
 type Counter uint8
 
+// The counters, in CounterSet field order; defs documents each one.
 const (
-	// CtrIOReads / CtrIOBytes count raw-file read calls and bytes through
-	// the iofault seam (CountFile), across all workers.
 	CtrIOReads Counter = iota
 	CtrIOBytes
-	// CtrTuplesParsed counts raw tuples tokenized end-to-end.
 	CtrTuplesParsed
-	// CtrFieldsParsed counts fields actually converted to datums.
 	CtrFieldsParsed
-	// CtrFieldsFromMap / CtrFieldsFromScan split field location between
-	// positional-map hits and sequential tokenizing.
 	CtrFieldsFromMap
 	CtrFieldsFromScan
-	// CtrShortRows counts tuples with fewer fields than the schema.
 	CtrShortRows
-	// CtrCacheHits / CtrCacheMisses count column-cache consultations.
 	CtrCacheHits
 	CtrCacheMisses
-	// CtrColdScans / CtrWarmScans count access-method decisions: raw-file
-	// (recording) scans versus cache-only scans.
 	CtrColdScans
 	CtrWarmScans
-	// CtrRetries counts scan restarts after mid-scan faults.
 	CtrRetries
-	// CtrWorkers counts parallel scan workers launched.
 	CtrWorkers
-	// CtrRowsOut counts rows delivered to the client cursor.
 	CtrRowsOut
-	// CtrKernelBatches counts batches a compiled kernel ran on: a scan
-	// narrowing by at least one compiled conjunct, a compiled residual
-	// filter, the fused projection tail. CtrGenericBatches counts batches
-	// through the generic BatchFilter/BatchProject operators.
 	CtrKernelBatches
 	CtrGenericBatches
-	numCounters
+	NumCounters
 )
 
-var counterNames = [numCounters]string{
-	"io_reads", "io_bytes", "tuples_parsed", "fields_parsed",
-	"fields_from_map", "fields_from_scan", "short_rows",
-	"cache_hits", "cache_misses", "cold_scans", "warm_scans",
-	"retries", "workers", "rows_out", "kernel_batches", "generic_batches",
+// Scope says which views show a counter.
+type Scope uint8
+
+const (
+	// ScopeQuery counters exist only in the per-query profile.
+	ScopeQuery Scope = iota
+	// ScopeTable counters are scan counters: scans count them into a
+	// private Counts and flush it at Close, so they also accumulate per
+	// table (format.Counters), per engine (nodb.Stats) and in Prometheus.
+	ScopeTable
+)
+
+// CounterDef is the one definition of a counter.
+type CounterDef struct {
+	Name  string // snake_case: profile JSON key and log name
+	Help  string // one-line meaning; the Prometheus HELP text
+	Scope Scope
+	Prom  string // Prometheus family of a table-scope counter
+}
+
+var defs = [NumCounters]CounterDef{
+	CtrIOReads:        {"io_reads", "Raw-file read calls through the iofault seam, across workers.", ScopeQuery, ""},
+	CtrIOBytes:        {"io_bytes", "Raw-file bytes read, across workers.", ScopeQuery, ""},
+	CtrTuplesParsed:   {"tuples_parsed", "Raw tuples tokenized during cold scans.", ScopeTable, "nodb_engine_tuples_parsed_total"},
+	CtrFieldsParsed:   {"fields_parsed", "Raw fields converted to binary values.", ScopeTable, "nodb_engine_fields_parsed_total"},
+	CtrFieldsFromMap:  {"fields_from_map", "Fields located via the positional map.", ScopeTable, "nodb_engine_fields_from_map_total"},
+	CtrFieldsFromScan: {"fields_from_scan", "Fields located by delimiter scanning.", ScopeTable, "nodb_engine_fields_from_scan_total"},
+	CtrShortRows:      {"short_rows", "Tuples with fewer fields than the schema.", ScopeTable, "nodb_engine_short_rows_total"},
+	CtrCacheHits:      {"cache_hits", "Binary column cache hits.", ScopeTable, "nodb_engine_colcache_hits_total"},
+	CtrCacheMisses:    {"cache_misses", "Binary column cache misses.", ScopeTable, "nodb_engine_colcache_misses_total"},
+	CtrColdScans:      {"cold_scans", "Scans that touched the raw file.", ScopeTable, "nodb_engine_scans_cold_total"},
+	CtrWarmScans:      {"warm_scans", "Scans served read-only from the binary cache.", ScopeTable, "nodb_engine_scans_warm_total"},
+	CtrRetries:        {"retries", "Scan retries after mid-scan invalidation.", ScopeTable, "nodb_engine_scan_retries_total"},
+	CtrWorkers:        {"workers", "Parallel scan workers launched.", ScopeQuery, ""},
+	CtrRowsOut:        {"rows_out", "Rows delivered to the client cursor.", ScopeQuery, ""},
+	CtrKernelBatches:  {"kernel_batches", "Batches a compiled kernel ran on (scan narrowing, residual filter, fused projection).", ScopeQuery, ""},
+	CtrGenericBatches: {"generic_batches", "Batches through the generic filter and projection operators.", ScopeQuery, ""},
+}
+
+// tableCounters lists the table-scope counters in definition order.
+var tableCounters = func() (out []Counter) {
+	for c := range NumCounters {
+		if defs[c].Scope == ScopeTable {
+			out = append(out, c)
+		}
+	}
+	return out
+}()
+
+// Def returns the counter's definition.
+func (c Counter) Def() CounterDef {
+	if c < NumCounters {
+		return defs[c]
+	}
+	return CounterDef{Name: "unknown"}
 }
 
 // String returns the snake_case counter name used in snapshots and logs.
-func (c Counter) String() string {
-	if int(c) < len(counterNames) {
-		return counterNames[c]
-	}
-	return "unknown"
-}
+func (c Counter) String() string { return c.Def().Name }
+
+// TableCounters lists the table-scope counters in definition order.
+// Callers must not modify the slice.
+func TableCounters() []Counter { return tableCounters }
+
+// Counts is one scan's private, unsynchronized counter set: the scan adds
+// to it on the hot path (a constant-index add) and flushes it once, at
+// Close, through format.Counters.Flush.
+type Counts [NumCounters]int64
 
 var nextID atomic.Uint64
 
@@ -149,7 +190,7 @@ type Profile struct {
 
 	cur    atomic.Int32 // live Phase for the inspector; -1 when idle
 	phases [numPhases]atomic.Int64
-	ctrs   [numCounters]atomic.Int64
+	ctrs   [NumCounters]atomic.Int64
 
 	root atomic.Pointer[Span] // operator tree, set by the planner
 	werr atomic.Pointer[string]
@@ -205,14 +246,6 @@ func (p *Profile) Count(c Counter, n int64) {
 		return
 	}
 	p.ctrs[c].Add(n)
-}
-
-// Counter returns the current value of c.
-func (p *Profile) Counter(c Counter) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.ctrs[c].Load()
 }
 
 var noopEnd = func() {}

@@ -23,8 +23,8 @@ func TestNilProfileAndSpanAreNoOps(t *testing.T) {
 	p.SetRoot(NewSpan("scan t"))
 	p.Enter(PhaseRawScan)()
 	p.Finish()
-	if p.ID() != 0 || p.Counter(CtrRowsOut) != 0 || p.Root() != nil || p.Running() {
-		t.Errorf("nil profile: id %d, rows_out %d, root %v, running %v", p.ID(), p.Counter(CtrRowsOut), p.Root(), p.Running())
+	if p.ID() != 0 || p.Snapshot().Ctrs.RowsOut != 0 || p.Root() != nil || p.Running() {
+		t.Errorf("nil profile: id %d, rows_out %d, root %v, running %v", p.ID(), p.Snapshot().Ctrs.RowsOut, p.Root(), p.Running())
 	}
 	if snap := p.Snapshot(); snap.ID != 0 || snap.Plan != nil || snap.Ctrs != (CounterSet{}) {
 		t.Errorf("nil profile snapshot = %+v, want zero", snap)
@@ -65,17 +65,17 @@ func TestNilProfileAndSpanAreNoOps(t *testing.T) {
 }
 
 // TestCounters: each counter accumulates independently, reads back through
-// Counter, and lands in the snapshot field named by its String.
+// CounterSet.Get, and lands in the snapshot field named by its String.
 func TestCounters(t *testing.T) {
 	p := New("q")
-	for c := Counter(0); c < numCounters; c++ {
+	for c := Counter(0); c < NumCounters; c++ {
 		p.Count(c, int64(c)+1)
 		p.Count(c, int64(c)+1)
 		p.Count(c, 0) // no-op
 	}
 	names := map[string]bool{}
-	for c := Counter(0); c < numCounters; c++ {
-		if got, want := p.Counter(c), 2*(int64(c)+1); got != want {
+	for c := Counter(0); c < NumCounters; c++ {
+		if got, want := p.Snapshot().Ctrs.Get(c), 2*(int64(c)+1); got != want {
 			t.Errorf("Counter(%s) = %d, want %d", c, got, want)
 		}
 		if names[c.String()] {
@@ -83,7 +83,7 @@ func TestCounters(t *testing.T) {
 		}
 		names[c.String()] = true
 	}
-	if Counter(numCounters).String() != "unknown" || Phase(numPhases).String() != "unknown" {
+	if Counter(NumCounters).String() != "unknown" || Phase(numPhases).String() != "unknown" {
 		t.Error("out-of-range counter and phase must print as unknown")
 	}
 
@@ -95,12 +95,62 @@ func TestCounters(t *testing.T) {
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if len(fields) != int(numCounters) {
-		t.Errorf("snapshot has %d counters, want %d: %s", len(fields), numCounters, raw)
+	if len(fields) != int(NumCounters) {
+		t.Errorf("snapshot has %d counters, want %d: %s", len(fields), NumCounters, raw)
 	}
-	for c := Counter(0); c < numCounters; c++ {
+	for c := Counter(0); c < NumCounters; c++ {
 		if got, want := fields[c.String()], 2*(int64(c)+1); got != want {
 			t.Errorf("snapshot counter %s = %d, want %d", c, got, want)
+		}
+	}
+}
+
+// TestCounterDefs: every counter has a name and help text; exactly the
+// table-scope counters name a Prometheus family, each its own; and
+// ScanTotals shows each table-scope counter under a field of its own.
+func TestCounterDefs(t *testing.T) {
+	var c Counts
+	for ctr := range NumCounters {
+		c[ctr] = int64(ctr) + 1
+	}
+	tot := Totals(&c)
+	proms := map[string]bool{}
+	for ctr := range NumCounters {
+		d := ctr.Def()
+		if d.Name == "" || d.Help == "" {
+			t.Errorf("counter %d: empty name or help: %+v", ctr, d)
+		}
+		if (d.Scope == ScopeTable) != (d.Prom != "") {
+			t.Errorf("counter %s: scope %d with Prometheus family %q", ctr, d.Scope, d.Prom)
+		}
+		if d.Scope != ScopeTable {
+			continue
+		}
+		if proms[d.Prom] {
+			t.Errorf("counter %s: Prometheus family %s is not unique", ctr, d.Prom)
+		}
+		proms[d.Prom] = true
+		if got := tot.Get(ctr); got != c[ctr] {
+			t.Errorf("ScanTotals.Get(%s) = %d, want %d", ctr, got, c[ctr])
+		}
+	}
+	if len(proms) != len(TableCounters()) {
+		t.Errorf("%d Prometheus families, %d table counters", len(proms), len(TableCounters()))
+	}
+	raw, err := json.Marshal(tot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]int64
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != len(TableCounters()) {
+		t.Errorf("ScanTotals has %d fields, want one per table counter: %s", len(fields), raw)
+	}
+	for name, v := range fields {
+		if v == 0 {
+			t.Errorf("ScanTotals.%s shows no counter", name)
 		}
 	}
 }
@@ -292,16 +342,16 @@ func TestContextAndReaders(t *testing.T) {
 	if err != nil || len(got) != 100 {
 		t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
 	}
-	reads := p.Counter(CtrIOReads)
-	if reads < 1 || p.Counter(CtrIOBytes) != 100 {
-		t.Errorf("sequential reads: %d calls, %d bytes", reads, p.Counter(CtrIOBytes))
+	reads := p.Snapshot().Ctrs.IOReads
+	if reads < 1 || p.Snapshot().Ctrs.IOBytes != 100 {
+		t.Errorf("sequential reads: %d calls, %d bytes", reads, p.Snapshot().Ctrs.IOBytes)
 	}
 	buf := make([]byte, 10)
 	if n, err := CountReaderAt(p, bytes.NewReader(data)).ReadAt(buf, 95); n != 5 || err != io.EOF {
 		t.Errorf("ReadAt = %d, %v", n, err)
 	}
-	if p.Counter(CtrIOReads) != reads+1 || p.Counter(CtrIOBytes) != 105 {
-		t.Errorf("positioned read: %d calls, %d bytes", p.Counter(CtrIOReads), p.Counter(CtrIOBytes))
+	if p.Snapshot().Ctrs.IOReads != reads+1 || p.Snapshot().Ctrs.IOBytes != 105 {
+		t.Errorf("positioned read: %d calls, %d bytes", p.Snapshot().Ctrs.IOReads, p.Snapshot().Ctrs.IOBytes)
 	}
 }
 

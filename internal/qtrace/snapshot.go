@@ -27,7 +27,8 @@ func (ps PhaseSet) TopLevelNS() int64 {
 	return ps.QueueNS + ps.PlanNS + ps.BindNS + ps.ExecuteNS
 }
 
-// CounterSet is the per-query resource account, mirroring format.Metrics.
+// CounterSet is the per-query resource account: every counter, under its
+// definition's name as the JSON key.
 type CounterSet struct {
 	IOReads        int64 `json:"io_reads,omitempty"`
 	IOBytes        int64 `json:"io_bytes,omitempty"`
@@ -46,6 +47,61 @@ type CounterSet struct {
 	KernelBatches  int64 `json:"kernel_batches,omitempty"`
 	GenericBatches int64 `json:"generic_batches,omitempty"`
 }
+
+// fields maps each counter to the field that shows it.
+func (cs *CounterSet) fields() [NumCounters]*int64 {
+	return [NumCounters]*int64{
+		CtrIOReads: &cs.IOReads, CtrIOBytes: &cs.IOBytes,
+		CtrTuplesParsed: &cs.TuplesParsed, CtrFieldsParsed: &cs.FieldsParsed,
+		CtrFieldsFromMap: &cs.FieldsFromMap, CtrFieldsFromScan: &cs.FieldsFromScan,
+		CtrShortRows: &cs.ShortRows, CtrCacheHits: &cs.CacheHits, CtrCacheMisses: &cs.CacheMisses,
+		CtrColdScans: &cs.ColdScans, CtrWarmScans: &cs.WarmScans, CtrRetries: &cs.Retries,
+		CtrWorkers: &cs.Workers, CtrRowsOut: &cs.RowsOut,
+		CtrKernelBatches: &cs.KernelBatches, CtrGenericBatches: &cs.GenericBatches,
+	}
+}
+
+// Get returns counter c.
+func (cs CounterSet) Get(c Counter) int64 { return *cs.fields()[c] }
+
+// ScanTotals shows the table-scope counters under named fields. It is
+// embedded untagged in the per-table (format.Metrics) and per-engine
+// (core.EngineStats) views, so its field names are their JSON keys.
+type ScanTotals struct {
+	ColdScans      int64
+	WarmScans      int64
+	ScanRetries    int64
+	TuplesParsed   int64
+	FieldsParsed   int64
+	FieldsFromMap  int64
+	FieldsFromScan int64
+	ShortRows      int64
+	CacheHits      int64
+	CacheMisses    int64
+}
+
+// fields maps each table-scope counter to the field that shows it.
+func (t *ScanTotals) fields() [NumCounters]*int64 {
+	return [NumCounters]*int64{
+		CtrColdScans: &t.ColdScans, CtrWarmScans: &t.WarmScans, CtrRetries: &t.ScanRetries,
+		CtrTuplesParsed: &t.TuplesParsed, CtrFieldsParsed: &t.FieldsParsed,
+		CtrFieldsFromMap: &t.FieldsFromMap, CtrFieldsFromScan: &t.FieldsFromScan,
+		CtrShortRows: &t.ShortRows, CtrCacheHits: &t.CacheHits, CtrCacheMisses: &t.CacheMisses,
+	}
+}
+
+// Totals shows the table-scope counters of c.
+func Totals(c *Counts) ScanTotals {
+	var t ScanTotals
+	f := t.fields()
+	for _, ctr := range tableCounters {
+		*f[ctr] = c[ctr]
+	}
+	return t
+}
+
+// Get returns counter c, which must be table-scope.
+func (t ScanTotals) Get(c Counter) int64 { return *t.fields()[c] }
 
 // Snapshot is the immutable, JSON-serializable view of a profile. It is
 // the payload of Rows.Profile(), the nodbd ?profile=1 trailer, the
@@ -98,23 +154,8 @@ func (p *Profile) Snapshot() Snapshot {
 	if other := s.WallNS - s.Phases.TopLevelNS(); other > 0 {
 		s.Phases.OtherNS = other
 	}
-	s.Ctrs = CounterSet{
-		IOReads:        p.ctrs[CtrIOReads].Load(),
-		IOBytes:        p.ctrs[CtrIOBytes].Load(),
-		TuplesParsed:   p.ctrs[CtrTuplesParsed].Load(),
-		FieldsParsed:   p.ctrs[CtrFieldsParsed].Load(),
-		FieldsFromMap:  p.ctrs[CtrFieldsFromMap].Load(),
-		FieldsFromScan: p.ctrs[CtrFieldsFromScan].Load(),
-		ShortRows:      p.ctrs[CtrShortRows].Load(),
-		CacheHits:      p.ctrs[CtrCacheHits].Load(),
-		CacheMisses:    p.ctrs[CtrCacheMisses].Load(),
-		ColdScans:      p.ctrs[CtrColdScans].Load(),
-		WarmScans:      p.ctrs[CtrWarmScans].Load(),
-		Retries:        p.ctrs[CtrRetries].Load(),
-		Workers:        p.ctrs[CtrWorkers].Load(),
-		RowsOut:        p.ctrs[CtrRowsOut].Load(),
-		KernelBatches:  p.ctrs[CtrKernelBatches].Load(),
-		GenericBatches: p.ctrs[CtrGenericBatches].Load(),
+	for c, f := range s.Ctrs.fields() {
+		*f = p.ctrs[c].Load()
 	}
 	if root := p.root.Load(); root != nil {
 		info := root.snapshot()

@@ -3,6 +3,7 @@ package server
 import (
 	"nodb"
 	"nodb/internal/metrics"
+	"nodb/internal/qtrace"
 )
 
 // serverMetrics is every instrument the HTTP layer records into. The
@@ -46,7 +47,9 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 
 // registerEngineMetrics exposes the engine's internal counters as callback
 // instruments: each scrape takes a fresh non-blocking nodb.Stats snapshot
-// (atomics only — a scrape never waits behind a running scan).
+// (atomics only — a scrape never waits behind a running scan). The scan
+// counters export one family per table-scope qtrace counter, named and
+// described by its definition.
 func registerEngineMetrics(reg *metrics.Registry, db *nodb.DB) {
 	counter := func(name, help string, pick func(nodb.Stats) int64) {
 		reg.RegisterFunc(name, help, false, func() int64 { return pick(db.Stats()) })
@@ -66,22 +69,10 @@ func registerEngineMetrics(reg *metrics.Registry, db *nodb.DB) {
 		func(s nodb.Stats) int64 { return s.KernelCache.Misses })
 	counter("nodb_engine_kernel_cache_evictions_total", "Compiled-kernel program cache evictions.",
 		func(s nodb.Stats) int64 { return s.KernelCache.Evictions })
-	counter("nodb_engine_scans_cold_total", "Scans that touched the raw file.",
-		func(s nodb.Stats) int64 { return s.ColdScans })
-	counter("nodb_engine_scans_warm_total", "Scans served read-only from the binary cache.",
-		func(s nodb.Stats) int64 { return s.WarmScans })
-	counter("nodb_engine_scan_retries_total", "Scan retries after mid-scan invalidation.",
-		func(s nodb.Stats) int64 { return s.ScanRetries })
-	counter("nodb_engine_tuples_parsed_total", "Raw tuples tokenized during cold scans.",
-		func(s nodb.Stats) int64 { return s.TuplesParsed })
-	counter("nodb_engine_fields_from_map_total", "Fields located via the positional map.",
-		func(s nodb.Stats) int64 { return s.FieldsFromMap })
-	counter("nodb_engine_fields_from_scan_total", "Fields located by delimiter scanning.",
-		func(s nodb.Stats) int64 { return s.FieldsFromScan })
-	counter("nodb_engine_colcache_hits_total", "Binary column cache hits.",
-		func(s nodb.Stats) int64 { return s.CacheHits })
-	counter("nodb_engine_colcache_misses_total", "Binary column cache misses.",
-		func(s nodb.Stats) int64 { return s.CacheMisses })
+	for _, c := range qtrace.TableCounters() {
+		d := c.Def()
+		counter(d.Prom, d.Help, func(s nodb.Stats) int64 { return s.Get(c) })
+	}
 	gauge("nodb_engine_tables_touched", "Tables with instantiated format sources.",
 		func(s nodb.Stats) int64 { return int64(s.TablesTouched) })
 	gauge("nodb_engine_rows_known", "Known row counts summed over touched tables.",

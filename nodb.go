@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"nodb/internal/core"
 	"nodb/internal/datum"
@@ -61,9 +62,9 @@ var (
 	// ErrCorruptAux reports auxiliary state (positional map, cache)
 	// inconsistent with the file — it is dropped and rebuilt.
 	ErrCorruptAux = format.ErrCorruptAux
-	// ErrRetriesExhausted reports that cold-rebuild retries (see
-	// Options.ScanRetries) were exhausted without a clean pass; the last
-	// underlying cause is wrapped.
+	// ErrRetriesExhausted reports that a scan's cold-rebuild retries (two
+	// after the first attempt) were exhausted without a clean pass; the
+	// last underlying cause is wrapped.
 	ErrRetriesExhausted = format.ErrRetriesExhausted
 )
 
@@ -110,6 +111,26 @@ const (
 
 func (m Mode) coreMode() core.Mode { return core.Mode(m) }
 
+// ParseMode resolves a mode name, case-insensitively: pm+cache (or pmcache,
+// pm+c), pm, cache (or c), external-files (or external, baseline),
+// load-first (or loaded). The nodb and nodbd -mode flags and the driver's
+// mode= DSN key all go through it.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "pm+cache", "pmcache", "pm+c":
+		return ModePMCache, nil
+	case "pm":
+		return ModePM, nil
+	case "cache", "c":
+		return ModeCache, nil
+	case "external-files", "external", "baseline":
+		return ModeExternalFiles, nil
+	case "load-first", "loaded":
+		return ModeLoadFirst, nil
+	}
+	return 0, fmt.Errorf("nodb: unknown mode %q", name)
+}
+
 // Options configure a DB. The zero value is the recommended PostgresRaw
 // configuration with unlimited budgets and statistics enabled.
 type Options struct {
@@ -145,12 +166,6 @@ type Options struct {
 	// the repo benchmark's result oracle (benchmark/oracle.go) and the
 	// ablations that compare the two; it is also an escape hatch.
 	DisableVectorized bool
-	// PlanCacheSize caps the prepared-statement cache (entries; 0 = 256).
-	// Statements are cached by normalized SQL and shared across sessions;
-	// each entry carries the statement's resolved plan skeleton, so
-	// repeated (parameterized) executions skip resolution and
-	// classification and only re-bind literal values.
-	PlanCacheSize int
 	// DisableKernels turns off the query-shape kernel compiler: supported
 	// filter and projection shapes then run through the generic vectorized
 	// expression walk instead of fused type-specialized kernels. Results
@@ -158,14 +173,6 @@ type Options struct {
 	// (benchmark/oracle.go) and the ablations that compare the two paths;
 	// it is also an escape hatch.
 	DisableKernels bool
-	// ScanRetries bounds how many additional cold attempts a scan makes
-	// after a retryable raw-file fault — the file changed or vanished
-	// underneath the adaptive structures, or a read failed (0 = default
-	// of 2, negative = no retries). Each retry invalidates the table's
-	// adaptive state and rebuilds from the current bytes; an exhausted
-	// budget surfaces ErrRetriesExhausted. Queries never return rows from
-	// mixed file versions regardless of this setting.
-	ScanRetries int
 	// Sidecar configures durable adaptive state: when enabled, each
 	// table's positional map, cached columns, statistics and access
 	// counters checkpoint into a versioned, checksummed sidecar file next
@@ -279,8 +286,8 @@ type DB struct {
 }
 
 // validate rejects option values the engine would otherwise misbehave on
-// silently, and normalizes the documented zero/negative conventions.
-func (o *Options) validate() error {
+// silently.
+func (o Options) validate() error {
 	if o.Mode < ModePMCache || o.Mode > ModeLoadFirst {
 		return fmt.Errorf("nodb: unknown Mode %d", o.Mode)
 	}
@@ -289,9 +296,6 @@ func (o *Options) validate() error {
 	}
 	if o.BatchSize < 0 {
 		return fmt.Errorf("nodb: BatchSize must be >= 0 (0 = default %d), got %d", 1024, o.BatchSize)
-	}
-	if o.PlanCacheSize < 0 {
-		return fmt.Errorf("nodb: PlanCacheSize must be >= 0 (0 = default 256), got %d", o.PlanCacheSize)
 	}
 	if o.PositionalMapBudget < 0 {
 		return fmt.Errorf("nodb: PositionalMapBudget must be >= 0 (0 = unlimited), got %d", o.PositionalMapBudget)
@@ -306,12 +310,6 @@ func (o *Options) validate() error {
 		if err := probeDir(o.Sidecar.Dir); err != nil {
 			return fmt.Errorf("nodb: Sidecar.Dir %q is not a writable directory: %w", o.Sidecar.Dir, err)
 		}
-	}
-	// ScanRetries: negative is the documented "no retries" convention;
-	// normalize every negative value to -1 so callers cannot depend on
-	// the magnitude.
-	if o.ScanRetries < 0 {
-		o.ScanRetries = -1
 	}
 	return nil
 }
@@ -355,9 +353,7 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		Parallelism:       opts.Parallelism,
 		BatchSize:         opts.BatchSize,
 		DisableVectorized: opts.DisableVectorized,
-		PlanCacheSize:     opts.PlanCacheSize,
 		DisableKernels:    opts.DisableKernels,
-		ScanRetries:       opts.ScanRetries,
 		Sidecar: core.SidecarOptions{
 			Enable:   opts.Sidecar.Enable,
 			Dir:      opts.Sidecar.Dir,

@@ -16,7 +16,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"negative parallelism", Options{Parallelism: -1}, "Parallelism"},
 		{"negative batch size", Options{BatchSize: -8}, "BatchSize"},
-		{"negative plan cache", Options{PlanCacheSize: -1}, "PlanCacheSize"},
 		{"negative pm budget", Options{PositionalMapBudget: -1}, "PositionalMapBudget"},
 		{"negative cache budget", Options{CacheBudget: -100}, "CacheBudget"},
 		{"unknown mode", Options{Mode: Mode(99)}, "Mode"},
@@ -38,13 +37,11 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestOptionsZeroAndNormalized: the documented zero-value defaults and the
-// negative-ScanRetries "no retries" convention must keep working.
+// TestOptionsZeroAndNormalized: the documented zero-value defaults and
+// the smallest legal explicit values must keep working.
 func TestOptionsZeroAndNormalized(t *testing.T) {
 	for _, opts := range []Options{
 		{},                             // all defaults
-		{ScanRetries: -1},              // documented: no retries
-		{ScanRetries: -99},             // normalized to the same
 		{Parallelism: 1, BatchSize: 1}, // smallest legal explicit values
 		{Sidecar: SidecarOptions{MaxBytes: 1 << 20}}, // budget without Enable is inert but legal
 		{Sidecar: SidecarOptions{Enable: true, Dir: t.TempDir()}},
@@ -57,6 +54,28 @@ func TestOptionsZeroAndNormalized(t *testing.T) {
 			t.Fatalf("query with %+v: %v", opts, err)
 		}
 		db.Close()
+	}
+}
+
+// TestParseMode: every alias of every mode resolves, case-insensitively;
+// anything else is an error naming the input.
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{
+		"pm+cache": ModePMCache, "pmcache": ModePMCache, "pm+c": ModePMCache, "PM+Cache": ModePMCache,
+		"pm": ModePM, "PM": ModePM,
+		"cache": ModeCache, "c": ModeCache, "Cache": ModeCache,
+		"external-files": ModeExternalFiles, "external": ModeExternalFiles, "baseline": ModeExternalFiles,
+		"External-Files": ModeExternalFiles, "BASELINE": ModeExternalFiles,
+		"load-first": ModeLoadFirst, "loaded": ModeLoadFirst, "LOAD-FIRST": ModeLoadFirst,
+	} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "warp", "pm+", "load first"} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("ParseMode(%q) error = %v, want unknown mode", bad, err)
+		}
 	}
 }
 
