@@ -27,7 +27,6 @@
 //	mode          pm+cache | pm | cache | external-files | load-first
 //	              (default pm+cache)
 //	parallelism   worker goroutines for cold scans (0 = GOMAXPROCS)
-//	batch         vectorized batch size (0 = 1024)
 //	pm-budget     positional map budget in bytes (0 = unlimited)
 //	cache-budget  binary cache budget in bytes (0 = unlimited)
 //	stats         on | off (default on)
@@ -128,12 +127,6 @@ func parseDSN(dsn string) (config, error) {
 				return cfg, fmt.Errorf("%w: bad parallelism %q", ErrBadDSN, v)
 			}
 			cfg.opts.Parallelism = n
-		case "batch":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return cfg, fmt.Errorf("%w: bad batch %q", ErrBadDSN, v)
-			}
-			cfg.opts.BatchSize = n
 		case "pm-budget":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {

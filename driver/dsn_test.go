@@ -24,7 +24,6 @@ func TestParseDSNErrors(t *testing.T) {
 		{"missing schema", "mode=pm", "schema=PATH"},
 		{"empty dsn", "", "schema=PATH"},
 		{"bad parallelism", "schema=s.nodb;parallelism=lots", "parallelism"},
-		{"bad batch", "schema=s.nodb;batch=big", "batch"},
 		{"bad pm-budget", "schema=s.nodb;pm-budget=1e9", "pm-budget"},
 		{"bad cache-budget", "schema=s.nodb;cache-budget=much", "cache-budget"},
 		{"bad stats", "schema=s.nodb;stats=maybe", "stats"},
@@ -51,7 +50,7 @@ func TestParseDSNErrors(t *testing.T) {
 // TestParseDSNValid: well-formed DSNs map onto the engine options, with
 // semicolons, spaces, and mixed separators all accepted.
 func TestParseDSNValid(t *testing.T) {
-	cfg, err := parseDSN("schema=/data/w.nodb; mode=pm parallelism=4\tbatch=512;pm-budget=1048576 cache-budget=2097152;stats=off;data-dir=/tmp/heap;dir=/data;sidecar=on;sidecar-dir=/tmp/aux;sidecar-max-bytes=4096")
+	cfg, err := parseDSN("schema=/data/w.nodb; mode=pm parallelism=4\tpm-budget=1048576 cache-budget=2097152;stats=off;data-dir=/tmp/heap;dir=/data;sidecar=on;sidecar-dir=/tmp/aux;sidecar-max-bytes=4096")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestParseDSNValid(t *testing.T) {
 		t.Errorf("schema/dir = %q/%q", cfg.schema, cfg.dir)
 	}
 	want := nodb.Options{
-		Mode: nodb.ModePM, Parallelism: 4, BatchSize: 512,
+		Mode: nodb.ModePM, Parallelism: 4,
 		PositionalMapBudget: 1 << 20, CacheBudget: 2 << 20,
 		DisableStatistics: true, DataDir: "/tmp/heap",
 		Sidecar: nodb.SidecarOptions{Enable: true, Dir: "/tmp/aux", MaxBytes: 4096},

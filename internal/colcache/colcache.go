@@ -703,8 +703,8 @@ func (v View) Get(row int) (datum.Datum, bool) {
 // contiguous subslice of the entry's typed payload array. For Text columns
 // that subslice is the per-batch string arena — the batch's datums alias
 // one contiguous run of string headers instead of probing two bitmaps per
-// row, which is what keeps the fused filter+project kernels reading these
-// vectors cheap.
+// row, which is what keeps the compiled filter and projection kernels
+// reading these vectors cheap.
 //
 //nodb:hotpath
 func (v View) GetBatch(start, n int, dst []datum.Datum) bool {

@@ -66,7 +66,7 @@ var benchQueries = []struct{ name, sql string }{
 }
 
 // BenchmarkWarmScanRow measures the DisableVectorized engine — one-row
-// batches through the interpreted walk — over a fully cached table.
+// batches through the row interpreter — over a fully cached table.
 // Compare against BenchmarkWarmScanBatch:
 //
 //	go test -bench 'BenchmarkWarmScan(Row|Batch)' ./internal/core/
@@ -180,7 +180,7 @@ func scanSpans(sp qtrace.SpanInfo) []qtrace.SpanInfo {
 // per DefaultBatchSize input rows — while the DisableVectorized engine
 // moves one row per batch; both return the same rows. With -timing-gate
 // the vectorized pipeline must also clear 1.5x the throughput of one-row
-// batches through the interpreted walk, measured with testing.Benchmark.
+// batches through the row interpreter, measured with testing.Benchmark.
 func TestBatchSpeedupOnWarmScan(t *testing.T) {
 	const rows = 20_000
 	sql := "SELECT id, b + 1, c * 2.0 FROM wide WHERE a < 4"
@@ -243,7 +243,7 @@ func TestBatchSpeedupOnWarmScan(t *testing.T) {
 // row per batch, with no kernel batch. Both return the same rows. With
 // -timing-gate the default engine must also answer both queries at least
 // 1.3x faster, each side its best of five interleaved runs. (Q12's CASE
-// aggregate arguments run the generic walk on the default engine too, so
+// aggregate arguments run the row interpreter on the default engine too, so
 // the gate does not require zero generic batches.)
 func TestJoinSpeedupOnWarmTPCH(t *testing.T) {
 	dir := t.TempDir()

@@ -119,11 +119,12 @@ type Options struct {
 	Parallelism int
 	// BatchSize is how many rows a vectorized batch carries between
 	// operators (0 = exec.DefaultBatchSize). Results are identical for any
-	// setting >= 1.
+	// setting >= 1. Only tests and DisableVectorized set it; nodb.Options
+	// does not expose it.
 	BatchSize int
 	// DisableVectorized runs every operator over one-row batches through
-	// the interpreted expression walk: Open translates it into BatchSize 1
-	// plus DisableKernels, and the planner makes the operators it builds
+	// the row interpreter: Open translates it into BatchSize 1 plus
+	// DisableKernels, and the planner makes the operators it builds
 	// (join, aggregation output, sort) emit one-row batches too. Results
 	// are byte-identical to the default. The switch serves the repo
 	// benchmark's result oracle and the ablations that compare the two.
@@ -136,12 +137,11 @@ type Options struct {
 	// values, so late binding survives the caching. Only tests set it;
 	// nodb.Options does not expose it.
 	PlanCacheSize int
-	// DisableKernels turns off the query-shape kernel compiler: plans fall
-	// back to the generic vectorized expression walk (expr.EvalBatch /
-	// expr.FilterBatch) and the separate Filter/Project operators. Results
-	// are identical. The switch serves the repo benchmark's result oracle
-	// and the ablations that compare the two paths; it is also an escape
-	// hatch.
+	// DisableKernels turns off the query-shape kernel compiler: plans bind
+	// no compiled closures, so expr.EvalBatch / expr.FilterBatch run the
+	// row interpreter at every live position. Results are identical. The
+	// switch serves the repo benchmark's result oracle and the ablations
+	// that compare the two paths; it is also an escape hatch.
 	DisableKernels bool
 	// ScanRetries bounds how many additional cold attempts a scan makes
 	// after a retryable raw-file fault — the file changed or vanished

@@ -7,7 +7,7 @@ import (
 
 // benchKernelEngine opens a warm engine with the kernel compiler on or
 // off; both share the vectorized batch pipeline, so the measured delta
-// isolates compiled kernels + fused tail vs the generic expression walk.
+// isolates compiled kernels vs the row interpreter.
 func benchKernelEngine(tb testing.TB, rows int, disableKernels bool) *Engine {
 	tb.Helper()
 	cat := buildFixture(tb, tb.TempDir(), rows)
@@ -26,11 +26,12 @@ func benchKernelEngine(tb testing.TB, rows int, disableKernels bool) *Engine {
 	return e
 }
 
-// BenchmarkWarmScanGeneric measures the generic vectorized pipeline on a
-// fully cached table. Compare against BenchmarkWarmScanKernels:
+// BenchmarkWarmScanInterpreted measures the vectorized pipeline with the
+// row interpreter on a fully cached table. Compare against
+// BenchmarkWarmScanKernels:
 //
-//	go test -bench 'BenchmarkWarmScan(Generic|Kernels)' ./internal/core/
-func BenchmarkWarmScanGeneric(b *testing.B) {
+//	go test -bench 'BenchmarkWarmScan(Interpreted|Kernels)' ./internal/core/
+func BenchmarkWarmScanInterpreted(b *testing.B) {
 	for _, q := range benchQueries {
 		b.Run(q.name, func(b *testing.B) {
 			benchKernelScan(b, q.sql, true)
@@ -38,7 +39,7 @@ func BenchmarkWarmScanGeneric(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmScanKernels measures the fused kernel path on the
+// BenchmarkWarmScanKernels measures the compiled kernel path on the
 // identical workload.
 func BenchmarkWarmScanKernels(b *testing.B) {
 	for _, q := range benchQueries {
@@ -63,11 +64,11 @@ func benchKernelScan(b *testing.B, sql string, disableKernels bool) {
 // TestKernelSpeedupOnWarmScan gates the kernel tier on a warm cached
 // multi-conjunct Filter+Project query. Both engines run the identical
 // batch pipeline over the identical cache. Deterministically, the default
-// engine must run every batch through compiled kernels under a fused
-// projection tail, and the DisableKernels engine every batch through the
-// generic walk under a plain projection; both return the same rows. With
-// -timing-gate the compiled path must also clear 1.1x the generic
-// pipeline's throughput: each attempt interleaves generic/kernel pairs
+// engine must run every batch through compiled kernels, and the
+// DisableKernels engine every batch through the row interpreter; both
+// return the same rows under the same projection. With -timing-gate the
+// compiled path must also clear 1.1x the interpreted pipeline's
+// throughput: each attempt interleaves interpreted/kernel pairs
 // and takes the median ratio, so frequency drift between measurement
 // windows cannot fake a pass or a failure.
 func TestKernelSpeedupOnWarmScan(t *testing.T) {
@@ -81,8 +82,8 @@ func TestKernelSpeedupOnWarmScan(t *testing.T) {
 	if gs.Plan.Rows != ks.Plan.Rows {
 		t.Fatalf("generic and kernel engines returned %d and %d rows", gs.Plan.Rows, ks.Plan.Rows)
 	}
-	if ks.Ctrs.KernelBatches == 0 || ks.Ctrs.GenericBatches != 0 || ks.Plan.Label != "fused project" {
-		t.Errorf("kernel engine: %d kernel batches, %d generic batches, root %q; want > 0, 0 and \"fused project\"",
+	if ks.Ctrs.KernelBatches == 0 || ks.Ctrs.GenericBatches != 0 || ks.Plan.Label != "project" {
+		t.Errorf("kernel engine: %d kernel batches, %d generic batches, root %q; want > 0, 0 and \"project\"",
 			ks.Ctrs.KernelBatches, ks.Ctrs.GenericBatches, ks.Plan.Label)
 	}
 	if gs.Ctrs.KernelBatches != 0 || gs.Ctrs.GenericBatches == 0 || gs.Plan.Label != "project" {
@@ -119,5 +120,5 @@ func TestKernelSpeedupOnWarmScan(t *testing.T) {
 			return
 		}
 	}
-	t.Errorf("fused kernel warm scan speedup %.2fx < %.1fx target after 3 attempts", speedup, floor)
+	t.Errorf("kernel warm scan speedup %.2fx < %.1fx target after 3 attempts", speedup, floor)
 }

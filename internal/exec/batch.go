@@ -125,8 +125,8 @@ func (f *Filter) Close() error { return f.child.Close() }
 func (f *Filter) Columns() []Col { return f.child.Columns() }
 
 // Project computes output expressions column-at-a-time via
-// expr.EvalBatch, so a projection costs one expression-tree dispatch per
-// column per batch instead of per row.
+// expr.EvalBatch: a compiled kernel where the planner bound one, the row
+// interpreter at each live position otherwise.
 type Project struct {
 	child   Operator
 	exprs   []expr.Expr

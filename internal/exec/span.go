@@ -31,7 +31,7 @@ func NewSpan(sp *qtrace.Span, child Operator) *Span {
 }
 
 // CountBatches also bumps ctr on p once per produced batch — the planner
-// uses it to split compiled-kernel batches from generic vectorized ones.
+// uses it to split compiled-kernel batches from row-interpreter ones.
 func (s *Span) CountBatches(p *qtrace.Profile, ctr qtrace.Counter) {
 	s.p, s.ctr, s.hasC = p, ctr, true
 }

@@ -29,151 +29,6 @@ func randomBatch(rng *rand.Rand, n int) [][]datum.Datum {
 	return cols
 }
 
-// exprsUnderTest is the shape zoo the batch kernels must agree with Eval
-// on: typed fast paths, flipped constants, BETWEEN, IN, IS NULL, logic,
-// arithmetic, CASE (fallback path) and LIKE (fallback path).
-func exprsUnderTest() []Expr {
-	col := func(i int) Expr { return &ColRef{Index: i} }
-	ci := func(v int64) Expr { return &Const{D: datum.NewInt(v)} }
-	cf := func(v float64) Expr { return &Const{D: datum.NewFloat(v)} }
-	return []Expr{
-		&BinOp{Op: Lt, L: col(0), R: ci(17)},
-		&BinOp{Op: Ge, L: col(0), R: ci(0)},
-		&BinOp{Op: Eq, L: col(0), R: ci(3)},
-		&BinOp{Op: Ne, L: col(2), R: &Const{D: datum.NewText("c")}},
-		&BinOp{Op: Gt, L: ci(17), R: col(0)}, // flipped const side
-		&BinOp{Op: Le, L: col(1), R: cf(8.5)},
-		&BinOp{Op: Lt, L: col(1), R: ci(9)},  // float col vs int const
-		&BinOp{Op: Ge, L: col(0), R: cf(.5)}, // int col vs float const
-		&BinOp{Op: Lt, L: col(3), R: &Const{D: datum.NewDate(10200)}},
-		&BinOp{Op: Lt, L: col(0), R: col(1)}, // col vs col
-		&Between{E: col(0), Lo: ci(5), Hi: ci(30)},
-		&Between{E: col(3), Lo: &Const{D: datum.NewDate(10100)}, Hi: &Const{D: datum.NewDate(10300)}},
-		&Between{E: col(1), Lo: cf(1), Hi: cf(12)},
-		&In{E: col(0), List: []datum.Datum{datum.NewInt(1), datum.NewInt(4), datum.NewInt(9)}},
-		&In{E: col(2), List: []datum.Datum{datum.NewText("a"), datum.NewText("d")}, Negate: true},
-		&IsNull{E: col(1)},
-		&IsNull{E: col(0), Negate: true},
-		&Not{E: &BinOp{Op: Lt, L: col(0), R: ci(10)}},
-		&Neg{E: col(0)},
-		&BinOp{Op: And,
-			L: &BinOp{Op: Ge, L: col(0), R: ci(0)},
-			R: &BinOp{Op: Lt, L: col(1), R: cf(10)}},
-		&BinOp{Op: Or,
-			L: &BinOp{Op: Lt, L: col(0), R: ci(-5)},
-			R: &BinOp{Op: Gt, L: col(1), R: cf(15)}},
-		&BinOp{Op: Add, L: col(0), R: ci(7)},
-		&BinOp{Op: Mul, L: col(1), R: cf(3)},
-		&BinOp{Op: Sub, L: col(3), R: ci(30)}, // date - int days
-		&BinOp{Op: Div, L: col(1), R: cf(4)},
-		&BinOp{Op: Add, L: col(0), R: col(1)}, // int + float promotion
-		&Like{E: col(2), Pattern: "a%"},
-		&Case{Whens: []When{{Cond: &BinOp{Op: Lt, L: col(0), R: ci(0)}, Then: ci(-1)}}, Else: ci(1)},
-		col(4),
-		&Const{D: datum.NewInt(42)},
-	}
-}
-
-// TestEvalBatchMatchesEval compares EvalBatch against per-row Eval for
-// every expression shape, with and without a selection vector.
-func TestEvalBatchMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 257
-	cols := randomBatch(rng, n)
-	var sel []int
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) != 0 {
-			sel = append(sel, i)
-		}
-	}
-	row := make([]datum.Datum, len(cols))
-	for ei, e := range exprsUnderTest() {
-		for _, s := range [][]int{nil, sel} {
-			out := make([]datum.Datum, n)
-			if err := EvalBatch(e, cols, n, s, out); err != nil {
-				t.Fatalf("expr %d (%s): EvalBatch: %v", ei, e, err)
-			}
-			iter := s
-			if iter == nil {
-				iter = make([]int, n)
-				for i := range iter {
-					iter[i] = i
-				}
-			}
-			for _, i := range iter {
-				for j := range cols {
-					row[j] = cols[j][i]
-				}
-				want, err := e.Eval(row)
-				if err != nil {
-					t.Fatalf("expr %d (%s): Eval: %v", ei, e, err)
-				}
-				got := out[i]
-				if want.Null() != got.Null() || (!want.Null() && datum.Compare(want, got) != 0) {
-					t.Fatalf("expr %d (%s) row %d: Eval=%v EvalBatch=%v", ei, e, i, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestFilterBatchMatchesTruthy compares FilterBatch's surviving selection
-// against TruthyResult row by row.
-func TestFilterBatchMatchesTruthy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 193
-	cols := randomBatch(rng, n)
-	var sel []int
-	for i := 0; i < n; i++ {
-		if rng.Intn(4) != 0 {
-			sel = append(sel, i)
-		}
-	}
-	row := make([]datum.Datum, len(cols))
-	for ei, e := range exprsUnderTest() {
-		if _, ok := e.(*Neg); ok {
-			continue // not a predicate
-		}
-		if b, ok := e.(*BinOp); ok && b.Op >= Add && b.Op <= Div {
-			continue // not a predicate
-		}
-		for _, s := range [][]int{nil, sel} {
-			got, err := FilterBatch(e, cols, n, s, nil)
-			if err != nil {
-				t.Fatalf("expr %d (%s): FilterBatch: %v", ei, e, err)
-			}
-			iter := s
-			if iter == nil {
-				iter = make([]int, n)
-				for i := range iter {
-					iter[i] = i
-				}
-			}
-			var want []int
-			for _, i := range iter {
-				for j := range cols {
-					row[j] = cols[j][i]
-				}
-				ok, err := TruthyResult(e, row)
-				if err != nil {
-					t.Fatalf("expr %d (%s): TruthyResult: %v", ei, e, err)
-				}
-				if ok {
-					want = append(want, i)
-				}
-			}
-			if len(want) != len(got) {
-				t.Fatalf("expr %d (%s): %d vs %d survivors", ei, e, len(want), len(got))
-			}
-			for k := range want {
-				if want[k] != got[k] {
-					t.Fatalf("expr %d (%s): survivor %d: %d vs %d", ei, e, k, want[k], got[k])
-				}
-			}
-		}
-	}
-}
-
 // TestFilterBatchInPlace pins the documented aliasing guarantee: narrowing
 // a selection into its own storage is safe.
 func TestFilterBatchInPlace(t *testing.T) {

@@ -106,24 +106,29 @@ func (b *BinOp) Eval(row []datum.Datum) (datum.Datum, error) {
 	case Add, Sub, Mul, Div:
 		return evalArith(b.Op, l, r)
 	default:
-		c := datum.Compare(l, r)
-		var v bool
-		switch b.Op {
-		case Eq:
-			v = c == 0
-		case Ne:
-			v = c != 0
-		case Lt:
-			v = c < 0
-		case Le:
-			v = c <= 0
-		case Gt:
-			v = c > 0
-		case Ge:
-			v = c >= 0
-		}
-		return datum.NewBool(v), nil
+		return datum.NewBool(CmpMatches(b.Op, datum.Compare(l, r))), nil
 	}
+}
+
+// CmpMatches reports whether a three-way comparison result (datum.Compare)
+// satisfies a comparison operator. The interpreter and the compiled
+// kernels (internal/kernel) share it, so the two cannot diverge.
+func CmpMatches(op Op, c int) bool {
+	switch op {
+	case Eq:
+		return c == 0
+	case Ne:
+		return c != 0
+	case Lt:
+		return c < 0
+	case Le:
+		return c <= 0
+	case Gt:
+		return c > 0
+	case Ge:
+		return c >= 0
+	}
+	return false
 }
 
 func (b *BinOp) evalLogic(row []datum.Datum) (datum.Datum, error) {

@@ -6,7 +6,7 @@ package expr
 // execution re-binds them to that execution's literal values (BindSlots)
 // without re-running name resolution. The internal/kernel compiler then
 // attaches type-specialized batch closures to the bound trees as Kernel
-// nodes, which EvalBatch/FilterBatch prefer over the generic tree walk.
+// nodes, which EvalBatch/FilterBatch run in place of the row interpreter.
 
 import (
 	"fmt"
@@ -174,24 +174,24 @@ func bindSlots(e Expr, bind func(*Slot) (datum.Datum, error)) (Expr, bool, error
 }
 
 // Kernel pairs an expression with compiled, type-specialized batch
-// implementations (built by internal/kernel). The vectorized evaluators
-// prefer the compiled closures; the scalar path and every structural walk
-// (Columns, String) defer to the wrapped tree, so the two representations
-// cannot diverge semantically.
+// implementations (built by internal/kernel). EvalBatch and FilterBatch
+// run the compiled closures; Eval, a batch a closure declines, and every
+// structural walk (Columns, String) use the wrapped tree through the row
+// interpreter, the reference the closures are tested against.
 type Kernel struct {
 	E Expr
 	// Filter narrows a selection to the live positions where E is true
 	// (NULL drops the row), appending survivors to buf in ascending order —
 	// the FilterBatch contract. ok=false means the batch does not have the
-	// layout the kernel was compiled for and the caller must fall back to
-	// the interpreted tree. Filter closures are stateless: one conjunct's
-	// Kernel is shared by the partition workers of a parallel scan. Nil
-	// when the shape compiled as a value program.
+	// layout the kernel was compiled for and the caller must run the row
+	// interpreter over E instead. Filter closures are stateless: one
+	// conjunct's Kernel is shared by the partition workers of a parallel
+	// scan. Nil when the shape compiled as a value program.
 	Filter func(cols [][]datum.Datum, n int, sel []int, buf []int) ([]int, bool)
 	// EvalVec computes E at every live position of the batch as a typed
 	// vector (see Vec). ok=false means a live value's type tag disagreed
 	// with the program's static types (or a column is missing), and the
-	// caller must evaluate the interpreted tree for this batch. The
+	// caller must run the row interpreter over E for this batch. The
 	// returned vector and the program's scratch are reused by the next
 	// call: a Kernel carrying EvalVec belongs to one operator and is never
 	// shared across goroutines. Nil when the shape compiled as a predicate.

@@ -1,8 +1,9 @@
-// Package kernel is the query-shape kernel compiler: it turns the
-// scan→filter→project shape of a resolved plan into fused, type-specialized
-// batch closures that replace the generic expression-tree walk
-// (expr.EvalBatch / expr.FilterBatch) and the Filter/Project operator hops
-// of the vectorized executor.
+// Package kernel is the query-shape kernel compiler: it turns the filter
+// and value expressions of a resolved plan into type-specialized batch
+// closures that expr.FilterBatch and expr.EvalBatch run in place of the
+// row interpreter. Kernels are compiled expressions only; the operators
+// that run them (scans, exec.Filter, exec.Project, hash aggregation) live
+// in their own packages.
 //
 // The design follows the code-generation line of work on raw data
 // processing (Zhang, "Code Generation Techniques for Raw Data Processing"):
@@ -22,9 +23,8 @@
 //     program's prep stage — no recompilation.
 //   - Instantiated kernels attach to the plan as expr.Kernel nodes: filters
 //     ride the conjuncts pushed into scans, so the cache scan's selection
-//     narrowing runs compiled; value programs ride aggregate arguments and
-//     the outputs of the Fused operator (projection plus any residual
-//     filter in one pass, replacing Filter+Project).
+//     narrowing runs compiled, and the residual filter; value programs
+//     ride aggregate arguments and the projection's non-column outputs.
 //
 // Supported predicate shapes: Int/Float/Date/Text/Bool comparisons against
 // literals, comparisons between two columns, BETWEEN, IN, IS [NOT] NULL
@@ -32,10 +32,10 @@
 // columns, literals and nested arithmetic — compile to typed programs over
 // []int64/[]float64 vectors (value.go): hash aggregation folds their
 // vectors directly, projection materializes Datums from them, and a
-// subtree they cannot express falls back per node to expr.EvalBatch.
-// Everything else falls back to the interpreted tree — the compiled and
-// interpreted paths are built to be byte-identical, and the equivalence
-// suites enforce it.
+// subtree they cannot express runs the row interpreter per node.
+// Everything else runs the row interpreter — the compiled and interpreted
+// paths are built to be byte-identical, and the differential test and the
+// equivalence suites enforce it.
 package kernel
 
 import (

@@ -239,7 +239,7 @@ func evalExprs() []expr.Expr {
 
 // TestEvalDeclinesUnprofitableBindings: bindings without a typed form —
 // NULL or non-numeric literals, a Text operand — decline at instantiation
-// so the generic walk serves them.
+// so the row interpreter serves them.
 func TestEvalDeclinesUnprofitableBindings(t *testing.T) {
 	c := NewCache(0)
 	ints := col(0, datum.Int)

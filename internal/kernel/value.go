@@ -10,11 +10,11 @@ package kernel
 // NULL operand yields the typed NULL the interpreter produces.
 //
 // A subtree the typed walk cannot express (CASE, LIKE, a Text operand …)
-// becomes a fallback slot: expr.EvalBatch evaluates it and its Datums load
-// into a typed vector. A live value whose tag disagrees with its node's
-// static type makes the program report ok=false for that batch, and the
-// caller evaluates the interpreted tree instead — the filter kernels'
-// layout guard, applied to types.
+// becomes a fallback slot: expr.EvalBatch runs the row interpreter over it
+// and its Datums load into a typed vector. A live value whose tag
+// disagrees with its node's static type makes the program report ok=false
+// for that batch, and the caller runs the row interpreter instead — the
+// filter kernels' layout guard, applied to types.
 
 import (
 	"fmt"
@@ -249,7 +249,8 @@ func colNode(idx int, t datum.Type) vecFn {
 	}
 }
 
-// fallNode evaluates a subtree with the generic walk and loads the result.
+// fallNode evaluates a subtree with the row interpreter and loads the
+// result.
 func fallNode(e expr.Expr, t datum.Type) vecFn {
 	b := &buf{v: expr.Vec{T: t}}
 	return func(cols [][]datum.Datum, n int, live []int) (*expr.Vec, bool, error) {

@@ -32,13 +32,11 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 
 	// Attach compiled filter kernels to supported conjunct shapes; the
 	// scans' batch paths (cache-scan selection narrowing) run them in
-	// place of the generic tree walk. Ordering and selectivity estimation
+	// place of the row interpreter. Ordering and selectivity estimation
 	// ran on the unwrapped trees above.
-	if kc := bi.opts.KernelCache; kc != nil {
-		for ti := range pushed {
-			for i, c := range pushed[ti] {
-				pushed[ti][i] = kc.Predicate(c)
-			}
+	for ti := range pushed {
+		for i, c := range pushed[ti] {
+			pushed[ti][i] = bi.opts.KernelCache.Predicate(c)
 		}
 	}
 

@@ -81,11 +81,10 @@ type Options struct {
 	// Every operator speaks batches either way, and results are identical.
 	Vectorize bool
 	// KernelCache, when non-nil, enables the query-shape kernel compiler
-	// (internal/kernel): supported filter conjuncts attach compiled
-	// type-specialized batch closures, and the final filter+project tail of
-	// a vectorized pipeline (over a scan or a join) runs as one fused
-	// operator instead of the generic expression walk. Results are
-	// identical; nil disables compilation.
+	// (internal/kernel): supported filter conjuncts, aggregate arguments and
+	// projection outputs attach compiled type-specialized batch closures,
+	// which run in place of the row interpreter. Results are identical;
+	// nil disables compilation.
 	KernelCache *kernel.Cache
 	// Ctx bounds the execution the plan is built for; it flows into every
 	// scan leaf so a cancelled context aborts running scans promptly. Nil

@@ -10,7 +10,6 @@ import (
 	"nodb/internal/datum"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
-	"nodb/internal/kernel"
 	"nodb/internal/qtrace"
 	"nodb/internal/sqlparse"
 )
@@ -284,10 +283,7 @@ func (bi *binder) bind() (*Result, error) {
 
 	// Residual filter (multi-table, non-equi). A residual filter breaks
 	// the live-row-count correspondence between the leaf and the pipeline
-	// top, so LIMIT pushdown must not reach past it. With kernels on and
-	// no aggregation the residual is deferred into the fused tail operator
-	// instead of its own Filter hop.
-	var fusedPred expr.Expr
+	// top, so LIMIT pushdown must not reach past it.
 	if len(sk.residual) > 0 {
 		bound, err := bi.bindList(sk.residual)
 		if err != nil {
@@ -298,18 +294,12 @@ func (bi *binder) bind() (*Result, error) {
 			return nil, err
 		}
 		leaf = nil
-		if kc != nil {
-			re = kc.Predicate(re)
+		re = kc.Predicate(re)
+		ctr := qtrace.CtrGenericBatches
+		if hasKernel(re) {
+			ctr = qtrace.CtrKernelBatches
 		}
-		if kc != nil && !sk.aggregated {
-			fusedPred = re
-		} else {
-			ctr := qtrace.CtrGenericBatches
-			if hasKernel(re) {
-				ctr = qtrace.CtrKernelBatches
-			}
-			root = bi.span("filter", exec.NewFilter(root, re), ctr, true, bi.curSpan)
-		}
+		root = bi.span("filter", exec.NewFilter(root, re), ctr, true, bi.curSpan)
 	}
 
 	// Aggregation. Select items were rewritten during resolution to
@@ -323,7 +313,9 @@ func (bi *binder) bind() (*Result, error) {
 	}
 
 	// Final projection. Output types re-derive from the bound expressions,
-	// so a parameter in the select list types after its value.
+	// so a parameter in the select list types after its value. A bare
+	// column reference aliases its input column; every other output binds
+	// through the kernel cache.
 	outCols := make([]exec.Col, len(sk.items))
 	outExprs := make([]expr.Expr, len(sk.items))
 	for i, it := range sk.items {
@@ -341,16 +333,17 @@ func (bi *binder) bind() (*Result, error) {
 		if typ == datum.Unknown {
 			typ = it.typ
 		}
+		if _, ok := e.(*expr.ColRef); !ok {
+			e = kc.Value(e)
+		}
 		outExprs[i] = e
 		outCols[i] = exec.Col{Name: it.name, Type: typ}
 	}
-	if kc != nil {
-		root = bi.span("fused project", kernel.NewFused(kc, root, fusedPred, outExprs, outCols),
-			qtrace.CtrKernelBatches, true, bi.curSpan)
-	} else {
-		root = bi.span("project", exec.NewProject(root, outExprs, outCols),
-			qtrace.CtrGenericBatches, true, bi.curSpan)
+	ctr := qtrace.CtrGenericBatches
+	if kc != nil && !interprets(outExprs) {
+		ctr = qtrace.CtrKernelBatches
 	}
+	root = bi.span("project", exec.NewProject(root, outExprs, outCols), ctr, true, bi.curSpan)
 
 	// ORDER BY over the projection output.
 	if len(sk.orderBy) > 0 {

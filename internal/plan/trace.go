@@ -15,7 +15,7 @@ import (
 
 // span wraps op with a span over the given children and makes that span
 // the current pipeline top's. When counted, produced batches also bump ctr
-// on the profile — the kernel-versus-generic vectorized split.
+// on the profile — the compiled-kernel versus row-interpreter split.
 func (bi *binder) span(label string, op exec.Operator, ctr qtrace.Counter, counted bool, children ...*qtrace.Span) exec.Operator {
 	if bi.prof == nil {
 		return op
@@ -33,6 +33,19 @@ func (bi *binder) span(label string, op exec.Operator, ctr qtrace.Counter, count
 func hasKernel(preds ...expr.Expr) bool {
 	for _, e := range preds {
 		if _, ok := e.(*expr.Kernel); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// interprets reports whether any projection output runs the row
+// interpreter: neither a bare column reference nor a compiled kernel.
+func interprets(outs []expr.Expr) bool {
+	for _, e := range outs {
+		switch e.(type) {
+		case *expr.ColRef, *expr.Kernel:
+		default:
 			return true
 		}
 	}

@@ -137,8 +137,8 @@ var defs = [NumCounters]CounterDef{
 	CtrRetries:        {"retries", "Scan retries after mid-scan invalidation.", ScopeTable, "nodb_engine_scan_retries_total"},
 	CtrWorkers:        {"workers", "Parallel scan workers launched.", ScopeQuery, ""},
 	CtrRowsOut:        {"rows_out", "Rows delivered to the client cursor.", ScopeQuery, ""},
-	CtrKernelBatches:  {"kernel_batches", "Batches a compiled kernel ran on (scan narrowing, residual filter, fused projection).", ScopeQuery, ""},
-	CtrGenericBatches: {"generic_batches", "Batches through the generic filter and projection operators.", ScopeQuery, ""},
+	CtrKernelBatches:  {"kernel_batches", "Batches a compiled kernel ran on (scan narrowing, residual filter, projection, aggregate arguments).", ScopeQuery, ""},
+	CtrGenericBatches: {"generic_batches", "Batches whose filter, projection or aggregate arguments ran through the row interpreter.", ScopeQuery, ""},
 }
 
 // tableCounters lists the table-scope counters in definition order.

@@ -155,23 +155,19 @@ type Options struct {
 	// or cache budget (the budgets cap memory that per-worker shards would
 	// otherwise exceed).
 	Parallelism int
-	// BatchSize is how many rows one vectorized execution batch carries
-	// between operators (0 = 1024). Results are identical for any
-	// setting >= 1.
-	BatchSize int
 	// DisableVectorized runs the one executor over one-row batches through
-	// the interpreted expression walk: BatchSize becomes 1, the kernel
+	// the row interpreter: scans read one row per batch, the kernel
 	// compiler is off, and joins, aggregation output and sorts emit one-row
 	// batches too. Results are identical to the default. The switch serves
 	// the repo benchmark's result oracle (benchmark/oracle.go) and the
 	// ablations that compare the two; it is also an escape hatch.
 	DisableVectorized bool
-	// DisableKernels turns off the query-shape kernel compiler: supported
-	// filter and projection shapes then run through the generic vectorized
-	// expression walk instead of fused type-specialized kernels. Results
-	// are identical. The switch serves the repo benchmark's result oracle
-	// (benchmark/oracle.go) and the ablations that compare the two paths;
-	// it is also an escape hatch.
+	// DisableKernels turns off the query-shape kernel compiler: filters,
+	// projections and aggregate arguments then run through the row
+	// interpreter at every live position instead of compiled
+	// type-specialized closures. Results are identical. The switch serves
+	// the repo benchmark's result oracle (benchmark/oracle.go) and the
+	// ablations that compare the two paths; it is also an escape hatch.
 	DisableKernels bool
 	// Sidecar configures durable adaptive state: when enabled, each
 	// table's positional map, cached columns, statistics and access
@@ -294,9 +290,6 @@ func (o Options) validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("nodb: Parallelism must be >= 0 (0 = GOMAXPROCS), got %d", o.Parallelism)
 	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("nodb: BatchSize must be >= 0 (0 = default %d), got %d", 1024, o.BatchSize)
-	}
 	if o.PositionalMapBudget < 0 {
 		return fmt.Errorf("nodb: PositionalMapBudget must be >= 0 (0 = unlimited), got %d", o.PositionalMapBudget)
 	}
@@ -351,7 +344,6 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		Statistics:        !opts.DisableStatistics,
 		DataDir:           opts.DataDir,
 		Parallelism:       opts.Parallelism,
-		BatchSize:         opts.BatchSize,
 		DisableVectorized: opts.DisableVectorized,
 		DisableKernels:    opts.DisableKernels,
 		Sidecar: core.SidecarOptions{

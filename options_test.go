@@ -15,7 +15,6 @@ func TestOptionsValidation(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"negative parallelism", Options{Parallelism: -1}, "Parallelism"},
-		{"negative batch size", Options{BatchSize: -8}, "BatchSize"},
 		{"negative pm budget", Options{PositionalMapBudget: -1}, "PositionalMapBudget"},
 		{"negative cache budget", Options{CacheBudget: -100}, "CacheBudget"},
 		{"unknown mode", Options{Mode: Mode(99)}, "Mode"},
@@ -41,8 +40,8 @@ func TestOptionsValidation(t *testing.T) {
 // the smallest legal explicit values must keep working.
 func TestOptionsZeroAndNormalized(t *testing.T) {
 	for _, opts := range []Options{
-		{},                             // all defaults
-		{Parallelism: 1, BatchSize: 1}, // smallest legal explicit values
+		{},               // all defaults
+		{Parallelism: 1}, // smallest legal explicit values
 		{Sidecar: SidecarOptions{MaxBytes: 1 << 20}}, // budget without Enable is inert but legal
 		{Sidecar: SidecarOptions{Enable: true, Dir: t.TempDir()}},
 	} {

@@ -170,7 +170,7 @@ func tpchTestDB(t *testing.T, opts Options) *DB {
 // join as an unprofiled one. Its "hash join" spans report build rows, probe
 // rows and output batches, the scans below still annotate their access
 // method, and on a warm Q3 those scans deliver batches narrowed by compiled
-// kernels — none by the interpreted walk.
+// kernels — none by the row interpreter.
 func TestProfileJoin(t *testing.T) {
 	db := tpchTestDB(t, Options{})
 	q3 := tpch.Queries["Q3"]
