@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"nodb"
-	"nodb/internal/iofault"
 	"nodb/internal/metrics"
 	"nodb/internal/server"
 )
@@ -62,7 +61,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	slowQuery := flag.Duration("slow-query", 0, "log the full execution profile of queries slower than this (0 = off)")
 	profileRing := flag.Int("profile-ring", 64, "completed query profiles kept for /debug/queries")
-	faultLatency := flag.Duration("iofault-latency", 0, "inject this much latency into every raw-file I/O through the iofault seam (testing only; makes slow-query logging reproducible)")
 	sidecar := flag.Bool("sidecar", false, "persist adaptive state to crash-safe sidecar files (warm restarts)")
 	sidecarDir := flag.String("sidecar-dir", "", "directory for sidecar files (default: next to each raw file)")
 	sidecarMax := flag.Int64("sidecar-max-bytes", 0, "per-table sidecar size budget in bytes (0 = unlimited)")
@@ -98,13 +96,6 @@ func main() {
 		log.Fatalf("nodbd: %v", err)
 	}
 	defer db.Close()
-
-	if *faultLatency > 0 {
-		log.Printf("nodbd: TESTING ONLY: injecting %s latency per raw-file I/O", *faultLatency)
-		for _, t := range db.Tables() {
-			iofault.Inject(t.Path, iofault.Profile{Latency: *faultLatency})
-		}
-	}
 
 	reg := metrics.NewRegistry()
 	srv, err := server.New(server.Config{

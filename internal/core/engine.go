@@ -26,7 +26,7 @@
 // resulting format.Source, never mentioning a concrete format. CSV, FITS
 // and JSON-Lines adapters are built in (see formats.go); all of them share
 // the same scan machinery (per-table lock, guarded access-method decision,
-// partitioned worker pool, binary-cache fast path).
+// partitioned cold scan, binary-cache fast path).
 //
 // An Engine is safe for concurrent use. Sessions share the adaptive
 // structures through per-table locks: scans that record into the
@@ -86,8 +86,6 @@ type Options struct {
 	// PMBudget caps the positional map's in-memory attribute-position
 	// bytes; <= 0 is unlimited. Tuple start offsets are always kept.
 	PMBudget int64
-	// PMChunkRows overrides the positional map chunk height.
-	PMChunkRows int
 	// CacheBudget caps the binary cache size in bytes; <= 0 is unlimited.
 	CacheBudget int64
 	// Statistics enables on-the-fly statistics collection and
@@ -176,7 +174,6 @@ func (o Options) env() format.Env {
 		Statistics:    o.Statistics,
 		FullParse:     o.FullParse,
 		PMBudget:      o.PMBudget,
-		PMChunkRows:   o.PMChunkRows,
 		CacheBudget:   o.CacheBudget,
 		ScanChunkSize: o.ScanChunkSize,
 		Parallelism:   o.Parallelism,

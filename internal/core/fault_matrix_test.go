@@ -349,6 +349,60 @@ func TestFaultMatrixParallelEIO(t *testing.T) {
 	}
 }
 
+// TestFaultMatrixMutateDuringParallelScan: the file's mtime moves while
+// a partitioned cold pass is mid-stream. Every range can still end
+// cleanly, so only the shard merge's file check can tell: the drain must
+// report ErrFileChanged for every format, never EOF over rows from two
+// file versions, and the next query must rebuild from the current file.
+func TestFaultMatrixMutateDuringParallelScan(t *testing.T) {
+	for _, f := range faultFormats {
+		t.Run(f, func(t *testing.T) {
+			defer testutil.CheckLeaks(t)()
+			path := faultPath(t, f)
+			writeFaultTable(t, f, path, 20000, 2)
+			e := openFaultEngine(t, faultCatalog(t, f, path), func(o *Options) {
+				o.Parallelism = 4
+				o.ScanRetries = -1
+			})
+			defer e.Close()
+
+			p, err := e.PrepareStmt("SELECT id, v FROM t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, _, err := p.Plan(context.Background(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := op.NextBatch(); err != nil {
+				op.Close()
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				op.Close()
+				t.Fatal(err)
+			}
+			bump := fi.ModTime().Add(2 * time.Second)
+			if err := os.Chtimes(path, bump, bump); err != nil {
+				op.Close()
+				t.Fatal(err)
+			}
+			for err == nil {
+				_, err = op.NextBatch()
+			}
+			op.Close()
+			if !errors.Is(err, format.ErrFileChanged) {
+				t.Fatalf("drain after the mtime moved = %v, want ErrFileChanged", err)
+			}
+			verifyFaultRows(t, mustQuery(t, e, faultQuery), 20000, 2)
+		})
+	}
+}
+
 // TestFaultPoolErrorAggregation is the regression test for the parallel
 // worker pool dropping real errors: a worker that faults mid-file must
 // surface its error deterministically — never swallowed by a racing

@@ -28,10 +28,9 @@ type rawTable struct {
 type csvDriver struct{}
 
 // Caps implements format.Driver: CSV is the only built-in format the
-// conventional load-first baseline can bulk-load, and its newline-aligned
-// byte ranges partition for parallel cold scans.
+// conventional load-first baseline can bulk-load.
 func (csvDriver) Caps() format.Caps {
-	return format.Caps{Loadable: true, Partitionable: true}
+	return format.Caps{Loadable: true}
 }
 
 // Open implements format.Driver.

@@ -625,94 +625,3 @@ func TestCount(t *testing.T) {
 		t.Errorf("Count = %d err %v", n, err)
 	}
 }
-
-func TestOrderedBatchSource(t *testing.T) {
-	cols := []Col{{Name: "x", Type: datum.Int}}
-	mkBatch := func(vals ...int) *Batch {
-		b := NewBatch(1, len(vals))
-		for _, v := range vals {
-			b.Cols[0] = append(b.Cols[0], datum.NewInt(int64(v)))
-		}
-		b.N = len(vals)
-		return b
-	}
-	var finished int
-	src := NewOrderedBatchSource(cols,
-		func() ([]<-chan BatchMsg, error) {
-			// Three producers finishing out of order; partition order must
-			// still come out.
-			chans := make([]chan BatchMsg, 3)
-			for i := range chans {
-				chans[i] = make(chan BatchMsg, 2)
-			}
-			go func() {
-				chans[2] <- BatchMsg{B: mkBatch(5, 6)}
-				close(chans[2])
-				chans[0] <- BatchMsg{B: mkBatch(0, 1)}
-				chans[0] <- BatchMsg{B: mkBatch(2)}
-				close(chans[0])
-				chans[1] <- BatchMsg{B: mkBatch(3, 4)}
-				close(chans[1])
-			}()
-			out := make([]<-chan BatchMsg, 3)
-			for i, c := range chans {
-				out[i] = c
-			}
-			return out, nil
-		},
-		func() error { finished++; return nil },
-		nil)
-	if src.Columns()[0].Name != "x" {
-		t.Fatal("columns lost")
-	}
-	rows, err := Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i, r := range rows {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("row %d = %v (order broken)", i, r)
-		}
-	}
-	if finished != 1 {
-		t.Errorf("finish ran %d times", finished)
-	}
-	// EOF is sticky and does not re-run finish.
-	if _, err := src.NextBatch(); err != io.EOF {
-		t.Errorf("second EOF = %v", err)
-	}
-	if finished != 1 {
-		t.Errorf("finish re-ran: %d", finished)
-	}
-}
-
-func TestOrderedBatchSourceError(t *testing.T) {
-	boom := fmt.Errorf("boom")
-	var stopped, finished bool
-	src := NewOrderedBatchSource(nil,
-		func() ([]<-chan BatchMsg, error) {
-			one := NewBatch(1, 1)
-			one.Cols[0] = append(one.Cols[0], datum.NewInt(1))
-			one.N = 1
-			ch := make(chan BatchMsg, 2)
-			ch <- BatchMsg{B: one}
-			ch <- BatchMsg{Err: boom}
-			close(ch)
-			return []<-chan BatchMsg{ch}, nil
-		},
-		func() error { finished = true; return nil },
-		func() error { stopped = true; return nil })
-	_, err := Drain(src)
-	if err != boom {
-		t.Fatalf("err = %v", err)
-	}
-	if finished {
-		t.Error("finish must not run after an error")
-	}
-	if !stopped {
-		t.Error("stop must run on Close")
-	}
-}

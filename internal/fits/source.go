@@ -13,6 +13,7 @@ import (
 	"nodb/internal/format"
 	"nodb/internal/qtrace"
 	"nodb/internal/schema"
+	"nodb/internal/stats"
 )
 
 // Source is the FITS format adapter (paper §5.3: "The FITS-enabled
@@ -20,7 +21,7 @@ import (
 // It rides the shared scan machinery of internal/format: the per-table
 // context-aware RW lock (warm cache readers hold it shared and overlap —
 // replacing the old one-scan-at-a-time mutex), the guarded access-method
-// decision, the binary-cache fast path, and the partitioned worker pool.
+// decision, the binary-cache fast path, and the partitioned scan.
 //
 // Binary rows are fixed width, so no positional map is needed — column
 // offsets are implicit, and scans partition trivially by row index. The
@@ -38,15 +39,14 @@ type driver struct{}
 
 func init() { format.Register("fits", driver{}) }
 
-// Caps implements format.Driver. FITS partitions by row index; it cannot
-// be bulk-loaded (conventional DBMS do not support loading FITS, which is
-// exactly the paper's §5.3 point) and its self-describing header leaves no
-// room for appends.
+// Caps implements format.Driver. FITS cannot be bulk-loaded
+// (conventional DBMS do not support loading FITS, which is exactly the
+// paper's §5.3 point) and its self-describing header leaves no room for
+// appends.
 func (driver) Caps() format.Caps {
 	return format.Caps{
-		Loadable:      false,
-		LoadErr:       "FITS tables cannot be bulk-loaded; conventional DBMS do not support loading FITS (paper §5.3)",
-		Partitionable: true,
+		Loadable: false,
+		LoadErr:  "FITS tables cannot be bulk-loaded; conventional DBMS do not support loading FITS (paper §5.3)",
 	}
 }
 
@@ -103,15 +103,25 @@ func validateBinding(t *Table, tbl *schema.Table) error {
 
 // OpenScan implements format.Source through the shared access-method
 // decision: read-only cache scans under shared holds when the cache
-// covers, a row-index-partitioned worker-pool pass on a cold table, a
-// sequential recording pass otherwise.
+// covers, a row-range partitioned pass on a cold table, a sequential
+// recording pass otherwise.
 func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return s.NewScan(ctx, cols, conjuncts, format.ScanPlan{
 		Seq: func(ctx context.Context) exec.Operator {
-			return newFITSScan(ctx, s, cols, conjuncts, 0, s.t.NRows, s.Cache, 0, &s.Counters)
+			return newFITSScan(ctx, s.State, s.t, cols, conjuncts, 0, s.t.NRows)
 		},
 		Par: func(ctx context.Context, workers int) exec.Operator {
-			return newParallelFITSScan(ctx, s, cols, conjuncts, workers)
+			// Contiguous row ranges, one per worker, each decoded into a
+			// private cache shard.
+			return s.NewPartitionedScan(ctx, cols, workers, func(workers int) ([]format.Part, func() error, error) {
+				nrows := s.t.NRows
+				n := max(min(int64(workers), nrows), 1)
+				parts := make([]format.Part, n)
+				for i := range n {
+					parts[i] = newFITSScan(ctx, s.Shard(), s.t, cols, conjuncts, nrows*i/n, nrows*(i+1)/n)
+				}
+				return parts, nil, nil
+			})
 		},
 		Refresh: s.refresh,
 	}), nil
@@ -178,25 +188,23 @@ func (s *Source) Invalidate() {
 // Close implements format.Source: it closes the FITS file.
 func (s *Source) Close() error { return s.t.Close() }
 
-// fitsScan is the recording pass over rows [lo, hi): it decodes the
-// needed columns straight into column-major batches (fixed-width rows
-// columnarize trivially), filters with the vectorized kernels, and fills
-// the binary cache as it goes. Cancellation is observed every 256 rows,
-// exactly like the CSV pipeline. It honors LIMIT row budgets.
+// fitsScan is the recording pass over rows [lo, hi) into st — the
+// table's own State, or a partition worker's shard (State.Shard): it
+// decodes the needed columns straight into column-major batches
+// (fixed-width rows columnarize trivially), filters with the vectorized
+// kernels, and fills st's binary cache as it goes, at rows relative to lo.
+// Cancellation is observed every 256 rows, exactly like the CSV pipeline.
+// It honors LIMIT row budgets.
 type fitsScan struct {
 	ctx       context.Context
 	prof      *qtrace.Profile // nil unless the query context carries one
-	src       *Source
+	st        *format.State
 	t         *Table
 	outCols   []int
 	conjuncts []expr.Expr
 	cols      []exec.Col
 	needed    []int
 	lo, hi    int64
-
-	cache     *colcache.Cache  // destination: shared (sequential) or worker shard
-	cacheBase int64            // row offset subtracted before cache writes
-	sink      *format.Counters // where Close flushes the scan counters
 
 	rd      *Reader
 	views   []colcache.View
@@ -211,28 +219,27 @@ type fitsScan struct {
 	batch     *exec.Batch
 	outBatch  *exec.Batch
 	selBuf    []int
+
+	pend *exec.Batch // Fill: the batch being copied out, next live row at k
+	k    int
 }
 
-func newFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr,
-	lo, hi int64, cache *colcache.Cache, cacheBase int64, sink *format.Counters) *fitsScan {
+func newFITSScan(ctx context.Context, st *format.State, t *Table, outCols []int, conjuncts []expr.Expr, lo, hi int64) *fitsScan {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return &fitsScan{
 		ctx:       ctx,
 		prof:      qtrace.FromContext(ctx),
-		src:       src,
-		t:         src.t,
+		st:        st,
+		t:         t,
 		outCols:   outCols,
 		conjuncts: conjuncts,
-		cols:      format.OutputSchema(src.Tbl, outCols),
+		cols:      format.OutputSchema(st.Tbl, outCols),
 		needed:    format.NeededColumns(outCols, conjuncts),
 		lo:        lo,
 		hi:        hi,
-		cache:     cache,
-		cacheBase: cacheBase,
-		sink:      sink,
-		batchSize: src.BatchSize(),
+		batchSize: st.BatchSize(),
 		budget:    -1,
 	}
 }
@@ -242,6 +249,9 @@ func (s *fitsScan) Columns() []exec.Col { return s.cols }
 
 // SetRowBudget implements exec.RowBudgeter.
 func (s *fitsScan) SetRowBudget(n int64) { s.budget = n }
+
+// Shard implements format.Part. FITS keeps no statistics.
+func (s *fitsScan) Shard() (*format.State, []*stats.Collector) { return s.st, nil }
 
 // Open positions the range reader and acquires cache views.
 func (s *fitsScan) Open() error {
@@ -254,24 +264,25 @@ func (s *fitsScan) Open() error {
 	}
 	s.row = s.lo
 	s.produced = 0
-	if s.cache != nil {
+	s.pend, s.k = nil, 0
+	if cache := s.st.Cache; cache != nil {
 		if s.views == nil {
-			s.views = make([]colcache.View, s.src.Tbl.NumColumns())
+			s.views = make([]colcache.View, s.st.Tbl.NumColumns())
 		}
 		for i := range s.views {
 			s.views[i] = colcache.View{}
 		}
 		for _, c := range s.needed {
-			s.views[c] = s.cache.View(c, s.src.Types[c])
+			s.views[c] = cache.View(c, s.st.Types[c])
 		}
 	}
 	return nil
 }
 
-// Close publishes the scan's counters (each worker shard flushes exactly
-// once).
+// Close publishes the scan's counters into st (each worker shard flushes
+// exactly once).
 func (s *fitsScan) Close() error {
-	s.sink.Flush(s.prof, &s.c)
+	s.st.Counters.Flush(s.prof, &s.c)
 	return nil
 }
 
@@ -279,7 +290,7 @@ func (s *fitsScan) Close() error {
 // narrows the selection vector conjunct by conjunct.
 func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 	if s.batch == nil {
-		s.batch = &exec.Batch{Cols: make([][]datum.Datum, s.src.Tbl.NumColumns())}
+		s.batch = &exec.Batch{Cols: make([][]datum.Datum, s.st.Tbl.NumColumns())}
 		s.outBatch = &exec.Batch{Cols: make([][]datum.Datum, len(s.outCols))}
 	}
 	for {
@@ -287,6 +298,7 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 			return nil, err
 		}
 		if s.row >= s.hi {
+			s.st.Rows.Store(s.hi - s.lo)
 			return nil, io.EOF
 		}
 		if s.budget >= 0 && s.produced >= s.budget {
@@ -318,9 +330,9 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 			buf, err := s.rd.Next(s.needed, s.readBuf)
 			s.readBuf = buf
 			if err != nil {
-				return nil, fmt.Errorf("fits: %s row %d: %w", s.src.Tbl.Name, s.row+int64(i)+1, err)
+				return nil, fmt.Errorf("fits: %s row %d: %w", s.st.Tbl.Name, s.row+int64(i)+1, err)
 			}
-			cacheRow := int(s.row - s.cacheBase + int64(i))
+			cacheRow := int(s.row - s.lo + int64(i))
 			for j, c := range s.needed {
 				b.Cols[c][i] = buf[j]
 				if s.views != nil && s.views[c].Valid() {
@@ -350,56 +362,26 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 	}
 }
 
-// newParallelFITSScan partitions [0, NRows) into contiguous row ranges and
-// runs one decode worker per range through the shared worker pool. Each
-// worker fills a private cache shard (absorbed into the shared cache at
-// merge, where the budget applies) and private counters; batches merge
-// back in row order, so results are bit-identical to the sequential pass
-// for any worker count.
-func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) exec.Operator {
-	var shards []*fitsScan
-	return format.NewPool(ctx, format.PoolConfig{
-		Cols: format.OutputSchema(src.Tbl, outCols),
-		Start: func() (int, error) {
-			nrows := src.t.NRows
-			w := int64(workers)
-			if w > nrows {
-				w = nrows
-			}
-			if w < 1 {
-				w = 1
-			}
-			qtrace.FromContext(ctx).Count(qtrace.CtrWorkers, w)
-			shards = make([]*fitsScan, 0, w)
-			for i := int64(0); i < w; i++ {
-				lo := nrows * i / w
-				hi := nrows * (i + 1) / w
-				var shardCache *colcache.Cache
-				if src.Cache != nil {
-					shardCache = colcache.New(0)
-				}
-				shards = append(shards,
-					newFITSScan(ctx, src, outCols, conjuncts, lo, hi, shardCache, lo, &format.Counters{}))
-			}
-			return len(shards), nil
-		},
-		Run: func(part int, emit func(*exec.Batch) bool) error {
-			s := shards[part]
-			if err := s.Open(); err != nil {
+// Fill implements format.Part: it copies the live rows of the decoded
+// batches into b, a worker's freshly allocated message, until it holds n.
+func (s *fitsScan) Fill(b *exec.Batch, n int) error {
+	for b.N < n {
+		if s.pend == nil || s.k >= s.pend.Live() {
+			var err error
+			if s.pend, err = s.NextBatch(); err != nil {
 				return err
 			}
-			defer s.Close()
-			return format.PumpBatches(s, format.BatchRowsPerMsg, emit)
-		},
-		Merge: func(n int, clean bool) error {
-			for _, sh := range shards[:n] {
-				if src.Cache != nil {
-					src.Cache.Absorb(sh.cache, int(sh.lo))
-				}
-				c := sh.sink.Load()
-				src.Counters.Flush(nil, &c)
-			}
-			return nil
-		},
-	})
+			s.k = 0
+		}
+		i := s.k
+		if s.pend.Sel != nil {
+			i = s.pend.Sel[s.k]
+		}
+		for j := range b.Cols {
+			b.Cols[j] = append(b.Cols[j], s.pend.Cols[j][i])
+		}
+		b.N++
+		s.k++
+	}
+	return nil
 }

@@ -18,8 +18,9 @@
 //     to Open, under the table lock,
 //   - CacheScan — the vectorized scan that serves a query entirely from
 //     the binary cache,
-//   - Pool — the partitioned worker-pool plumbing that merges per-shard
-//     batch streams back into file order through exec.OrderedBatchSource,
+//   - PartitionedScan — the parallel cold pass of every format: one
+//     worker per Part (a range of the file recording into a private
+//     shard), drained in file order, shards merged once,
 //   - LineScan — the in-situ scan of every line-oriented format (see below).
 //
 // Adding a line-oriented format (newline-terminated tuples: CSV, JSONL)
@@ -32,7 +33,8 @@
 // restore, cancellation, LIMIT budgets, fault retries, row-number rebasing
 // on RowError and INSERT rollback all come with the frame, tested once
 // (linescan_test.go) for every such format. Formats that are not
-// line-oriented (FITS) build their scans on NewScan and Pool directly.
+// line-oriented (FITS) build their scans on NewScan directly and hand
+// NewPartitionedScan one Part per row range.
 //
 // This is the raw-data literature's framing of format generality as an API
 // problem (Zhang, "Code Generation Techniques for Raw Data Processing":
@@ -75,8 +77,6 @@ type Env struct {
 
 	// PMBudget caps the positional map's attribute-position bytes.
 	PMBudget int64
-	// PMChunkRows overrides the positional map chunk height.
-	PMChunkRows int
 	// CacheBudget caps the binary cache in bytes; <= 0 is unlimited.
 	CacheBudget int64
 	// ScanChunkSize overrides the raw-file read chunk.
@@ -129,8 +129,6 @@ type Caps struct {
 	// LoadErr is the adapter-authored error text the engine reports when a
 	// load is requested for a non-loadable format.
 	LoadErr string
-	// Partitionable formats can split a scan into parallel shards.
-	Partitionable bool
 }
 
 // Source is one table's raw-format adapter: the schema binding plus the

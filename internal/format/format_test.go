@@ -2,16 +2,21 @@ package format
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
+	"nodb/internal/qtrace"
 	"nodb/internal/schema"
+	"nodb/internal/stats"
 )
 
 type stubDriver struct{ caps Caps }
@@ -90,152 +95,199 @@ func TestNeededColumnsAndOutputSchema(t *testing.T) {
 	}
 }
 
-// poolBatches builds a batch with the given int values.
-func poolBatch(vals ...int64) *exec.Batch {
-	b := exec.NewBatch(1, len(vals))
-	for _, v := range vals {
-		b.Cols[0] = append(b.Cols[0], datum.NewInt(v))
-		b.N++
-	}
-	return b
+// fakePart is a partition worker's range in the PartitionedScan tests:
+// it emits vals (forever when endless), then fails with fail or reaches
+// EOF, setting its shard's row count. Close counts the emitted rows as
+// parsed tuples into the shard.
+type fakePart struct {
+	sh      *State
+	vals    []int64
+	endless bool
+	fail    error
+	delay   time.Duration // before Open returns
+	started chan struct{} // closed by Open when non-nil
+	next    int
+	emitted int64
 }
 
-// TestPoolOrderAndMerge: partitions drain in order, Merge runs once with
-// clean=true after a full drain.
-func TestPoolOrderAndMerge(t *testing.T) {
-	var mu sync.Mutex
-	var merges []string
-	op := NewPool(context.Background(), PoolConfig{
-		Cols:  []exec.Col{{Name: "v", Type: datum.Int}},
-		Start: func() (int, error) { return 3, nil },
-		Run: func(part int, emit func(*exec.Batch) bool) error {
-			// Emit two batches per partition, slower for earlier parts so
-			// ordering is genuinely enforced by the merge, not timing.
-			time.Sleep(time.Duration(2-part) * 2 * time.Millisecond)
-			for k := 0; k < 2; k++ {
-				if !emit(poolBatch(int64(part*10 + k))) {
-					return ErrStopped
-				}
+func (f *fakePart) Open() error {
+	time.Sleep(f.delay)
+	if f.started != nil {
+		close(f.started)
+	}
+	return nil
+}
+
+func (f *fakePart) Fill(b *exec.Batch, n int) error {
+	for b.N < n {
+		if f.next == len(f.vals) {
+			switch {
+			case f.endless:
+				f.next = 0
+			case f.fail != nil:
+				return f.fail
+			default:
+				f.sh.Rows.Store(int64(len(f.vals)))
+				return io.EOF
 			}
-			return nil
-		},
-		Merge: func(n int, clean bool) error {
-			mu.Lock()
-			defer mu.Unlock()
-			merges = append(merges, fmt.Sprintf("%d/%v", n, clean))
-			return nil
-		},
-	})
-	if err := op.Open(); err != nil {
+		}
+		b.Cols[0] = append(b.Cols[0], datum.NewInt(f.vals[f.next]))
+		b.N++
+		f.next++
+		f.emitted++
+	}
+	return nil
+}
+
+func (f *fakePart) Shard() (*State, []*stats.Collector) { return f.sh, nil }
+
+func (f *fakePart) Close() error {
+	var c qtrace.Counts
+	c[qtrace.CtrTuplesParsed] = f.emitted
+	f.sh.Counters.Flush(nil, &c)
+	return nil
+}
+
+// partitionedFixture returns a refreshed table over a real file (the
+// clean merge checks the file is unchanged) and a PartitionedScan over
+// the given parts, whose release sets *released.
+func partitionedFixture(t *testing.T, parts func(st *State) []*fakePart, released *bool) (*State, *PartitionedScan) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, []byte("1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	tbl, err := schema.New("t", []schema.Column{{Name: "v", Type: datum.Int}}, path, schema.CSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(tbl, Env{})
+	if err := st.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	fakes := parts(st)
+	op := st.NewPartitionedScan(context.Background(), []int{0}, len(fakes), func(workers int) ([]Part, func() error, error) {
+		if workers != len(fakes) {
+			t.Errorf("split asked for %d workers, want %d", workers, len(fakes))
+		}
+		out := make([]Part, len(fakes))
+		for i, f := range fakes {
+			out[i] = f
+		}
+		return out, func() error { *released = true; return nil }, nil
+	})
+	return st, op
+}
+
+// drainAll pulls op until it reports an error or EOF.
+func drainAll(op exec.Operator) ([]int64, error) {
 	var got []int64
 	for {
 		b, err := op.NextBatch()
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
-			t.Fatal(err)
+			return got, err
 		}
 		for k := 0; k < b.Live(); k++ {
 			got = append(got, b.Cols[0][k].Int())
 		}
 	}
+}
+
+// TestPartitionedScanOrderAndMerge: parts drain in file order even when
+// the earlier ones are slower; after the full drain the shards merge
+// once — counters folded, row count published — and EOF is sticky.
+func TestPartitionedScanOrderAndMerge(t *testing.T) {
+	var released bool
+	st, op := partitionedFixture(t, func(st *State) []*fakePart {
+		parts := make([]*fakePart, 3)
+		for i := range parts {
+			parts[i] = &fakePart{sh: st.Shard(), vals: []int64{int64(10 * i), int64(10*i + 1)},
+				delay: time.Duration(2-i) * 2 * time.Millisecond}
+		}
+		return parts
+	}, &released)
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainAll(op)
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if want := []int64{0, 1, 10, 11, 20, 21}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order: got %v want %v", got, want)
+	}
+	if _, err := op.NextBatch(); err != io.EOF {
+		t.Errorf("second EOF = %v", err)
+	}
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{0, 1, 10, 11, 20, 21}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %v", got)
+	m := st.Metrics()
+	if m.Rows != 6 || m.TuplesParsed != 6 {
+		t.Errorf("rows %d, tuples parsed %d: want one clean merge of all parts (6, 6)", m.Rows, m.TuplesParsed)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order: got %v want %v", got, want)
-		}
-	}
-	if len(merges) != 1 || merges[0] != "3/true" {
-		t.Errorf("merges = %v (want one clean merge of all partitions)", merges)
+	if !released {
+		t.Error("release must run on Close")
 	}
 }
 
-// TestPoolEarlyClose: closing before the drain merges only the drained
-// prefix, with clean=false, and releases resources.
-func TestPoolEarlyClose(t *testing.T) {
-	released := false
-	var merges []string
-	var mu sync.Mutex
-	blocked := make(chan struct{})
-	op := NewPool(context.Background(), PoolConfig{
-		Cols:  []exec.Col{{Name: "v", Type: datum.Int}},
-		Start: func() (int, error) { return 2, nil },
-		Run: func(part int, emit func(*exec.Batch) bool) error {
-			if part == 0 {
-				emit(poolBatch(1))
-				return nil // drains immediately
-			}
-			// Partition 1 keeps emitting until torn down.
-			close(blocked)
-			for {
-				if !emit(poolBatch(2)) {
-					return ErrStopped
-				}
-			}
-		},
-		Merge: func(n int, clean bool) error {
-			mu.Lock()
-			defer mu.Unlock()
-			merges = append(merges, fmt.Sprintf("%d/%v", n, clean))
-			return nil
-		},
-		Release: func() error { released = true; return nil },
-	})
+// TestPartitionedScanEarlyClose: closing before the drain merges only the
+// drained prefix, publishes no row count and runs release.
+func TestPartitionedScanEarlyClose(t *testing.T) {
+	var released bool
+	started := make(chan struct{})
+	st, op := partitionedFixture(t, func(st *State) []*fakePart {
+		return []*fakePart{
+			{sh: st.Shard(), vals: []int64{1}},
+			{sh: st.Shard(), vals: []int64{2}, endless: true, started: started},
+		}
+	}, &released)
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := op.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
-	<-blocked // partition 1 definitely started
+	<-started // part 1 definitely running
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(merges) != 1 || merges[0] != "1/false" {
-		t.Errorf("merges = %v (want the drained prefix, unclean)", merges)
+	if m := st.Metrics(); m.Rows != -1 || m.TuplesParsed != 1 {
+		t.Errorf("rows %d, tuples parsed %d: want only part 0 merged, nothing published (-1, 1)", m.Rows, m.TuplesParsed)
 	}
 	if !released {
-		t.Error("Release must run on Close")
+		t.Error("release must run on Close")
 	}
 }
 
-// TestPoolWorkerError: a worker error surfaces through the merged stream.
-func TestPoolWorkerError(t *testing.T) {
-	op := NewPool(context.Background(), PoolConfig{
-		Cols:  []exec.Col{{Name: "v", Type: datum.Int}},
-		Start: func() (int, error) { return 2, nil },
-		Run: func(part int, emit func(*exec.Batch) bool) error {
-			if part == 1 {
-				return fmt.Errorf("boom in part %d", part)
-			}
-			emit(poolBatch(7))
-			return nil
-		},
-		OnError: func(part int, err error) error {
-			return fmt.Errorf("part %d: %w", part, err)
-		},
-	})
+// TestPartitionedScanRowError: a worker's RowError surfaces after the
+// earlier parts' rows, its row rebased past their row counts, and the
+// pass publishes nothing.
+func TestPartitionedScanRowError(t *testing.T) {
+	var released bool
+	st, op := partitionedFixture(t, func(st *State) []*fakePart {
+		return []*fakePart{
+			{sh: st.Shard(), vals: []int64{1, 2, 3, 4, 5}},
+			{sh: st.Shard(), vals: []int64{6, 7, 8, 9, 10, 11, 12}},
+			{sh: st.Shard(), vals: []int64{13}, fail: &RowError{Format: "csv", Table: "t", Row: 2, Cause: fmt.Errorf("bad")}},
+		}
+	}, &released)
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
-	var err error
-	for err == nil {
-		_, err = op.NextBatch()
+	got, err := drainAll(op)
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err == io.EOF || !strings.Contains(err.Error(), "part 1: boom") {
-		t.Errorf("err = %v", err)
+	var re *RowError
+	if !errors.As(err, &re) || re.Row != 14 {
+		t.Fatalf("err = %v, want a RowError at row 14 (2 + 5 + 7)", err)
+	}
+	if len(got) != 12 {
+		t.Errorf("%d rows before the error, want the 12 of parts 0 and 1", len(got))
+	}
+	if st.RowCount() != -1 {
+		t.Errorf("row count %d published by a failed pass", st.RowCount())
 	}
 }
 

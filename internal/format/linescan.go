@@ -3,7 +3,6 @@ package format
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -298,7 +297,7 @@ func (s *LineScan) NextBatch() (*exec.Batch, error) {
 		s.batch = exec.NewBatch(len(s.outCols), s.batchSize)
 	}
 	s.batch.Reset()
-	err := s.pack(s.batch, target)
+	err := s.Fill(s.batch, target)
 	if err == io.EOF && s.batch.N > 0 {
 		err = nil // the final rows; the next call reports EOF
 	}
@@ -309,10 +308,11 @@ func (s *LineScan) NextBatch() (*exec.Batch, error) {
 	return s.batch, nil
 }
 
-// pack appends qualifying tuples' output columns to b until it holds
+// Fill appends qualifying tuples' output columns to b until it holds
 // target rows. It returns io.EOF once the input is exhausted, with b
-// holding whatever the last call packed.
-func (s *LineScan) pack(b *exec.Batch, target int) error {
+// holding whatever the last call packed. (It makes a LineScan a
+// partition worker's Part.)
+func (s *LineScan) Fill(b *exec.Batch, target int) error {
 	for b.N < target {
 		if err := s.step(); err != nil {
 			return err
@@ -324,6 +324,10 @@ func (s *LineScan) pack(b *exec.Batch, target int) error {
 	}
 	return nil
 }
+
+// Shard implements Part: the State the scan records into and the
+// statistics collectors a partition worker leaves attached for the merge.
+func (s *LineScan) Shard() (*State, []*stats.Collector) { return s.St, s.collectors }
 
 // step runs the selective pipeline up to the next qualifying tuple, whose
 // output columns it leaves in rowBuf. Cancellation is observed every 256
@@ -477,167 +481,47 @@ func (st *State) OpenLineScan(ctx context.Context, cols []int, conjuncts []expr.
 	})
 }
 
-// linePartitions is the partitioned line access method: the file splits
-// into newline-aligned byte ranges (scan.Split), each scanned by a worker
-// goroutine running the exact LineScan pipeline — but over a private
-// positional-map shard and cache shard (State.Shard), so the per-tuple hot
-// path takes no locks. Batches merge back into file order through Pool;
-// when the pass completes, shards merge into the shared structures
-// (posmap.AbsorbShard, colcache.Absorb, stats.Collector.Merge) so later
-// queries still get the paper's adaptive-indexing benefit. Results are
-// bit-identical to the sequential scan for any worker count.
-type linePartitions struct {
-	ctx        context.Context
-	st         *State
-	outCols    []int
-	conjuncts  []expr.Expr
-	workers    int
-	newDecoder func() LineDecoder
-
-	f      iofault.File
-	shards []*LineScan // per partition, in file order
-}
-
-// NewPartitionedLineScan builds the partitioned pass directly, below the
-// access-method decision and the retry layer (State.OpenLineScan is the
-// way in for adapters). It is only sound on a cold table
-// (State.ScanWorkers); workers must be >= 2. Workers observe ctx
-// cancellation inside their partition scans and the merged stream surfaces
-// the context error.
+// NewPartitionedLineScan is the partitioned line access method, built
+// directly below the access-method decision and the retry layer
+// (State.OpenLineScan is the way in for adapters): the file splits into
+// newline-aligned byte ranges (scan.Split), each scanned by the exact
+// LineScan pipeline over a private shard (State.Shard), so the per-tuple
+// hot path takes no locks. It is only sound on a cold table
+// (State.ScanWorkers); workers must be >= 2.
 func NewPartitionedLineScan(ctx context.Context, st *State, outCols []int, conjuncts []expr.Expr, workers int, newDecoder func() LineDecoder) exec.Operator {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p := &linePartitions{ctx: ctx, st: st, outCols: outCols, conjuncts: conjuncts, workers: workers, newDecoder: newDecoder}
-	return NewPool(ctx, PoolConfig{
-		Cols:    OutputSchema(st.Tbl, outCols),
-		Start:   p.start,
-		Run:     p.run,
-		Merge:   p.merge,
-		Release: p.release,
-		OnError: p.rebaseErr,
+	return st.NewPartitionedScan(ctx, outCols, workers, func(workers int) ([]Part, func() error, error) {
+		name := st.Tbl.Name
+		f, err := iofault.Open(st.Tbl.Path)
+		if err != nil {
+			return nil, nil, WrapFileErr(name, err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, nil, WrapFileErr(name, err)
+		}
+		ranges, err := scan.Split(f, fi.Size(), workers)
+		if err != nil {
+			f.Close()
+			return nil, nil, WrapFileErr(name, err)
+		}
+		// One IO-attributing wrapper serves every worker's SectionReader:
+		// the underlying ReadAt is stateless and the profile's counters are
+		// atomic, so concurrent positioned reads attribute safely.
+		var ra io.ReaderAt = f
+		if prof := qtrace.FromContext(ctx); prof != nil {
+			ra = qtrace.CountReaderAt(prof, f)
+		}
+		parts := make([]Part, len(ranges))
+		for i, r := range ranges {
+			s := newLineScan(ctx, st.Shard(), outCols, conjuncts, newDecoder())
+			s.shard = true
+			s.section = io.NewSectionReader(ra, r.Start, r.End-r.Start)
+			s.base = r.Start
+			parts[i] = s
+		}
+		return parts, f.Close, nil
 	})
-}
-
-// rebaseErr converts a partition-local row number in a worker's RowError
-// into the absolute file row. By the time partition part's error is
-// consumed, every earlier partition has drained, so their row counts are
-// final (and the channel closes ordered those writes before this read).
-func (p *linePartitions) rebaseErr(part int, err error) error {
-	var re *RowError
-	if !errors.As(err, &re) {
-		return err
-	}
-	for _, s := range p.shards[:part] {
-		re.Row += s.Row
-	}
-	return err
-}
-
-// start partitions the file and prepares one shard scan per range.
-func (p *linePartitions) start() (int, error) {
-	name := p.st.Tbl.Name
-	f, err := iofault.Open(p.st.Tbl.Path)
-	if err != nil {
-		return 0, WrapFileErr(name, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, WrapFileErr(name, err)
-	}
-	parts, err := scan.Split(f, fi.Size(), p.workers)
-	if err != nil {
-		f.Close()
-		return 0, WrapFileErr(name, err)
-	}
-	p.f = f
-	// One IO-attributing wrapper serves every worker's SectionReader: the
-	// underlying ReadAt is stateless and the profile's counters are
-	// atomic, so concurrent positioned reads attribute safely.
-	var ra io.ReaderAt = f
-	if prof := qtrace.FromContext(p.ctx); prof != nil {
-		ra = qtrace.CountReaderAt(prof, f)
-		prof.Count(qtrace.CtrWorkers, int64(len(parts)))
-	}
-	p.shards = make([]*LineScan, len(parts))
-	for i, part := range parts {
-		sh := newLineScan(p.ctx, p.st.Shard(), p.outCols, p.conjuncts, p.newDecoder())
-		sh.shard = true
-		sh.section = io.NewSectionReader(ra, part.Start, part.End-part.Start)
-		sh.base = part.Start
-		p.shards[i] = sh
-	}
-	return len(parts), nil
-}
-
-// run drains one partition through its private scan, packing qualifying
-// tuples straight into each message's freshly allocated batch (the
-// consumer owns it outright and the merged stream hands it to the
-// operators above).
-func (p *linePartitions) run(part int, emit func(*exec.Batch) bool) error {
-	s := p.shards[part]
-	if err := s.Open(); err != nil {
-		return err
-	}
-	defer s.Close()
-	return pump(len(p.outCols), BatchRowsPerMsg, func(b *exec.Batch) error {
-		return s.pack(b, BatchRowsPerMsg)
-	}, emit)
-}
-
-// merge folds shards[0..n) — in file order, offsetting rows by the
-// partitions before them — into the shared positional map, cache and
-// counters. After a clean drain of every partition it also publishes the
-// row count and statistics, exactly what the sequential scan's finish
-// does; on an abandoned pass (LIMIT, error, early Close) the completed
-// prefix still merges but totals stay unpublished, mirroring an aborted
-// sequential scan. Pool calls it at most once per scan.
-func (p *linePartitions) merge(n int, clean bool) error {
-	st := p.st
-	if st.PM != nil {
-		st.PM.BeginScan() // pin merged chunks like a sequential pass would
-	}
-	total := 0
-	var merged []*stats.Collector
-	for _, s := range p.shards[:n] {
-		sh := s.St
-		if st.PM != nil {
-			st.PM.AbsorbShard(sh.PM, total)
-		}
-		if st.Cache != nil {
-			st.Cache.Absorb(sh.Cache, total)
-		}
-		// The worker flushed its scan counters into its private shard table
-		// at Close; fold them into the shared table here.
-		c := sh.Counters.Load()
-		st.Counters.Flush(nil, &c)
-		merged = FoldCollectors(merged, s.collectors)
-		total += s.Row
-	}
-	if !clean {
-		return nil
-	}
-	if !st.FileUnchanged() {
-		// The file moved underneath the pass; per-worker drains can still
-		// look clean (each section simply ended early). Never publish
-		// totals built from mixed file versions.
-		return fmt.Errorf("format: table %s: file changed during parallel scan: %w",
-			st.Tbl.Name, ErrFileChanged)
-	}
-	st.Rows.Store(int64(total))
-	PublishCollectors(st.St, int64(total), merged)
-	return nil
-}
-
-// release closes the partitioned file handle.
-func (p *linePartitions) release() error {
-	if p.f != nil {
-		err := p.f.Close()
-		p.f = nil
-		return err
-	}
-	return nil
 }
 
 // AppendRows is a line-oriented format's whole Appender.Append: it appends

@@ -65,10 +65,7 @@ func NewState(tbl *schema.Table, env Env) *State {
 		st.Types[i] = c.Type
 	}
 	if env.PosMap {
-		st.PM = posmap.New(tbl.NumColumns(), posmap.Options{
-			Budget:    env.PMBudget,
-			ChunkRows: env.PMChunkRows,
-		})
+		st.PM = posmap.New(tbl.NumColumns(), posmap.Options{Budget: env.PMBudget})
 		st.RecordAttrs = env.AttrPointers
 	}
 	if env.Cache {
@@ -101,7 +98,7 @@ func (st *State) Shard() *State {
 	sh.Env.Sidecar = nil // shards are scan-private; only the parent persists
 	sh.Rows.Store(-1)
 	if st.PM != nil {
-		sh.PM = posmap.New(st.Tbl.NumColumns(), posmap.Options{ChunkRows: st.Env.PMChunkRows})
+		sh.PM = posmap.New(st.Tbl.NumColumns(), posmap.Options{})
 		sh.RecordAttrs = st.RecordAttrs
 	}
 	if st.Cache != nil {

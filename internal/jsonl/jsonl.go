@@ -36,13 +36,12 @@ type driver struct{}
 
 func init() { format.Register("jsonl", driver{}) }
 
-// Caps implements format.Driver: JSONL partitions on newline-aligned byte
-// ranges like CSV; the load-first baseline has no JSON loader.
+// Caps implements format.Driver: the load-first baseline has no JSON
+// loader.
 func (driver) Caps() format.Caps {
 	return format.Caps{
-		Loadable:      false,
-		LoadErr:       "JSON-Lines tables cannot be bulk-loaded; query them in-situ instead",
-		Partitionable: true,
+		Loadable: false,
+		LoadErr:  "JSON-Lines tables cannot be bulk-loaded; query them in-situ instead",
 	}
 }
 
@@ -60,7 +59,7 @@ func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
 
 // OpenScan implements format.Source through the shared access-method
 // decision: read-only cache scans under shared holds when the cache
-// covers, a partitioned worker-pool pass on a cold table, the sequential
+// covers, a partitioned pass on a cold table, the sequential
 // selective-parse pass otherwise.
 func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return s.OpenLineScan(ctx, cols, conjuncts, func() format.LineDecoder {

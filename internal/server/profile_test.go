@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,5 +206,18 @@ func TestSlowQueryLog(t *testing.T) {
 		if !strings.Contains(logged[0], want) {
 			t.Errorf("slow log missing %q:\n%s", want, logged[0])
 		}
+	}
+
+	// A query under the threshold logs nothing.
+	var quiet atomic.Int32
+	_, ts = newTestServer(t, 100, Config{
+		SlowQuery: time.Hour,
+		SlowLogf:  func(string, ...any) { quiet.Add(1) },
+	})
+	resp = postQuery(t, ts, `{"sql": "SELECT count(*) FROM trips"}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if n := quiet.Load(); n != 0 {
+		t.Errorf("a query under a 1h threshold logged %d slow entries", n)
 	}
 }

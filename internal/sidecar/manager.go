@@ -26,10 +26,11 @@ type Config struct {
 	StmtPath string
 	// StmtN caps how many statement texts persist (default 32).
 	StmtN int
-	// Debounce is how long the background checkpointer waits after a
-	// recording scan before flushing, absorbing bursts (default 100ms).
-	Debounce time.Duration
 }
+
+// debounce is how long the background checkpointer waits after a
+// recording scan before flushing, absorbing bursts.
+const debounce = 100 * time.Millisecond
 
 // Stats is a point-in-time snapshot of the manager's counters.
 type Stats struct {
@@ -82,9 +83,6 @@ func New(cfg Config) *Manager {
 		// Best effort; a failure here surfaces later as a checkpoint error.
 		_ = os.MkdirAll(cfg.Dir, 0o755)
 	}
-	if cfg.Debounce <= 0 {
-		cfg.Debounce = 100 * time.Millisecond
-	}
 	m := &Manager{
 		cfg:     cfg,
 		dirty:   make(map[*format.State]struct{}),
@@ -113,7 +111,7 @@ func (m *Manager) worker() {
 			return
 		case <-m.wake:
 		}
-		t := time.NewTimer(m.cfg.Debounce)
+		t := time.NewTimer(debounce)
 		select {
 		case <-m.done:
 			t.Stop()
