@@ -13,8 +13,8 @@ import (
 // The equivalence tests merge the same shards into two caches — through
 // Absorb and through the per-value reference (View.Put for every cached
 // shard value, columns and rows ascending) — and require the two to agree
-// on every value, counter, byte and eviction, and on the LRU order the
-// next eviction would follow.
+// on every value, byte and column kept, and on the LRU order the next
+// eviction would follow.
 
 var equivTypes = []datum.Type{datum.Int, datum.Float, datum.Text, datum.Bool, datum.Date}
 
@@ -96,9 +96,6 @@ func lruCols(c *Cache) []int {
 
 func requireSameCache(t *testing.T, what string, got, want *Cache, rows int) {
 	t.Helper()
-	if got.Metrics() != want.Metrics() {
-		t.Fatalf("%s: metrics %+v, reference %+v", what, got.Metrics(), want.Metrics())
-	}
 	if got.Bytes() != want.Bytes() {
 		t.Fatalf("%s: Bytes %d, reference %d", what, got.Bytes(), want.Bytes())
 	}
@@ -155,7 +152,7 @@ func TestAbsorbMatchesPerValue(t *testing.T) {
 						for i := 0; i < 60; i++ {
 							col := prng.Intn(cols)
 							typ := equivTypes[col%len(equivTypes)]
-							c.Put(col, prng.Intn(500), typ, equivValue(typ, prng))
+							put(c, col, prng.Intn(500), typ, equivValue(typ, prng))
 						}
 					}
 				}
@@ -172,7 +169,7 @@ func TestAbsorbMatchesPerValue(t *testing.T) {
 					total += n
 					requireSameCache(t, fmt.Sprintf("seed %d part %d", seed, part), got, want, total+64)
 				}
-				evicted = evicted || got.Metrics().Evictions > 0
+				evicted = evicted || got.gen > 0 // bumped by every removal
 			}
 			if tc.budget > 0 && !evicted {
 				t.Error("budget never forced an eviction: the test lost its teeth")
@@ -186,23 +183,24 @@ func TestAbsorbMatchesPerValue(t *testing.T) {
 func TestAbsorbColumnThatCannotFit(t *testing.T) {
 	sh := New(0)
 	for r := 0; r < 100; r++ {
-		sh.Put(0, r, datum.Int, datum.NewInt(int64(r)))
+		put(sh, 0, r, datum.Int, datum.NewInt(int64(r)))
 		if r < 10 {
-			sh.Put(1, r, datum.Int, datum.NewInt(int64(r)))
+			put(sh, 1, r, datum.Int, datum.NewInt(int64(r)))
 		}
 	}
-	main := New(entryOverhead*2 + 16 + 10*8 + 64) // column 1 fits, column 0 never
+	const budget = entryOverhead*2 + 16 + 10*8 + 64 // column 1 fits, column 0 never
+	main := New(budget)
 	main.Absorb(sh, 5)
-	if main.Bytes() > main.Budget() {
-		t.Errorf("budget exceeded: %d > %d", main.Bytes(), main.Budget())
+	if main.Bytes() > budget {
+		t.Errorf("budget exceeded: %d > %d", main.Bytes(), budget)
 	}
-	if n := main.CoveredRows(0); n != 0 {
-		t.Errorf("oversized column partially merged: %d rows", n)
+	if d, _ := main.Export(0); d.N != 0 {
+		t.Errorf("oversized column partially merged: %d rows", d.N)
 	}
-	if n := main.CoveredRows(1); n != 10 {
-		t.Errorf("fitting column merged %d rows, want 10", n)
+	if d, _ := main.Export(1); d.N != 10 {
+		t.Errorf("fitting column merged %d rows, want 10", d.N)
 	}
-	if v, ok := main.Get(1, 14); !ok || v.Int() != 9 {
+	if v, ok := get(main, 1, 14); !ok || v.Int() != 9 {
 		t.Errorf("Get(1,14) = %v,%v", v, ok)
 	}
 }

@@ -18,7 +18,6 @@ package colcache
 
 import (
 	"container/list"
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -32,13 +31,6 @@ const victimWindow = 4
 // entryOverhead approximates the fixed footprint of one column entry.
 const entryOverhead = 128
 
-// Metrics counts cache activity. Hits and misses are not here: the scans
-// that consult the cache count them (qtrace.CtrCacheHits, CtrCacheMisses).
-type Metrics struct {
-	Puts      int64
-	Evictions int64
-}
-
 // Cache is the binary column cache for one raw table. Not safe for
 // concurrent use; the engine serializes access per table.
 type Cache struct {
@@ -48,7 +40,6 @@ type Cache struct {
 	lru    *list.List // of *entry; front = most recent
 	gen    int64      // bumped whenever an entry is removed
 	rows   int        // most rows any entry has spanned; capacity hint for grow
-	m      Metrics
 }
 
 type entry struct {
@@ -73,14 +64,8 @@ func New(budget int64) *Cache {
 	}
 }
 
-// Metrics returns a copy of the counters.
-func (c *Cache) Metrics() Metrics { return c.m }
-
 // Bytes returns the accounted size of all entries.
 func (c *Cache) Bytes() int64 { return c.bytes }
-
-// Budget returns the configured byte budget.
-func (c *Cache) Budget() int64 { return c.budget }
 
 // Usage returns bytes/budget in [0,1]; 0 when the budget is unlimited.
 func (c *Cache) Usage() float64 {
@@ -88,81 +73,6 @@ func (c *Cache) Usage() float64 {
 		return 0
 	}
 	return float64(c.bytes) / float64(c.budget)
-}
-
-// Get returns the cached value of (col, row).
-func (c *Cache) Get(col, row int) (datum.Datum, bool) {
-	e, ok := c.cols[col]
-	if !ok || row < 0 || !bitGet(e.present, row) {
-		return datum.Datum{}, false
-	}
-	c.lru.MoveToFront(e.elem)
-	if bitGet(e.nulls, row) {
-		return datum.NewNull(e.typ), true
-	}
-	switch e.typ {
-	case datum.Int:
-		return datum.NewInt(e.ints[row]), true
-	case datum.Date:
-		return datum.NewDate(e.ints[row]), true
-	case datum.Bool:
-		return datum.NewBool(e.ints[row] != 0), true
-	case datum.Float:
-		return datum.NewFloat(e.floats[row]), true
-	case datum.Text:
-		return datum.NewText(e.strs[row]), true
-	}
-	return datum.Datum{}, false
-}
-
-// Present reports whether (col, row) is cached, without LRU side effects.
-func (c *Cache) Present(col, row int) bool {
-	e, ok := c.cols[col]
-	return ok && row >= 0 && bitGet(e.present, row)
-}
-
-// Put inserts the parsed value of (col, row). typ must be stable per
-// column. Insertion is best-effort: if the value cannot fit even after
-// evicting other columns, it is dropped.
-func (c *Cache) Put(col, row int, typ datum.Type, d datum.Datum) {
-	if row < 0 {
-		return
-	}
-	e, ok := c.cols[col]
-	if !ok {
-		e = &entry{col: col, typ: typ, bytes: entryOverhead}
-		if !c.makeRoom(e.bytes, e) {
-			return
-		}
-		c.cols[col] = e
-		e.elem = c.lru.PushFront(e)
-		c.bytes += e.bytes
-	}
-	if bitGet(e.present, row) {
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	delta := e.grow(row, c)
-	delta += valueBytes(typ, d)
-	if !c.makeRoom(delta, e) {
-		// Could not fit: roll back nothing (grow already happened but its
-		// memory is capacity, not live values); just skip the value.
-		return
-	}
-	e.set(row, d)
-	e.n++
-	e.bytes += delta
-	c.bytes += delta
-	c.m.Puts++
-	c.lru.MoveToFront(e.elem)
-}
-
-// CoveredRows returns how many rows of col are cached.
-func (c *Cache) CoveredRows(col int) int {
-	if e, ok := c.cols[col]; ok {
-		return e.n
-	}
-	return 0
 }
 
 // FullyCovers reports whether every row in [0, rows) of col is cached.
@@ -192,11 +102,13 @@ func (c *Cache) Drop(col int) {
 	}
 }
 
-// DropAll empties the cache.
+// DropAll empties the cache and forgets the row span new columns are
+// sized to (the file may have shrunk).
 func (c *Cache) DropAll() {
 	for _, e := range c.cols {
 		c.remove(e)
 	}
+	c.rows = 0
 }
 
 // Absorb merges a worker shard — a private Cache populated with
@@ -209,8 +121,8 @@ func (c *Cache) DropAll() {
 // their value. c's budget applies per column: other columns are evicted
 // until the shard column's values fit, and a column that cannot fit is
 // left out entirely (a cache is best-effort; a partially cached column
-// could not serve a cache scan anyway). Within that, accounting and
-// counters match inserting every value through View.Put. The shard must
+// could not serve a cache scan anyway). Within that, accounting matches
+// inserting every value through View.Put. The shard must
 // not be used afterwards.
 func (c *Cache) Absorb(sh *Cache, rowOffset int) {
 	if sh == nil || rowOffset < 0 {
@@ -271,7 +183,6 @@ func (c *Cache) Absorb(sh *Cache, rowOffset int) {
 		dst.n += add
 		dst.bytes += delta
 		c.bytes += delta
-		c.m.Puts += int64(add)
 	}
 }
 
@@ -338,34 +249,11 @@ func (c *Cache) Restore(d ColumnData) bool {
 	return true
 }
 
-// Truncate discards cached values at and beyond row for every column, used
-// when the backing file shrinks. Entries keep rows below the cut.
-func (c *Cache) Truncate(row int) {
-	c.rows = min(c.rows, max(row, 0))
-	for _, e := range c.cols {
-		for r := row; r < len(e.present)*64; r++ {
-			if bitGet(e.present, r) {
-				bitClear(e.present, r)
-				bitClear(e.nulls, r)
-				e.n--
-				var d int64 = 8
-				if e.typ == datum.Text && r < len(e.strs) {
-					d = int64(16 + len(e.strs[r]))
-					e.strs[r] = ""
-				}
-				e.bytes -= d
-				c.bytes -= d
-			}
-		}
-	}
-}
-
 // remove detaches an entry and fixes accounting.
 func (c *Cache) remove(e *entry) {
 	c.lru.Remove(e.elem)
 	delete(c.cols, e.col)
 	c.bytes -= e.bytes
-	c.m.Evictions++
 	c.gen++
 }
 
@@ -609,22 +497,10 @@ func bitSet(bm []uint64, i int) {
 	bm[i/64] |= 1 << uint(i%64)
 }
 
-func bitClear(bm []uint64, i int) {
-	w := i / 64
-	if w < len(bm) {
-		bm[w] &^= 1 << uint(i%64)
-	}
-}
-
-// String summarizes the cache for debugging.
-func (c *Cache) String() string {
-	return fmt.Sprintf("colcache{cols=%d bytes=%d budget=%d}", len(c.cols), c.bytes, c.budget)
-}
-
-// View is a scan-lifetime read/write handle onto one column's cache entry.
-// It bypasses the per-value map lookup and LRU maintenance of Get/Put —
-// the column is touched once when the view is created, which is also the
-// right LRU granularity for a scan (one query = one use of a column).
+// View is a scan-lifetime read/write handle onto one column's cache entry,
+// the cache's only access path. The column is looked up and touched once,
+// when the view is created, which is also the right LRU granularity for a
+// scan (one query = one use of a column).
 //
 // A view stays safe if its column is evicted mid-scan: reads keep serving
 // the detached entry's (still correct) values and writes to it are simply
@@ -655,7 +531,7 @@ func (c *Cache) View(col int, typ datum.Type) View {
 }
 
 // ReadView returns a read-only handle for col without any side effects: no
-// entry creation, no LRU movement, no metric updates. Multiple goroutines
+// entry creation, no LRU movement. Multiple goroutines
 // may hold and Get through ReadViews of the same cache concurrently as long
 // as no writer is active — which is what lets fully-cached scans of one
 // table run in parallel under a shared table lock. The returned view is
@@ -671,7 +547,7 @@ func (c *Cache) ReadView(col int) View {
 // Valid reports whether the view is attached to an entry.
 func (v View) Valid() bool { return v.e != nil }
 
-// Get returns the cached value at row without metrics or LRU side effects.
+// Get returns the cached value at row without LRU side effects.
 func (v View) Get(row int) (datum.Datum, bool) {
 	e := v.e
 	if e == nil || row < 0 || !bitGet(e.present, row) {
@@ -796,8 +672,10 @@ func (v View) GetBatch(start, n int, dst []datum.Datum) bool {
 	return true
 }
 
-// Put inserts a value through the view (best effort, same budget rules as
-// Cache.Put, no LRU churn). Returns false if the value could not be kept.
+// Put inserts the parsed value of row (best effort, no LRU churn): when
+// the value cannot fit even after evicting other columns, it is dropped.
+// A value already cached for row is kept. Returns false if the value could
+// not be kept.
 func (v *View) Put(row int, d datum.Datum) bool {
 	e := v.e
 	if e == nil || row < 0 {
@@ -825,6 +703,5 @@ func (v *View) Put(row int, d datum.Datum) bool {
 	e.n++
 	e.bytes += delta
 	v.c.bytes += delta
-	v.c.m.Puts++
 	return true
 }

@@ -8,88 +8,114 @@ import (
 	"nodb/internal/datum"
 )
 
+// put caches d at (col, row) through a fresh view, as a scan that touches
+// the column does.
+func put(c *Cache, col, row int, typ datum.Type, d datum.Datum) {
+	v := c.View(col, typ)
+	v.Put(row, d)
+}
+
+// get reads (col, row) through a read-only view.
+func get(c *Cache, col, row int) (datum.Datum, bool) { return c.ReadView(col).Get(row) }
+
+func present(c *Cache, col, row int) bool {
+	_, ok := get(c, col, row)
+	return ok
+}
+
 func TestPutGetAllTypes(t *testing.T) {
 	c := New(0)
-	c.Put(0, 3, datum.Int, datum.NewInt(42))
-	c.Put(1, 3, datum.Float, datum.NewFloat(2.5))
-	c.Put(2, 3, datum.Text, datum.NewText("hi"))
-	c.Put(3, 3, datum.Date, datum.NewDate(100))
-	c.Put(4, 3, datum.Bool, datum.NewBool(true))
+	put(c, 0, 3, datum.Int, datum.NewInt(42))
+	put(c, 1, 3, datum.Float, datum.NewFloat(2.5))
+	put(c, 2, 3, datum.Text, datum.NewText("hi"))
+	put(c, 3, 3, datum.Date, datum.NewDate(100))
+	put(c, 4, 3, datum.Bool, datum.NewBool(true))
 
-	if v, ok := c.Get(0, 3); !ok || v.Int() != 42 {
+	if v, ok := get(c, 0, 3); !ok || v.Int() != 42 {
 		t.Errorf("int: %v %v", v, ok)
 	}
-	if v, ok := c.Get(1, 3); !ok || v.Float() != 2.5 {
+	if v, ok := get(c, 1, 3); !ok || v.Float() != 2.5 {
 		t.Errorf("float: %v %v", v, ok)
 	}
-	if v, ok := c.Get(2, 3); !ok || v.Text() != "hi" {
+	if v, ok := get(c, 2, 3); !ok || v.Text() != "hi" {
 		t.Errorf("text: %v %v", v, ok)
 	}
-	if v, ok := c.Get(3, 3); !ok || v.Int() != 100 || v.T != datum.Date {
+	if v, ok := get(c, 3, 3); !ok || v.Int() != 100 || v.T != datum.Date {
 		t.Errorf("date: %v %v", v, ok)
 	}
-	if v, ok := c.Get(4, 3); !ok || !v.Bool() {
+	if v, ok := get(c, 4, 3); !ok || !v.Bool() {
 		t.Errorf("bool: %v %v", v, ok)
 	}
 }
 
 func TestSparseRowsAndMisses(t *testing.T) {
 	c := New(0)
-	c.Put(0, 100, datum.Int, datum.NewInt(1))
-	if _, ok := c.Get(0, 99); ok {
+	put(c, 0, 100, datum.Int, datum.NewInt(1))
+	if _, ok := get(c, 0, 99); ok {
 		t.Error("row 99 was never cached")
 	}
-	if _, ok := c.Get(0, 101); ok {
+	if _, ok := get(c, 0, 101); ok {
 		t.Error("row 101 was never cached")
 	}
-	if _, ok := c.Get(5, 0); ok {
+	if _, ok := get(c, 5, 0); ok {
 		t.Error("column 5 was never cached")
 	}
-	if v, ok := c.Get(0, 100); !ok || v.Int() != 1 {
+	if v, ok := get(c, 0, 100); !ok || v.Int() != 1 {
 		t.Error("cached row lost")
 	}
 }
 
 func TestNullCaching(t *testing.T) {
 	c := New(0)
-	c.Put(0, 0, datum.Int, datum.NewNull(datum.Int))
-	v, ok := c.Get(0, 0)
+	put(c, 0, 0, datum.Int, datum.NewNull(datum.Int))
+	v, ok := get(c, 0, 0)
 	if !ok || !v.Null() || v.T != datum.Int {
 		t.Errorf("cached NULL = %v %v", v, ok)
 	}
 }
 
-func TestPresentNoSideEffects(t *testing.T) {
+// TestReadViewNoSideEffects: a read-only view creates no entry and moves
+// nothing in the LRU, so concurrent cache scans can share the cache.
+func TestReadViewNoSideEffects(t *testing.T) {
 	c := New(0)
-	c.Put(0, 1, datum.Int, datum.NewInt(7))
-	before := c.Metrics()
-	if !c.Present(0, 1) || c.Present(0, 2) || c.Present(9, 0) {
-		t.Error("Present wrong")
+	put(c, 0, 1, datum.Int, datum.NewInt(7))
+	put(c, 1, 1, datum.Int, datum.NewInt(8))
+	bytes := c.Bytes()
+	if !present(c, 0, 1) || present(c, 0, 2) || present(c, 9, 0) {
+		t.Error("ReadView reads wrong")
 	}
-	if c.Metrics() != before {
-		t.Error("Present must not touch metrics")
+	if c.ReadView(9).Valid() {
+		t.Error("ReadView of an uncached column must be invalid")
+	}
+	if c.Bytes() != bytes || len(c.CachedColumns()) != 2 {
+		t.Error("ReadView must not create entries")
+	}
+	if back := c.lru.Back().Value.(*entry).col; back != 0 {
+		t.Errorf("LRU tail = column %d, want 0: ReadView must not touch the LRU", back)
 	}
 }
 
 func TestDuplicatePutKeepsFirst(t *testing.T) {
 	c := New(0)
-	c.Put(0, 0, datum.Int, datum.NewInt(1))
-	c.Put(0, 0, datum.Int, datum.NewInt(2))
-	if v, _ := c.Get(0, 0); v.Int() != 1 {
+	put(c, 0, 0, datum.Int, datum.NewInt(1))
+	put(c, 0, 0, datum.Int, datum.NewInt(2))
+	bytes := c.Bytes()
+	put(c, 0, 0, datum.Int, datum.NewInt(2))
+	if v, _ := get(c, 0, 0); v.Int() != 1 {
 		t.Error("duplicate put must not overwrite")
 	}
-	if c.Metrics().Puts != 1 {
-		t.Error("duplicate put must not count")
+	if c.Bytes() != bytes {
+		t.Error("duplicate put must not be accounted")
 	}
 }
 
 func TestCoverage(t *testing.T) {
 	c := New(0)
 	for r := 0; r < 10; r++ {
-		c.Put(0, r, datum.Int, datum.NewInt(int64(r)))
+		put(c, 0, r, datum.Int, datum.NewInt(int64(r)))
 	}
-	if c.CoveredRows(0) != 10 {
-		t.Errorf("CoveredRows = %d", c.CoveredRows(0))
+	if d, _ := c.Export(0); d.N != 10 {
+		t.Errorf("rows present = %d", d.N)
 	}
 	if !c.FullyCovers(0, 10) {
 		t.Error("should fully cover 10 rows")
@@ -101,15 +127,15 @@ func TestCoverage(t *testing.T) {
 	c2 := New(0)
 	for r := 0; r < 10; r++ {
 		if r != 4 {
-			c2.Put(0, r, datum.Int, datum.NewInt(0))
+			put(c2, 0, r, datum.Int, datum.NewInt(0))
 		}
 	}
-	c2.Put(0, 11, datum.Int, datum.NewInt(0))
+	put(c2, 0, 11, datum.Int, datum.NewInt(0))
 	if c2.FullyCovers(0, 10) {
 		t.Error("gap at row 4 must break coverage")
 	}
-	if c.CoveredRows(7) != 0 {
-		t.Error("unknown column coverage must be 0")
+	if c.FullyCovers(7, 1) {
+		t.Error("an unknown column covers nothing")
 	}
 }
 
@@ -119,22 +145,19 @@ func TestBudgetEvictionLRU(t *testing.T) {
 	c := New(budget)
 	fill := func(col int) {
 		for r := 0; r < 10; r++ {
-			c.Put(col, r, datum.Text, datum.NewText("abcd"))
+			put(c, col, r, datum.Text, datum.NewText("abcd"))
 		}
 	}
 	fill(0)
 	fill(1)
 	fill(2) // must evict col 0 (LRU, same conversion cost)
-	if c.Metrics().Evictions == 0 {
-		t.Fatal("expected eviction")
-	}
 	if c.Bytes() > budget {
 		t.Errorf("bytes %d exceed budget %d", c.Bytes(), budget)
 	}
-	if c.Present(0, 0) {
+	if present(c, 0, 0) {
 		t.Error("LRU column should be evicted")
 	}
-	if !c.Present(2, 0) {
+	if !present(c, 2, 0) {
 		t.Error("newest column must be present")
 	}
 }
@@ -147,28 +170,28 @@ func TestEvictionPrefersCheapConversion(t *testing.T) {
 	budget := int64(2000)
 	c := New(budget)
 	for r := 0; r < 50; r++ {
-		c.Put(0, r, datum.Float, datum.NewFloat(float64(r))) // costly
+		put(c, 0, r, datum.Float, datum.NewFloat(float64(r))) // costly
 	}
 	for r := 0; r < 50; r++ {
-		c.Put(1, r, datum.Text, datum.NewText("abcdefgh")) // cheap to rebuild
+		put(c, 1, r, datum.Text, datum.NewText("abcdefgh")) // cheap to rebuild
 	}
 	// Fill a third column to force eviction; float col 0 is older than
 	// text col 1 but must be kept.
 	for r := 0; r < 50; r++ {
-		c.Put(2, r, datum.Int, datum.NewInt(int64(r)))
+		put(c, 2, r, datum.Int, datum.NewInt(int64(r)))
 	}
-	if !c.Present(0, 0) {
+	if !present(c, 0, 0) {
 		t.Error("costly-to-convert float column should be kept")
 	}
-	if c.Present(1, 0) {
+	if present(c, 1, 0) {
 		t.Error("cheap text column should be evicted first")
 	}
 }
 
 func TestBudgetTooSmall(t *testing.T) {
 	c := New(10)
-	c.Put(0, 0, datum.Int, datum.NewInt(1))
-	if c.Present(0, 0) {
+	put(c, 0, 0, datum.Int, datum.NewInt(1))
+	if present(c, 0, 0) {
 		t.Error("value cannot fit in a 10-byte budget")
 	}
 	if c.Bytes() > 10 {
@@ -178,39 +201,18 @@ func TestBudgetTooSmall(t *testing.T) {
 
 func TestDropAndDropAll(t *testing.T) {
 	c := New(0)
-	c.Put(0, 0, datum.Int, datum.NewInt(1))
-	c.Put(1, 0, datum.Int, datum.NewInt(2))
+	put(c, 0, 0, datum.Int, datum.NewInt(1))
+	put(c, 1, 0, datum.Int, datum.NewInt(2))
 	c.Drop(0)
-	if c.Present(0, 0) {
+	if present(c, 0, 0) {
 		t.Error("dropped column present")
 	}
-	if !c.Present(1, 0) {
+	if !present(c, 1, 0) {
 		t.Error("other column lost")
 	}
 	c.DropAll()
-	if c.Present(1, 0) || c.Bytes() != 0 {
+	if present(c, 1, 0) || c.Bytes() != 0 {
 		t.Error("DropAll incomplete")
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	c := New(0)
-	for r := 0; r < 20; r++ {
-		c.Put(0, r, datum.Text, datum.NewText("xyz"))
-	}
-	before := c.Bytes()
-	c.Truncate(10)
-	if c.CoveredRows(0) != 10 {
-		t.Errorf("CoveredRows after truncate = %d", c.CoveredRows(0))
-	}
-	if c.Present(0, 15) {
-		t.Error("truncated row present")
-	}
-	if !c.Present(0, 9) {
-		t.Error("row below cut lost")
-	}
-	if c.Bytes() >= before {
-		t.Error("truncate must release bytes")
 	}
 }
 
@@ -220,7 +222,7 @@ func TestUsage(t *testing.T) {
 		t.Error("empty cache usage must be 0")
 	}
 	for r := 0; r < 20; r++ {
-		c.Put(0, r, datum.Int, datum.NewInt(1))
+		put(c, 0, r, datum.Int, datum.NewInt(1))
 	}
 	u := c.Usage()
 	if u <= 0 || u > 1 {
@@ -242,12 +244,12 @@ func TestShadowConsistencyUnderEviction(t *testing.T) {
 		col, row := rng.Intn(8), rng.Intn(200)
 		if rng.Intn(2) == 0 {
 			v := rng.Int63n(1000)
-			wasPresent := c.Present(col, row)
-			c.Put(col, row, datum.Int, datum.NewInt(v))
-			if c.Present(col, row) && !wasPresent {
+			wasPresent := present(c, col, row)
+			put(c, col, row, datum.Int, datum.NewInt(v))
+			if present(c, col, row) && !wasPresent {
 				shadow[[2]int{col, row}] = v
 			}
-		} else if got, ok := c.Get(col, row); ok {
+		} else if got, ok := get(c, col, row); ok {
 			want, inShadow := shadow[[2]int{col, row}]
 			if !inShadow || got.Int() != want {
 				t.Fatalf("Get(%d,%d) = %d, shadow %d (in=%v)", col, row, got.Int(), want, inShadow)
@@ -262,15 +264,12 @@ func TestShadowConsistencyUnderEviction(t *testing.T) {
 	}
 }
 
-func TestCachedColumnsAndString(t *testing.T) {
+func TestCachedColumns(t *testing.T) {
 	c := New(0)
-	c.Put(3, 0, datum.Int, datum.NewInt(1))
+	put(c, 3, 0, datum.Int, datum.NewInt(1))
 	cols := c.CachedColumns()
 	if len(cols) != 1 || cols[0] != 3 {
 		t.Errorf("CachedColumns = %v", cols)
-	}
-	if c.String() == "" {
-		t.Error("String empty")
 	}
 }
 
@@ -289,8 +288,8 @@ func TestViewGetPut(t *testing.T) {
 	if _, ok := v.Get(4); ok {
 		t.Error("absent row must miss")
 	}
-	// Cache-level Get sees view writes.
-	if got, ok := c.Get(0, 5); !ok || got.Int() != 50 {
+	// Another view sees the writes.
+	if got, ok := get(c, 0, 5); !ok || got.Int() != 50 {
 		t.Fatalf("cache get after view put = %v %v", got, ok)
 	}
 	// NULL through view.
@@ -314,7 +313,7 @@ func TestViewDetachmentAfterEviction(t *testing.T) {
 			v.Put(r, datum.NewInt(int64(col*100+r)))
 		}
 	}
-	if c.Present(0, 3) {
+	if present(c, 0, 3) {
 		t.Fatal("column 0 should have been evicted")
 	}
 	// Detached view still reads its old (correct) data, and writes are
@@ -349,66 +348,56 @@ func BenchmarkViewGet(b *testing.B) {
 	}
 }
 
-func BenchmarkCacheGet(b *testing.B) {
-	c := New(0)
-	for r := 0; r < 1<<16; r++ {
-		c.Put(0, r, datum.Int, datum.NewInt(int64(r)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Get(0, i&(1<<16-1))
-	}
-}
-
 func TestAbsorb(t *testing.T) {
 	main := New(0)
-	main.Put(0, 0, datum.Int, datum.NewInt(100))
-	main.Put(1, 0, datum.Text, datum.NewText("zero"))
+	put(main, 0, 0, datum.Int, datum.NewInt(100))
+	put(main, 1, 0, datum.Text, datum.NewText("zero"))
 
 	sh := New(0)
-	sh.Put(0, 0, datum.Int, datum.NewInt(101))
-	sh.Put(0, 1, datum.Int, datum.NewNull(datum.Int))
-	sh.Put(1, 0, datum.Text, datum.NewText("one"))
+	put(sh, 0, 0, datum.Int, datum.NewInt(101))
+	put(sh, 0, 1, datum.Int, datum.NewNull(datum.Int))
+	put(sh, 1, 0, datum.Text, datum.NewText("one"))
 	// Sparse shard rows survive the shift.
-	sh.Put(1, 70, datum.Text, datum.NewText("far"))
+	put(sh, 1, 70, datum.Text, datum.NewText("far"))
 
 	main.Absorb(sh, 1)
 
-	if v, ok := main.Get(0, 0); !ok || v.Int() != 100 {
+	if v, ok := get(main, 0, 0); !ok || v.Int() != 100 {
 		t.Errorf("pre-existing value lost: %v %v", v, ok)
 	}
-	if v, ok := main.Get(0, 1); !ok || v.Int() != 101 {
+	if v, ok := get(main, 0, 1); !ok || v.Int() != 101 {
 		t.Errorf("absorbed int = %v,%v", v, ok)
 	}
-	if v, ok := main.Get(0, 2); !ok || !v.Null() {
+	if v, ok := get(main, 0, 2); !ok || !v.Null() {
 		t.Errorf("absorbed null = %v,%v", v, ok)
 	}
-	if v, ok := main.Get(1, 1); !ok || v.Text() != "one" {
+	if v, ok := get(main, 1, 1); !ok || v.Text() != "one" {
 		t.Errorf("absorbed text = %v,%v", v, ok)
 	}
-	if v, ok := main.Get(1, 71); !ok || v.Text() != "far" {
+	if v, ok := get(main, 1, 71); !ok || v.Text() != "far" {
 		t.Errorf("absorbed sparse row = %v,%v", v, ok)
 	}
-	if _, ok := main.Get(0, 3); ok {
+	if _, ok := get(main, 0, 3); ok {
 		t.Error("row 3 should be absent")
 	}
 	// Nil shard is a no-op.
 	main.Absorb(nil, 5)
-	if main.CoveredRows(0) != 3 {
-		t.Errorf("covered rows = %d", main.CoveredRows(0))
+	if d, _ := main.Export(0); d.N != 3 {
+		t.Errorf("rows present = %d", d.N)
 	}
 }
 
 func TestAbsorbRespectsBudget(t *testing.T) {
-	main := New(entryOverhead + 64) // room for roughly one small column
+	const budget = entryOverhead + 64 // room for roughly one small column
+	main := New(budget)
 	sh := New(0)
 	for r := 0; r < 4; r++ {
-		sh.Put(0, r, datum.Int, datum.NewInt(int64(r)))
-		sh.Put(1, r, datum.Int, datum.NewInt(int64(r)))
+		put(sh, 0, r, datum.Int, datum.NewInt(int64(r)))
+		put(sh, 1, r, datum.Int, datum.NewInt(int64(r)))
 	}
 	main.Absorb(sh, 0)
-	if main.Bytes() > main.Budget() {
-		t.Errorf("budget exceeded: %d > %d", main.Bytes(), main.Budget())
+	if main.Bytes() > budget {
+		t.Errorf("budget exceeded: %d > %d", main.Bytes(), budget)
 	}
 }
 
@@ -441,9 +430,9 @@ func TestGetBatchMatchesGet(t *testing.T) {
 				case variant == "gaps" && r == 170:
 					continue // absent row inside the range
 				case variant == "nulls" && r%37 == 0:
-					c.Put(0, r, typ, datum.NewNull(typ))
+					put(c, 0, r, typ, datum.NewNull(typ))
 				default:
-					c.Put(0, r, typ, mk(typ, r))
+					put(c, 0, r, typ, mk(typ, r))
 				}
 			}
 			v := c.View(0, typ)
@@ -453,7 +442,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 				got := v.GetBatch(start, n, dst)
 				want := true
 				for r := start; r < start+n; r++ {
-					if !c.Present(0, r) {
+					if !present(c, 0, r) {
 						want = false
 						break
 					}
@@ -537,17 +526,17 @@ func TestNewColumnSizedToKnownSpan(t *testing.T) {
 		t.Errorf("accounted bytes differ: %d vs %d", e.bytes, c.cols[0].bytes)
 	}
 	for _, r := range []int{0, 1, rows / 2, rows - 1} {
-		if d, ok := c.Get(1, r); !ok || d.Int() != int64(-r) {
+		if d, ok := get(c, 1, r); !ok || d.Int() != int64(-r) {
 			t.Errorf("row %d = %v %v", r, d, ok)
 		}
 	}
-	if _, ok := c.Get(1, rows); ok {
+	if _, ok := get(c, 1, rows); ok {
 		t.Error("row past the span reads as cached")
 	}
 
 	// A longer column still grows past the hint, and raises it.
 	v1.Put(rows+10, datum.NewInt(7))
-	if d, ok := c.Get(1, rows+10); !ok || d.Int() != 7 {
+	if d, ok := get(c, 1, rows+10); !ok || d.Int() != 7 {
 		t.Errorf("row past the hint = %v %v", d, ok)
 	}
 	v2 := c.View(2, datum.Float)
@@ -555,11 +544,12 @@ func TestNewColumnSizedToKnownSpan(t *testing.T) {
 	if got := cap(c.cols[2].floats); got != rows+11 {
 		t.Errorf("capacity after the span grew: %d, want %d", got, rows+11)
 	}
-	// A shrunken file lowers it again.
-	c.Truncate(100)
+	// Dropping everything (the file changed, perhaps shrank) forgets the
+	// span: the next column is no longer sized to it.
+	c.DropAll()
 	v3 := c.View(3, datum.Int)
 	v3.Put(0, datum.NewInt(1))
-	if got := cap(c.cols[3].ints); got != 100 {
-		t.Errorf("capacity after Truncate(100): %d, want 100", got)
+	if got := cap(c.cols[3].ints); got >= rows {
+		t.Errorf("capacity after DropAll: %d, want below the old span %d", got, rows)
 	}
 }

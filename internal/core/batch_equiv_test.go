@@ -98,7 +98,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 }
 
 // joinEquivQueries are the multi-table shapes the batch-native hash join
-// carries: 2- and 3-way joins, a residual filter fused into the projection
+// carries: 2- and 3-way joins, a residual filter below the projection
 // and one under an aggregate, GROUP BY above a join (float sums expose any
 // change of row order), and a self-join with a column-vs-column residual.
 var joinEquivQueries = []string{

@@ -40,7 +40,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -335,9 +334,8 @@ type Prepared struct {
 	numParams  int
 	paramNames []string
 
-	skelMu   sync.Mutex
-	skelDone bool
-	skel     *plan.Skeleton // nil when the statement is not skeleton-cacheable
+	skelMu sync.Mutex
+	skel   *plan.Skeleton // nil until the first execution resolves it
 }
 
 // IsSelect reports whether the statement returns rows.
@@ -422,15 +420,8 @@ func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named m
 	if err != nil {
 		return nil, nil, err
 	}
-	var res *plan.Result
 	endBind := prof.Enter(qtrace.PhaseBind)
-	if sk != nil {
-		res, err = sk.Bind(p.e, opts)
-	} else {
-		// Not skeleton-cacheable (a parameter where resolution needs a
-		// literal): plan per execution with immediate binding, as before.
-		res, err = plan.Build(p.sel, p.e, opts)
-	}
+	res, err := sk.Bind(p.e, opts)
 	endBind()
 	if err != nil {
 		return nil, nil, err
@@ -440,30 +431,22 @@ func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named m
 
 // skeleton lazily resolves the statement into its cached plan skeleton —
 // the skeleton-cache guarantee that resolution and classification are
-// paid once per statement, not per execution. A nil skeleton with nil
-// error means the statement cannot be carried by one (per-execution
-// planning applies). Only a definitive outcome latches: a build error
-// (e.g. a table file that is briefly unreadable) surfaces to this
-// execution but the next one retries, since the Prepared is shared
-// engine-wide through the statement cache and must not stay poisoned by
-// a transient failure.
+// paid once per statement, not per execution. Only a built skeleton
+// latches: a build error (e.g. a table file that is briefly unreadable)
+// surfaces to this execution but the next one retries, since the Prepared
+// is shared engine-wide through the statement cache and must not stay
+// poisoned by a transient failure.
 func (p *Prepared) skeleton() (*plan.Skeleton, error) {
 	p.skelMu.Lock()
 	defer p.skelMu.Unlock()
-	if p.skelDone {
-		return p.skel, nil
+	if p.skel == nil {
+		sk, err := plan.BuildSkeleton(p.sel, p.e)
+		if err != nil {
+			return nil, err
+		}
+		p.skel = sk
 	}
-	sk, err := plan.BuildSkeleton(p.sel, p.e)
-	switch {
-	case err == nil:
-		p.skel, p.skelDone = sk, true
-		return sk, nil
-	case errors.Is(err, plan.ErrNotCacheable):
-		p.skelDone = true
-		return nil, nil
-	default:
-		return nil, err
-	}
+	return p.skel, nil
 }
 
 // checkBindings validates parameter arity up front, so the error does not

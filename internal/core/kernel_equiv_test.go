@@ -9,7 +9,7 @@ import (
 	"nodb/internal/tpch"
 )
 
-// TestKernelEquivalenceCrossFormat: the fused kernel path must be
+// TestKernelEquivalenceCrossFormat: the compiled kernel path must be
 // invisible in results AND in adaptive-structure metrics — for every
 // format, worker count, and cold/warm pass, kernels on and off produce
 // byte-identical rows and equal per-table metrics.

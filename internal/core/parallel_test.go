@@ -227,7 +227,7 @@ func TestParallelScanLimitTeardown(t *testing.T) {
 	// Partitions read to their end before the teardown reached their worker
 	// merge back, like an aborted sequential scan keeping the recordings it
 	// made before stopping. A worker notices teardown only when it emits, a
-	// refused last message still counts as a full read (format.PumpRows),
+	// refused last message still counts as a full read (PartitionedScan.run),
 	// and the LIMIT is met from partition 0's first message — so a
 	// partition 0 of fewer than two messages is always merged.
 	raw, err := os.ReadFile(filepath.Join(dir, "wide.csv"))

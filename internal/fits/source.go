@@ -3,7 +3,6 @@ package fits
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"nodb/internal/colcache"
@@ -13,7 +12,6 @@ import (
 	"nodb/internal/format"
 	"nodb/internal/qtrace"
 	"nodb/internal/schema"
-	"nodb/internal/stats"
 )
 
 // Source is the FITS format adapter (paper §5.3: "The FITS-enabled
@@ -108,7 +106,7 @@ func validateBinding(t *Table, tbl *schema.Table) error {
 func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
 	return s.NewScan(ctx, cols, conjuncts, format.ScanPlan{
 		Seq: func(ctx context.Context) exec.Operator {
-			return newFITSScan(ctx, s.State, s.t, cols, conjuncts, 0, s.t.NRows)
+			return newRangeScan(ctx, s.State, s.t, cols, conjuncts, 0, s.t.NRows)
 		},
 		Par: func(ctx context.Context, workers int) exec.Operator {
 			// Contiguous row ranges, one per worker, each decoded into a
@@ -118,7 +116,7 @@ func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr
 				n := max(min(int64(workers), nrows), 1)
 				parts := make([]format.Part, n)
 				for i := range n {
-					parts[i] = newFITSScan(ctx, s.Shard(), s.t, cols, conjuncts, nrows*i/n, nrows*(i+1)/n)
+					parts[i] = newRangeScan(ctx, s.Shard(), s.t, cols, conjuncts, nrows*i/n, nrows*(i+1)/n)
 				}
 				return parts, nil, nil
 			})
@@ -188,200 +186,79 @@ func (s *Source) Invalidate() {
 // Close implements format.Source: it closes the FITS file.
 func (s *Source) Close() error { return s.t.Close() }
 
-// fitsScan is the recording pass over rows [lo, hi) into st — the
-// table's own State, or a partition worker's shard (State.Shard): it
-// decodes the needed columns straight into column-major batches
-// (fixed-width rows columnarize trivially), filters with the vectorized
-// kernels, and fills st's binary cache as it goes, at rows relative to lo.
-// Cancellation is observed every 256 rows, exactly like the CSV pipeline.
-// It honors LIMIT row budgets.
-type fitsScan struct {
-	ctx       context.Context
-	prof      *qtrace.Profile // nil unless the query context carries one
-	st        *format.State
-	t         *Table
-	outCols   []int
-	conjuncts []expr.Expr
-	cols      []exec.Col
-	needed    []int
-	lo, hi    int64
+// rangeLoader is the FITS loader of the column-scan frame: the recording
+// pass over rows [lo, hi) into st — the table's own State, or a partition
+// worker's shard (State.Shard). It decodes the needed columns straight
+// into the frame's column-major batch (fixed-width rows columnarize
+// trivially) and fills st's binary cache as it goes, at rows relative to
+// lo. Cancellation is observed every 256 rows, exactly like the CSV
+// pipeline; the range's row count publishes only when the pass reaches
+// its end.
+type rangeLoader struct {
+	ctx    context.Context
+	st     *format.State
+	t      *Table
+	lo, hi int64
 
+	needed  []int
 	rd      *Reader
 	views   []colcache.View
-	row     int64 // next absolute row to decode
 	readBuf []datum.Datum
-	c       qtrace.Counts
 	tick    int
-
-	batchSize int
-	budget    int64 // LIMIT pushdown; -1 = none
-	produced  int64
-	batch     *exec.Batch
-	outBatch  *exec.Batch
-	selBuf    []int
-
-	pend *exec.Batch // Fill: the batch being copied out, next live row at k
-	k    int
 }
 
-func newFITSScan(ctx context.Context, st *format.State, t *Table, outCols []int, conjuncts []expr.Expr, lo, hi int64) *fitsScan {
+// newRangeScan is the recording pass over rows [lo, hi) of t into st.
+func newRangeScan(ctx context.Context, st *format.State, t *Table, outCols []int, conjuncts []expr.Expr, lo, hi int64) *format.ColumnScan {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &fitsScan{
-		ctx:       ctx,
-		prof:      qtrace.FromContext(ctx),
-		st:        st,
-		t:         t,
-		outCols:   outCols,
-		conjuncts: conjuncts,
-		cols:      format.OutputSchema(st.Tbl, outCols),
-		needed:    format.NeededColumns(outCols, conjuncts),
-		lo:        lo,
-		hi:        hi,
-		batchSize: st.BatchSize(),
-		budget:    -1,
-	}
+	return format.NewColumnScan(ctx, st, outCols, conjuncts, &rangeLoader{ctx: ctx, st: st, t: t, lo: lo, hi: hi})
 }
-
-// Columns implements exec.Operator.
-func (s *fitsScan) Columns() []exec.Col { return s.cols }
-
-// SetRowBudget implements exec.RowBudgeter.
-func (s *fitsScan) SetRowBudget(n int64) { s.budget = n }
-
-// Shard implements format.Part. FITS keeps no statistics.
-func (s *fitsScan) Shard() (*format.State, []*stats.Collector) { return s.st, nil }
 
 // Open positions the range reader and acquires cache views.
-func (s *fitsScan) Open() error {
-	if err := s.t.CheckPayload(); err != nil {
-		return err
+func (l *rangeLoader) Open(needed []int) (int, error) {
+	if err := l.t.CheckPayload(); err != nil {
+		return 0, err
 	}
-	s.rd = s.t.NewRangeReader(s.lo, s.hi)
-	if s.prof != nil {
-		s.rd.SetReaderAt(qtrace.CountReaderAt(s.prof, s.t.f))
+	l.needed = needed
+	l.rd = l.t.NewRangeReader(l.lo, l.hi)
+	if prof := qtrace.FromContext(l.ctx); prof != nil {
+		l.rd.SetReaderAt(qtrace.CountReaderAt(prof, l.t.f))
 	}
-	s.row = s.lo
-	s.produced = 0
-	s.pend, s.k = nil, 0
-	if cache := s.st.Cache; cache != nil {
-		if s.views == nil {
-			s.views = make([]colcache.View, s.st.Tbl.NumColumns())
-		}
-		for i := range s.views {
-			s.views[i] = colcache.View{}
-		}
-		for _, c := range s.needed {
-			s.views[c] = cache.View(c, s.st.Types[c])
+	if l.views == nil {
+		l.views = make([]colcache.View, l.st.Tbl.NumColumns())
+	}
+	if cache := l.st.Cache; cache != nil {
+		for _, c := range needed {
+			l.views[c] = cache.View(c, l.st.Types[c])
 		}
 	}
-	return nil
+	return int(l.hi - l.lo), nil
 }
 
-// Close publishes the scan's counters into st (each worker shard flushes
-// exactly once).
-func (s *fitsScan) Close() error {
-	s.st.Counters.Flush(s.prof, &s.c)
-	return nil
-}
-
-// NextBatch decodes up to one batch of rows, caches the values and
-// narrows the selection vector conjunct by conjunct.
-func (s *fitsScan) NextBatch() (*exec.Batch, error) {
-	if s.batch == nil {
-		s.batch = &exec.Batch{Cols: make([][]datum.Datum, s.st.Tbl.NumColumns())}
-		s.outBatch = &exec.Batch{Cols: make([][]datum.Datum, len(s.outCols))}
-	}
-	for {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-		if s.row >= s.hi {
-			s.st.Rows.Store(s.hi - s.lo)
-			return nil, io.EOF
-		}
-		if s.budget >= 0 && s.produced >= s.budget {
-			return nil, io.EOF
-		}
-		n := s.batchSize
-		if rem := s.hi - s.row; int64(n) > rem {
-			n = int(rem)
-		}
-		if s.budget >= 0 && len(s.conjuncts) == 0 {
-			// Unfiltered batches are all live: never decode past the budget.
-			if rem := s.budget - s.produced; int64(n) > rem {
-				n = int(rem)
-			}
-		}
-		b := s.batch
-		for _, c := range s.needed {
-			if cap(b.Cols[c]) < n {
-				b.Cols[c] = make([]datum.Datum, n)
-			}
-			b.Cols[c] = b.Cols[c][:n]
-		}
-		for i := 0; i < n; i++ {
-			if s.tick++; s.tick&255 == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			buf, err := s.rd.Next(s.needed, s.readBuf)
-			s.readBuf = buf
-			if err != nil {
-				return nil, fmt.Errorf("fits: %s row %d: %w", s.st.Tbl.Name, s.row+int64(i)+1, err)
-			}
-			cacheRow := int(s.row - s.lo + int64(i))
-			for j, c := range s.needed {
-				b.Cols[c][i] = buf[j]
-				if s.views != nil && s.views[c].Valid() {
-					s.views[c].Put(cacheRow, buf[j])
-				}
-			}
-		}
-		s.c[qtrace.CtrTuplesParsed] += int64(n)
-		s.c[qtrace.CtrFieldsParsed] += int64(n * len(s.needed))
-		b.N = n
-		sel, live, err := format.NarrowSelection(s.conjuncts, b.Cols, n, &s.selBuf, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.row += int64(n)
-		if live == 0 && len(s.conjuncts) > 0 {
-			continue
-		}
-		s.produced += int64(live)
-		out := s.outBatch
-		for i, c := range s.outCols {
-			out.Cols[i] = b.Cols[c]
-		}
-		out.N = n
-		out.Sel = sel
-		return out, nil
-	}
-}
-
-// Fill implements format.Part: it copies the live rows of the decoded
-// batches into b, a worker's freshly allocated message, until it holds n.
-func (s *fitsScan) Fill(b *exec.Batch, n int) error {
-	for b.N < n {
-		if s.pend == nil || s.k >= s.pend.Live() {
-			var err error
-			if s.pend, err = s.NextBatch(); err != nil {
+// Load decodes rows [row, row+n) of the range and caches their values
+// (a view that is not attached keeps nothing).
+func (l *rangeLoader) Load(cols [][]datum.Datum, row, n int, c *qtrace.Counts) error {
+	for i := 0; i < n; i++ {
+		if l.tick++; l.tick&255 == 0 {
+			if err := l.ctx.Err(); err != nil {
 				return err
 			}
-			s.k = 0
 		}
-		i := s.k
-		if s.pend.Sel != nil {
-			i = s.pend.Sel[s.k]
+		buf, err := l.rd.Next(l.needed, l.readBuf)
+		l.readBuf = buf
+		if err != nil {
+			return fmt.Errorf("fits: %s row %d: %w", l.st.Tbl.Name, l.lo+int64(row+i)+1, err)
 		}
-		for j := range b.Cols {
-			b.Cols[j] = append(b.Cols[j], s.pend.Cols[j][i])
+		for j, col := range l.needed {
+			cols[col][i] = buf[j]
+			l.views[col].Put(row+i, buf[j])
 		}
-		b.N++
-		s.k++
 	}
+	c[qtrace.CtrTuplesParsed] += int64(n)
+	c[qtrace.CtrFieldsParsed] += int64(n * len(l.needed))
 	return nil
 }
+
+// End publishes the range's row count into st.
+func (l *rangeLoader) End() { l.st.Rows.Store(l.hi - l.lo) }

@@ -16,8 +16,11 @@
 //     access-method decision (NewScan),
 //   - GuardedScan — the leaf operator that defers the access-method choice
 //     to Open, under the table lock,
-//   - CacheScan — the vectorized scan that serves a query entirely from
-//     the binary cache,
+//   - ColumnScan — the batch loop of every scan whose columns arrive
+//     binary (LIMIT budget, conjunct-by-conjunct selection, counters,
+//     Part for a partition worker); a ColumnLoader fills the needed
+//     columns per row range. NewCacheScan is this frame over the binary
+//     cache, serving a query without touching the raw file,
 //   - PartitionedScan — the parallel cold pass of every format: one
 //     worker per Part (a range of the file recording into a private
 //     shard), drained in file order, shards merged once,
@@ -32,9 +35,10 @@
 // over private shards and the ordered merge, caching, statistics, sidecar
 // restore, cancellation, LIMIT budgets, fault retries, row-number rebasing
 // on RowError and INSERT rollback all come with the frame, tested once
-// (linescan_test.go) for every such format. Formats that are not
-// line-oriented (FITS) build their scans on NewScan directly and hand
-// NewPartitionedScan one Part per row range.
+// (linescan_test.go) for every such format. A binary format (FITS)
+// supplies a ColumnLoader that decodes a row range: its scans are
+// ColumnScans built through NewScan, and its parallel pass hands
+// NewPartitionedScan one ColumnScan per row range.
 //
 // This is the raw-data literature's framing of format generality as an API
 // problem (Zhang, "Code Generation Techniques for Raw Data Processing":

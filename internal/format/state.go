@@ -222,7 +222,6 @@ func (st *State) Refresh() error {
 func (st *State) InvalidateLocked() {
 	if st.PM != nil {
 		st.PM.Drop()
-		st.PM.Truncate(0)
 	}
 	if st.Cache != nil {
 		st.Cache.DropAll()

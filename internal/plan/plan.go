@@ -18,10 +18,6 @@
 //     actual parameters), compiles filter/projection kernels for supported
 //     shapes, and assembles the operator tree.
 //
-// Build composes the two for one-shot planning: placeholders bind during
-// resolution, so statements a skeleton cannot carry (ErrNotCacheable) still
-// plan exactly as before.
-//
 // The planner is engine-agnostic: raw in-situ tables (internal/core) and
 // loaded heap tables (internal/storage) both appear behind the Table
 // interface. Predicates pushed into Table.Scan reference *table ordinals*,
@@ -107,23 +103,6 @@ type Result struct {
 	Cols []exec.Col
 }
 
-// Build plans a SELECT statement against the resolver in one shot:
-// resolution with immediately bound placeholders, then plan assembly with
-// the table handles resolution just produced (a cached skeleton re-resolves
-// per execution instead; see Skeleton.Bind). Use BuildSkeleton + Bind to
-// amortize resolution across executions.
-func Build(sel *sqlparse.Select, r Resolver, opts Options) (*Result, error) {
-	sk, err := buildSkeleton(sel, r, &immediateBinding{params: opts.Params, named: opts.NamedParams})
-	if err != nil {
-		return nil, err
-	}
-	tbls := make([]Table, len(sk.tables))
-	for i, te := range sk.tables {
-		tbls[i] = te.tbl
-	}
-	return sk.bindResolved(tbls, opts)
-}
-
 // colInfo is one column visible in the query scope.
 type colInfo struct {
 	table   int // index into builder.tables
@@ -140,17 +119,9 @@ type tableEntry struct {
 	offset int // scope ordinal of the table's first column
 }
 
-// immediateBinding makes resolution bind placeholders on the spot (the
-// one-shot Build path) instead of emitting slots.
-type immediateBinding struct {
-	params []datum.Datum
-	named  map[string]datum.Datum
-}
-
 // builder is the resolution-phase state (skeleton construction).
 type builder struct {
-	resolver  Resolver
-	immediate *immediateBinding // nil: placeholders become expr.Slot
+	resolver Resolver
 
 	tables []tableEntry
 	scope  []colInfo

@@ -131,13 +131,23 @@ func testTables() memResolver {
 	return memResolver{"users": users, "orders": orders}
 }
 
+// build plans sel in the engine's two phases: resolve the skeleton, then
+// bind it for one execution.
+func build(sel *sqlparse.Select, r Resolver, opts Options) (*Result, error) {
+	sk, err := BuildSkeleton(sel, r)
+	if err != nil {
+		return nil, err
+	}
+	return sk.Bind(r, opts)
+}
+
 func run(t *testing.T, r Resolver, sql string, opts Options) []exec.Row {
 	t.Helper()
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	res, err := Build(sel, r, opts)
+	res, err := build(sel, r, opts)
 	if err != nil {
 		t.Fatalf("build %q: %v", sql, err)
 	}
@@ -242,7 +252,7 @@ func TestGroupByWithExpressionsOverAggregates(t *testing.T) {
 func TestGroupByNonGroupedColumnRejected(t *testing.T) {
 	r := testTables()
 	sel, _ := sqlparse.Parse("SELECT city, age FROM users GROUP BY city")
-	if _, err := Build(sel, r, Options{}); err == nil {
+	if _, err := build(sel, r, Options{}); err == nil {
 		t.Error("non-grouped column must be rejected")
 	}
 }
@@ -368,8 +378,8 @@ func TestPlannerErrors(t *testing.T) {
 		if err != nil {
 			continue // parse-level rejection also acceptable
 		}
-		if _, err := Build(sel, r, Options{}); err == nil {
-			t.Errorf("Build(%q) should fail", q)
+		if _, err := build(sel, r, Options{}); err == nil {
+			t.Errorf("build(%q) should fail", q)
 		}
 	}
 }
@@ -380,12 +390,12 @@ func TestAmbiguousColumn(t *testing.T) {
 		"b": {name: "b", cols: []schema.Column{{Name: "x", Type: datum.Int}}},
 	}
 	sel, _ := sqlparse.Parse("SELECT x FROM a, b")
-	if _, err := Build(sel, r, Options{}); err == nil {
+	if _, err := build(sel, r, Options{}); err == nil {
 		t.Error("ambiguous column must be rejected")
 	}
 	// Qualified reference resolves fine.
 	sel, _ = sqlparse.Parse("SELECT a.x FROM a, b WHERE a.x = b.x")
-	if _, err := Build(sel, r, Options{}); err != nil {
+	if _, err := build(sel, r, Options{}); err != nil {
 		t.Errorf("qualified resolution failed: %v", err)
 	}
 }
@@ -539,7 +549,7 @@ func TestAggregateInWhereRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(sel, testTables(), Options{}); err == nil {
+	if _, err := build(sel, testTables(), Options{}); err == nil {
 		t.Error("aggregate in WHERE must be rejected")
 	}
 }
@@ -581,7 +591,7 @@ func TestEstimateTableDefaults(t *testing.T) {
 	u.st = st
 
 	sel, _ := sqlparse.Parse("SELECT id FROM users WHERE age = 25")
-	if _, err := Build(sel, r, Options{UseStats: true}); err != nil {
+	if _, err := build(sel, r, Options{UseStats: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Just exercising; correctness asserted elsewhere. Estimate the
@@ -688,7 +698,7 @@ func TestBindTimeConstantFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Build(sel, r, Options{KernelCache: kc})
+	res, err = build(sel, r, Options{KernelCache: kc})
 	if err != nil {
 		t.Fatalf("planning 1/0 failed: %v", err)
 	}

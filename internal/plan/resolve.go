@@ -58,16 +58,9 @@ func (b *builder) convertScalar(n sqlparse.Node) (expr.Expr, error) {
 		// Intervals act as day counts in date arithmetic.
 		return &expr.Const{D: datum.NewInt(node.Days)}, nil
 	case *sqlparse.Placeholder:
-		if b.immediate == nil {
-			// Skeleton mode: the placeholder survives resolution as a slot
-			// and re-binds per execution.
-			return &expr.Slot{Ordinal: node.Ordinal, Name: node.Name}, nil
-		}
-		d, err := b.bindPlaceholder(node)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Const{D: d}, nil
+		// The placeholder survives resolution as a slot and re-binds per
+		// execution (Skeleton.Bind).
+		return &expr.Slot{Ordinal: node.Ordinal, Name: node.Name}, nil
 	case *sqlparse.Binary:
 		l, err := b.convertScalar(node.L)
 		if err != nil {
@@ -176,33 +169,6 @@ func (b *builder) convertScalar(n sqlparse.Node) (expr.Expr, error) {
 	default:
 		return nil, fmt.Errorf("plan: cannot convert %T", n)
 	}
-}
-
-// bindPlaceholder resolves a parameter placeholder against the immediate
-// bindings (one-shot Build). Binding during planning (late binding) means
-// the literal value participates in every statistics-driven decision, so
-// re-executing a prepared statement with different values re-optimizes for
-// them; the skeleton path achieves the same through Slot nodes bound in
-// Skeleton.Bind.
-func (b *builder) bindPlaceholder(p *sqlparse.Placeholder) (datum.Datum, error) {
-	return resolveParam(p.Ordinal, p.Name, b.immediate.params, b.immediate.named)
-}
-
-// resolveParam looks one parameter up in an execution's bindings — the
-// single definition both binding paths (immediate placeholders and
-// skeleton slots) share, so their semantics and errors cannot diverge.
-func resolveParam(ordinal int, name string, params []datum.Datum, named map[string]datum.Datum) (datum.Datum, error) {
-	if name != "" {
-		d, ok := named[name]
-		if !ok {
-			return datum.Datum{}, fmt.Errorf("plan: no binding for parameter :%s", name)
-		}
-		return d, nil
-	}
-	if ordinal < 1 || ordinal > len(params) {
-		return datum.Datum{}, fmt.Errorf("plan: no binding for parameter $%d (have %d)", ordinal, len(params))
-	}
-	return params[ordinal-1], nil
 }
 
 func binOp(op string) (expr.Op, error) {

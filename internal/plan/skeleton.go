@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -13,12 +12,6 @@ import (
 	"nodb/internal/qtrace"
 	"nodb/internal/sqlparse"
 )
-
-// ErrNotCacheable reports a statement whose plan skeleton cannot be cached
-// because a parameter placeholder sits where resolution needs a concrete
-// literal (an IN list). Callers fall back to per-execution Build, which
-// binds placeholders during resolution.
-var ErrNotCacheable = errors.New("plan: statement is not skeleton-cacheable")
 
 // skeletonBuilds counts skeleton constructions (i.e. full resolution +
 // classification passes); the skeleton-cache tests assert that repeated
@@ -50,13 +43,8 @@ type Skeleton struct {
 }
 
 // BuildSkeleton resolves and classifies sel once, keeping placeholders as
-// re-bindable slots. The error wraps ErrNotCacheable when the statement
-// cannot be represented that way.
+// re-bindable slots.
 func BuildSkeleton(sel *sqlparse.Select, r Resolver) (*Skeleton, error) {
-	return buildSkeleton(sel, r, nil)
-}
-
-func buildSkeleton(sel *sqlparse.Select, r Resolver, imm *immediateBinding) (*Skeleton, error) {
 	skeletonBuilds.Add(1)
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("plan: query has no FROM clause")
@@ -64,7 +52,7 @@ func buildSkeleton(sel *sqlparse.Select, r Resolver, imm *immediateBinding) (*Sk
 	if len(sel.Items) == 0 {
 		return nil, fmt.Errorf("plan: empty select list")
 	}
-	b := &builder{resolver: r, immediate: imm}
+	b := &builder{resolver: r}
 
 	// Resolve tables and build the scope.
 	seen := map[string]bool{}
@@ -246,12 +234,6 @@ func (sk *Skeleton) Bind(r Resolver, opts Options) (*Result, error) {
 		}
 		tbls[i] = tbl
 	}
-	return sk.bindResolved(tbls, opts)
-}
-
-// bindResolved is Bind with the access methods already in hand (the
-// one-shot Build path reuses the handles its own resolution produced).
-func (sk *Skeleton) bindResolved(tbls []Table, opts Options) (*Result, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
 	}
@@ -392,5 +374,15 @@ func (bi *binder) bindList(list []expr.Expr) ([]expr.Expr, error) {
 // bindSlot resolves one parameter slot against the bindings of this
 // execution.
 func (bi *binder) bindSlot(s *expr.Slot) (datum.Datum, error) {
-	return resolveParam(s.Ordinal, s.Name, bi.opts.Params, bi.opts.NamedParams)
+	if s.Name != "" {
+		d, ok := bi.opts.NamedParams[s.Name]
+		if !ok {
+			return datum.Datum{}, fmt.Errorf("plan: no binding for parameter :%s", s.Name)
+		}
+		return d, nil
+	}
+	if s.Ordinal < 1 || s.Ordinal > len(bi.opts.Params) {
+		return datum.Datum{}, fmt.Errorf("plan: no binding for parameter $%d (have %d)", s.Ordinal, len(bi.opts.Params))
+	}
+	return bi.opts.Params[s.Ordinal-1], nil
 }

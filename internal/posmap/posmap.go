@@ -52,12 +52,8 @@ type Options struct {
 // Metrics counts the activity of a Map for instrumentation and benchmarks
 // (Fig 3's x-axis is the number of recorded pointers).
 type Metrics struct {
-	Pointers   int64 // live in-memory position entries
-	Recorded   int64 // total Record calls that stored a new entry
-	Hits       int64 // Lookup calls answered from memory
-	Misses     int64 // Lookup calls with no information
-	NearMisses int64 // Lookup answered via a neighboring attribute
-	Evictions  int64 // chunks evicted
+	Pointers  int64 // live in-memory position entries
+	Evictions int64 // chunks evicted
 }
 
 // Map is the adaptive positional map for one raw file.
@@ -165,10 +161,7 @@ func countValid(rels []uint32) int {
 func (m *Map) chunkBytes() int64 { return int64(m.chunkRows)*4 + 64 }
 
 // recorded accounts n newly stored entries.
-func (m *Map) recorded(n int) {
-	m.m.Pointers += int64(n)
-	m.m.Recorded += int64(n)
-}
+func (m *Map) recorded(n int) { m.m.Pointers += int64(n) }
 
 // New creates an empty positional map for a file with numAttrs attributes.
 func New(numAttrs int, opts Options) *Map {
@@ -239,15 +232,12 @@ func (m *Map) Lookup(row, attr int) (uint32, bool) {
 	}
 	c := m.chunkFor(attr, row/m.chunkRows, false)
 	if c == nil {
-		m.m.Misses++
 		return 0, false
 	}
 	rel := c.offs[row%m.chunkRows]
 	if rel == noPosition {
-		m.m.Misses++
 		return 0, false
 	}
-	m.m.Hits++
 	m.touch(c)
 	return rel, true
 }
@@ -300,16 +290,15 @@ func (m *Map) Nearest(row, attr int) (foundAttr int, rel uint32, ok bool) {
 			right++
 		}
 		if rel, ok := m.lookupQuiet(row, int(cand)); ok {
-			m.m.NearMisses++
 			return int(cand), rel, true
 		}
 	}
 	return 0, 0, false
 }
 
-// lookupQuiet is Lookup without hit/miss accounting or LRU movement (used
-// by Nearest's probe loop so a navigation attempt neither inflates the
-// miss counters nor reorders the LRU for chunks it merely inspected).
+// lookupQuiet is Lookup without LRU movement (used by Nearest's probe loop
+// so a navigation attempt does not reorder the LRU for chunks it merely
+// inspected).
 func (m *Map) lookupQuiet(row, attr int) (uint32, bool) {
 	c := m.chunkFor(attr, row/m.chunkRows, false)
 	if c == nil {
@@ -561,10 +550,13 @@ func (m *Map) adopt(c *chunk, attr, idx int) bool {
 	return true
 }
 
-// Drop discards all per-attribute positional information, keeping tuple
-// starts. The paper notes the map "may be dropped
-// fully or partly at any time without any loss of critical information".
+// Drop discards everything the map holds — tuple starts and per-attribute
+// positions — used when the file changes in place, shrinks or is rewritten
+// (paper §4.5: in-place updates may require dropping and recreating the
+// map; the map "may be dropped fully or partly at any time without any
+// loss of critical information"). The map stays usable.
 func (m *Map) Drop() {
+	m.starts = m.starts[:0]
 	for a := range m.attrs {
 		m.attrs[a].chunks = nil
 		m.attrs[a].live = 0
@@ -576,30 +568,6 @@ func (m *Map) Drop() {
 	m.m.Pointers = 0
 	m.chunksAt = m.chunksAt[:0]
 	m.attrsAt = m.attrsAt[:0]
-}
-
-// Truncate discards all information from tuple row onward, used when a
-// file shrinks or is rewritten in place (paper §4.5: in-place updates may
-// require dropping and recreating the map).
-func (m *Map) Truncate(row int) {
-	if row < 0 {
-		row = 0
-	}
-	if row < len(m.starts) {
-		m.starts = m.starts[:row]
-	}
-	// Evict every chunk that touches a dropped row. The boundary chunk is
-	// dropped whole: losing a few valid entries below row is harmless for
-	// an auxiliary structure and keeps the invariant simple.
-	cutoff := row / m.chunkRows
-	for a := range m.attrs {
-		chunks := m.attrs[a].chunks
-		for idx := cutoff; idx < len(chunks); idx++ {
-			if c := chunks[idx]; c != nil {
-				m.detach(c)
-			}
-		}
-	}
 }
 
 // String summarizes the map for debugging.
@@ -664,15 +632,12 @@ func (cu *Cursor) Get(row int) (uint32, bool) {
 		return 0, false
 	}
 	if !cu.seek(row, false) {
-		cu.m.m.Misses++
 		return 0, false
 	}
 	rel := cu.c.offs[row%cu.m.chunkRows]
 	if rel == noPosition {
-		cu.m.m.Misses++
 		return 0, false
 	}
-	cu.m.m.Hits++
 	return rel, true
 }
 

@@ -185,36 +185,20 @@ func TestDrop(t *testing.T) {
 	if _, ok := m.Lookup(0, 1); ok {
 		t.Error("Drop must clear attr positions")
 	}
-	if m.NumTuples() != 1 {
-		t.Error("Drop must keep tuple starts")
+	if m.NumTuples() != 0 {
+		t.Error("Drop must clear tuple starts")
 	}
 	if m.MemoryBytes() != 0 || m.Metrics().Pointers != 0 {
 		t.Error("accounting not reset")
 	}
 	// Map must remain usable after Drop.
+	m.RecordTupleStart(0, 5)
 	m.Record(0, 1, 9)
 	if rel, ok := m.Lookup(0, 1); !ok || rel != 9 {
 		t.Error("map unusable after Drop")
 	}
-}
-
-func TestTruncate(t *testing.T) {
-	m := New(4, Options{ChunkRows: 8})
-	for r := 0; r < 20; r++ {
-		m.RecordTupleStart(r, int64(r*10))
-		m.Record(r, 0, uint32(r))
-	}
-	m.Truncate(10)
-	if m.NumTuples() != 10 {
-		t.Errorf("NumTuples after truncate = %d", m.NumTuples())
-	}
-	// Row 12 was in chunk 1 (rows 8..15) which is dropped entirely.
-	if _, ok := m.Lookup(12, 0); ok {
-		t.Error("truncated row still present")
-	}
-	// Rows in chunk 0 (below the cutoff chunk) survive.
-	if rel, ok := m.Lookup(3, 0); !ok || rel != 3 {
-		t.Error("rows before truncation point lost")
+	if off, ok := m.TupleStart(0); !ok || off != 5 {
+		t.Errorf("tuple start after Drop = %d,%v, want 5,true", off, ok)
 	}
 }
 

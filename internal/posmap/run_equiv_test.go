@@ -202,20 +202,20 @@ func TestWriterMatchesCursorRecord(t *testing.T) {
 }
 
 // TestWriterSurvivesOutsideEviction: a chunk the writer resolved leaves
-// memory behind its back (Truncate); later rows must land in a fresh chunk,
+// memory behind its back (Drop); later rows must land in a fresh chunk,
 // not in the detached one.
 func TestWriterSurvivesOutsideEviction(t *testing.T) {
 	m := New(2, Options{ChunkRows: 8})
 	m.BeginScan()
 	w := m.Writer()
 	w.RecordRow(0, 0, []uint32{1, 2})
-	m.Truncate(0)
+	m.Drop()
 	w.RecordRow(1, 0, []uint32{3, 4})
 	if _, ok := m.Lookup(0, 0); ok {
-		t.Error("truncated position still visible")
+		t.Error("dropped position still visible")
 	}
 	if rel, ok := m.Lookup(1, 1); !ok || rel != 4 {
-		t.Errorf("position recorded after the truncate = %d,%v, want 4,true", rel, ok)
+		t.Errorf("position recorded after the drop = %d,%v, want 4,true", rel, ok)
 	}
 	if p := m.Metrics().Pointers; p != 2 {
 		t.Errorf("Pointers = %d, want 2", p)
