@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nodb -schema schema.nodb [-mode pm+cache|pm|cache|external-files|load-first] [-q "SELECT ..."]
+//	nodb -schema schema.nodb [-mode pm+cache|pm|cache|external-files] [-q "SELECT ..."]
 //
 // The schema file declares tables over raw files in any registered format
 // — CSV (default), FITS binary tables and JSON-Lines ship built in. The
@@ -44,7 +44,7 @@ import (
 
 func main() {
 	schemaPath := flag.String("schema", "", "schema declaration file (required)")
-	modeName := flag.String("mode", "pm+cache", "engine mode: pm+cache, pm, cache, external-files, load-first")
+	modeName := flag.String("mode", "pm+cache", "engine mode: pm+cache, pm, cache, external-files")
 	query := flag.String("q", "", "run one query and exit")
 	noStats := flag.Bool("no-stats", false, "disable on-the-fly statistics")
 	pmBudget := flag.Int64("pm-budget", 0, "positional map budget in bytes (0 = unlimited)")

@@ -46,7 +46,7 @@ import (
 func main() {
 	schemaPath := flag.String("schema", "", "schema declaration file (required)")
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
-	modeName := flag.String("mode", "pm+cache", "engine mode: pm+cache, pm, cache, external-files, load-first")
+	modeName := flag.String("mode", "pm+cache", "engine mode: pm+cache, pm, cache, external-files")
 	noStats := flag.Bool("no-stats", false, "disable on-the-fly statistics")
 	pmBudget := flag.Int64("pm-budget", 0, "positional map budget in bytes (0 = unlimited)")
 	cacheBudget := flag.Int64("cache-budget", 0, "binary cache budget in bytes (0 = unlimited)")

@@ -24,13 +24,12 @@
 //	              format), so FITS and JSON-Lines tables are one DSN away
 //	dir           directory data paths resolve against (default: the
 //	              schema file's directory)
-//	mode          pm+cache | pm | cache | external-files | load-first
+//	mode          pm+cache | pm | cache | external-files
 //	              (default pm+cache)
 //	parallelism   worker goroutines for cold scans (0 = GOMAXPROCS)
 //	pm-budget     positional map budget in bytes (0 = unlimited)
 //	cache-budget  binary cache budget in bytes (0 = unlimited)
 //	stats         on | off (default on)
-//	data-dir      where load-first mode writes heap files
 //	sidecar       on | off (default off) — persist positional maps, hot
 //	              cached columns and statistics to crash-safe sidecar
 //	              files so a restarted engine starts warm
@@ -148,8 +147,6 @@ func parseDSN(dsn string) (config, error) {
 			default:
 				return cfg, fmt.Errorf("%w: bad stats %q (want on/off)", ErrBadDSN, v)
 			}
-		case "data-dir":
-			cfg.opts.DataDir = v
 		case "sidecar":
 			switch strings.ToLower(v) {
 			case "on", "true", "1":

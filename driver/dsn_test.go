@@ -30,6 +30,8 @@ func TestParseDSNErrors(t *testing.T) {
 		{"bad sidecar", "schema=s.nodb;sidecar=perhaps", "sidecar"},
 		{"bad sidecar-max-bytes", "schema=s.nodb;sidecar-max-bytes=lots", "sidecar-max-bytes"},
 		{"garbage separators", ";;=;schema=s.nodb", "empty value"},
+		{"load-first mode", "schema=s.nodb;mode=load-first", "unknown mode"},
+		{"data-dir key", "schema=s.nodb;data-dir=/tmp/heap", "unknown key"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,7 +52,7 @@ func TestParseDSNErrors(t *testing.T) {
 // TestParseDSNValid: well-formed DSNs map onto the engine options, with
 // semicolons, spaces, and mixed separators all accepted.
 func TestParseDSNValid(t *testing.T) {
-	cfg, err := parseDSN("schema=/data/w.nodb; mode=pm parallelism=4\tpm-budget=1048576 cache-budget=2097152;stats=off;data-dir=/tmp/heap;dir=/data;sidecar=on;sidecar-dir=/tmp/aux;sidecar-max-bytes=4096")
+	cfg, err := parseDSN("schema=/data/w.nodb; mode=pm parallelism=4\tpm-budget=1048576 cache-budget=2097152;stats=off;dir=/data;sidecar=on;sidecar-dir=/tmp/aux;sidecar-max-bytes=4096")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +62,8 @@ func TestParseDSNValid(t *testing.T) {
 	want := nodb.Options{
 		Mode: nodb.ModePM, Parallelism: 4,
 		PositionalMapBudget: 1 << 20, CacheBudget: 2 << 20,
-		DisableStatistics: true, DataDir: "/tmp/heap",
-		Sidecar: nodb.SidecarOptions{Enable: true, Dir: "/tmp/aux", MaxBytes: 4096},
+		DisableStatistics: true,
+		Sidecar:           nodb.SidecarOptions{Enable: true, Dir: "/tmp/aux", MaxBytes: 4096},
 	}
 	if cfg.opts != want {
 		t.Errorf("opts = %+v, want %+v", cfg.opts, want)
@@ -83,9 +85,7 @@ func TestParseDSNValid(t *testing.T) {
 	for dsn, mode := range map[string]nodb.Mode{
 		"SCHEMA=s.nodb;MODE=pmcache":        nodb.ModePMCache,
 		"schema=s.nodb;mode=external":       nodb.ModeExternalFiles,
-		"schema=s.nodb;mode=loaded":         nodb.ModeLoadFirst,
 		"schema=s.nodb;mode=cache":          nodb.ModeCache,
-		"schema=s.nodb;mode=LOAD-FIRST":     nodb.ModeLoadFirst,
 		"schema=s.nodb;mode=External-Files": nodb.ModeExternalFiles,
 	} {
 		cfg, err := parseDSN(dsn)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,6 +181,84 @@ func TestConcurrentLoadFirstQueries(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
+}
+
+// TestLoadFirstInvalidateWaitsForScan: Invalidate of a loaded table waits
+// for a scan in flight — the scan holds the table lock shared and keeps
+// reading the heap it started on, delivering every row — and only then
+// removes the heap; the next query loads a new one.
+func TestLoadFirstInvalidateWaitsForScan(t *testing.T) {
+	const n = 400
+	cat := buildFixture(t, t.TempDir(), n)
+	dataDir := t.TempDir()
+	e := openEngine(t, cat, Options{Mode: ModeLoadFirst, DataDir: dataDir, BatchSize: 16, PoolFrames: 8})
+	const query = "SELECT id, a, c FROM wide WHERE a < 40"
+	want := mustQuery(t, openEngine(t, cat, Options{Mode: ModePMCache}), query)
+	heap := filepath.Join(dataDir, "wide.heap")
+
+	op, _, err := e.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := op.NextBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := appendLive(nil, first)
+	old := e.sources["wide"].(*heapTable).rel.Load()
+
+	invalidated := make(chan struct{})
+	go func() {
+		e.Invalidate("wide")
+		close(invalidated)
+	}()
+	select {
+	case <-invalidated:
+		t.Error("Invalidate returned while a scan of the table was open")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatal(err)
+			}
+			break
+		}
+		got = appendLive(got, b)
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-invalidated
+	if !rowsEqual(got, want.Rows) {
+		t.Errorf("scan across Invalidate delivered %d rows, want %d equal to a fresh query", len(got), len(want.Rows))
+	}
+	if _, err := os.Stat(heap); !os.IsNotExist(err) {
+		t.Errorf("heap file after Invalidate: %v, want it removed", err)
+	}
+
+	res := mustQuery(t, e, query)
+	if !rowsEqual(res.Rows, want.Rows) {
+		t.Errorf("query after Invalidate = %d rows, want %d", len(res.Rows), len(want.Rows))
+	}
+	if _, err := os.Stat(heap); err != nil {
+		t.Errorf("next query did not reload the heap: %v", err)
+	}
+	if rel := e.sources["wide"].(*heapTable).rel.Load(); rel == nil || rel == old {
+		t.Errorf("next query scanned relation %p, want a new one (old %p)", rel, old)
+	}
+}
+
+// appendLive copies a batch's live rows out (a scan reuses its batches).
+func appendLive(rows []exec.Row, b *exec.Batch) []exec.Row {
+	for k := range b.Live() {
+		rows = append(rows, b.Row(k, make(exec.Row, len(b.Cols))))
+	}
+	return rows
 }
 
 // TestPreparedStatementParams runs one prepared statement with several

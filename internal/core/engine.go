@@ -18,12 +18,15 @@
 //
 // All modes share the same SQL front end, planner and executor, mirroring
 // how PostgresRaw reuses PostgreSQL's query stack above its raw-file scan
-// operator.
+// operator: only the scan below differs.
 //
 // Raw formats are pluggable: every table reaches the planner through the
 // format registry (internal/format) — the engine resolves a table's
 // declared format to a registered format.Driver and scans through the
-// resulting format.Source, never mentioning a concrete format. CSV, FITS
+// resulting format.Source, never mentioning a concrete format. That is the
+// one table path in every mode: in load-first mode the CSV driver opens a
+// source over the bulk-loaded heap, scanned by the same column-scan frame
+// as the binary cache, and the other formats refuse to open. CSV, FITS
 // and JSON-Lines adapters are built in (see formats.go); all of them share
 // the same scan machinery (per-table lock, guarded access-method decision,
 // partitioned cold scan, binary-cache fast path).
@@ -41,7 +44,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -159,10 +161,13 @@ type Options struct {
 type SidecarOptions struct {
 	// Enable turns sidecar persistence on.
 	Enable bool
-	// Dir is where sidecar files live ("" = next to each raw file).
+	// Dir is where sidecar files live. Empty means next to each raw file
+	// (<raw path>.nodbaux). nodb.Open verifies that the directory exists
+	// or can be created, and is writable.
 	Dir string
 	// MaxBytes caps each sidecar file's size (0 = unlimited). Under a
-	// budget the hottest cached columns persist first.
+	// budget, the most-accessed cached columns persist first and the rest
+	// are rebuilt on demand after a restart.
 	MaxBytes int64
 }
 
@@ -187,8 +192,16 @@ func (o Options) env() format.Env {
 	case ModeCache:
 		// Minimal map: tuple starts only (paper Fig 5, "PostgresRaw C").
 		env.PosMap, env.Cache = true, true
-	case ModeExternalFiles, ModeLoadFirst:
+	case ModeExternalFiles:
 		// No adaptive structures.
+	case ModeLoadFirst:
+		// No adaptive structures: tables are bulk-loaded into heap pages
+		// read through one shared buffer pool.
+		frames := o.PoolFrames
+		if frames <= 0 {
+			frames = 1024
+		}
+		env.Pool, env.DataDir = storage.NewPool(frames), o.DataDir
 	}
 	return env
 }
@@ -200,10 +213,8 @@ type Engine struct {
 	opts Options
 	env  format.Env
 
-	mu      sync.Mutex // guards the lazy per-table maps below
+	mu      sync.Mutex // guards the lazy per-table source map
 	sources map[string]format.Source
-	loaded  map[string]*loadedTable
-	pool    *storage.Pool
 
 	stmts   *stmtCache
 	kernels *kernel.Cache    // nil when Options.DisableKernels
@@ -224,18 +235,10 @@ func Open(cat *schema.Catalog, opts Options) (*Engine, error) {
 		opts:    opts,
 		env:     opts.env(),
 		sources: make(map[string]format.Source),
-		loaded:  make(map[string]*loadedTable),
 		stmts:   newStmtCache(opts.PlanCacheSize),
 	}
 	if !opts.DisableKernels {
 		e.kernels = kernel.NewCache(0)
-	}
-	if opts.Mode == ModeLoadFirst {
-		frames := opts.PoolFrames
-		if frames <= 0 {
-			frames = 1024
-		}
-		e.pool = storage.NewPool(frames)
 	}
 	if opts.Sidecar.Enable && opts.Mode != ModeLoadFirst {
 		e.sidecar = sidecar.New(sidecar.Config{
@@ -501,34 +504,29 @@ func (e *Engine) Prepare(sql string) (exec.Operator, []exec.Col, error) {
 	return p.Plan(context.Background(), nil, nil)
 }
 
-// Table implements plan.Resolver. Every in-situ table reaches the planner
-// through its registered format.Source; load-first engines serve bulk-
-// loaded heap relations instead, gated on the format's Loadable capability
-// (the error for a non-loadable format comes from the adapter).
+// Table implements plan.Resolver. Every table reaches the planner through
+// its registered format.Source — in load-first mode too, where the CSV
+// source is the bulk-loaded heap and other formats refuse to open.
 func (e *Engine) Table(name string) (plan.Table, error) {
 	tbl, ok := e.cat.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("core: table %q does not exist", name)
 	}
-	drv, err := format.Lookup(tbl.Format)
-	if err != nil {
-		return nil, fmt.Errorf("core: table %s: %w", tbl.Name, err)
-	}
-	if e.opts.Mode == ModeLoadFirst {
-		if caps := drv.Caps(); !caps.Loadable {
-			return nil, fmt.Errorf("core: table %s: %s", tbl.Name, caps.LoadErr)
-		}
-		return e.loadedFor(tbl)
-	}
-	src, err := e.sourceFor(tbl, drv)
+	src, err := e.source(tbl)
 	if err != nil {
 		return nil, err
 	}
 	return format.Table{Src: src}, nil
 }
 
-// sourceFor returns (creating on first use) the format source of a table.
-func (e *Engine) sourceFor(tbl *schema.Table, drv format.Driver) (format.Source, error) {
+// source returns (opening on first use) the format source of a table. The
+// engine mutex is held across the open, so concurrent first queries open
+// — in load-first mode, bulk-load — a table exactly once.
+func (e *Engine) source(tbl *schema.Table) (format.Source, error) {
+	drv, err := format.Lookup(tbl.Format)
+	if err != nil {
+		return nil, fmt.Errorf("core: table %s: %w", tbl.Name, err)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if s, ok := e.sources[tbl.Name]; ok {
@@ -540,38 +538,6 @@ func (e *Engine) sourceFor(tbl *schema.Table, drv format.Driver) (format.Source,
 	}
 	e.sources[tbl.Name] = s
 	return s, nil
-}
-
-// source resolves a table's driver and source in one step.
-func (e *Engine) source(tbl *schema.Table) (format.Source, error) {
-	drv, err := format.Lookup(tbl.Format)
-	if err != nil {
-		return nil, fmt.Errorf("core: table %s: %w", tbl.Name, err)
-	}
-	return e.sourceFor(tbl, drv)
-}
-
-// loadedFor returns the loaded relation, bulk-loading it on first use. The
-// engine mutex is held across the load, so concurrent first queries load a
-// table exactly once.
-func (e *Engine) loadedFor(tbl *schema.Table) (*loadedTable, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if lt, ok := e.loaded[tbl.Name]; ok {
-		return lt, nil
-	}
-	dir := e.opts.DataDir
-	if dir == "" {
-		dir = filepath.Dir(tbl.Path)
-	}
-	heapPath := filepath.Join(dir, tbl.Name+".heap")
-	rel, err := storage.LoadCSV(tbl, heapPath, e.pool)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading table %s: %w", tbl.Name, err)
-	}
-	lt := &loadedTable{tbl: tbl, rel: rel, batchSize: e.opts.BatchSize}
-	e.loaded[tbl.Name] = lt
-	return lt, nil
 }
 
 // Load eagerly bulk-loads every catalog table (ModeLoadFirst only). The
@@ -596,15 +562,9 @@ func (e *Engine) Load() error {
 func (e *Engine) Invalidate(name string) {
 	e.mu.Lock()
 	src := e.sources[name]
-	lt := e.loaded[name]
-	delete(e.loaded, name)
 	e.mu.Unlock()
 	if src != nil {
 		src.Invalidate()
-	}
-	if lt != nil {
-		lt.rel.Heap.Close()
-		_ = os.Remove(lt.rel.Heap.Path())
 	}
 }
 
@@ -612,9 +572,9 @@ func (e *Engine) Invalidate(name string) {
 // by the benchmark harness (cache usage, positional-map pointers).
 type TableMetrics = format.Metrics
 
-// Metrics returns a snapshot for a raw table (zero value if the table has
-// not been touched or the engine is load-first). It waits for a recording
-// scan of the table in flight, so the snapshot is consistent.
+// Metrics returns a snapshot for a table (zero value if the table has not
+// been touched). It waits for a recording scan of the table in flight, so
+// the snapshot is consistent.
 func (e *Engine) Metrics(name string) TableMetrics {
 	e.mu.Lock()
 	src, ok := e.sources[name]
@@ -642,11 +602,6 @@ func (e *Engine) Close() error {
 	defer e.mu.Unlock()
 	for _, src := range e.sources {
 		if err := src.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, lt := range e.loaded {
-		if err := lt.rel.Heap.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

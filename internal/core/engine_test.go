@@ -227,6 +227,14 @@ func TestLoadFirstMode(t *testing.T) {
 	if res.Rows[0][0].Int() != 400 {
 		t.Errorf("count = %v", res.Rows[0])
 	}
+	// EXPLAIN ANALYZE names the heap access, never a cache one.
+	var plan strings.Builder
+	for _, row := range mustQuery(t, e, "EXPLAIN ANALYZE SELECT count(*) FROM wide WHERE a < 5").Rows {
+		plan.WriteString(row[0].Text() + "\n")
+	}
+	if p := plan.String(); !strings.Contains(p, "access=heap shared") || strings.Contains(p, "access=cache") {
+		t.Errorf("loaded scan's access detail:\n%s", p)
+	}
 	// Load on a non-load-first engine errors.
 	e2 := openEngine(t, buildFixture(t, t.TempDir(), 10), Options{Mode: ModePM})
 	if err := e2.Load(); err == nil {

@@ -355,8 +355,10 @@ func TestFITSModePMKeepsCache(t *testing.T) {
 }
 
 // TestLoadFirstCapabilityGate: the load-first rejection comes from the
-// adapter's capability declaration, not a format-name comparison in the
-// engine — and it names the paper's reasoning for FITS.
+// adapter's Open, not a format-name comparison in the engine — and it
+// names the paper's reasoning for FITS. The loaded CSV source is not a
+// format.Appender, so INSERT fails like it does for any format that
+// cannot append.
 func TestLoadFirstCapabilityGate(t *testing.T) {
 	cat := formatFixture(t, t.TempDir(), 10)
 	e := openEngine(t, cat, Options{Mode: ModeLoadFirst, DataDir: t.TempDir()})
@@ -371,6 +373,10 @@ func TestLoadFirstCapabilityGate(t *testing.T) {
 	// CSV is loadable.
 	if res, err := e.Query("SELECT count(*) FROM obs_csv"); err != nil || res.Rows[0][0].Int() != 10 {
 		t.Errorf("CSV load-first: %v %v", res, err)
+	}
+	if _, _, err := e.Exec("INSERT INTO obs_csv VALUES (100, 2.0, 3.0)"); err == nil ||
+		!strings.Contains(err.Error(), "not supported") {
+		t.Errorf("INSERT into a loaded table: err = %v", err)
 	}
 }
 

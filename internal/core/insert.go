@@ -61,9 +61,6 @@ func (e *Engine) execInsert(ctx context.Context, ins *sqlparse.Insert, params []
 	if !ok {
 		return 0, fmt.Errorf("core: table %q does not exist", ins.Table)
 	}
-	if e.opts.Mode == ModeLoadFirst {
-		return 0, fmt.Errorf("core: INSERT into loaded tables is not supported; the load-first baseline is read-only after load")
-	}
 
 	// Evaluate literal rows and convert to the column types.
 	converted := make([][]datum.Datum, 0, len(ins.Rows))
@@ -89,7 +86,8 @@ func (e *Engine) execInsert(ctx context.Context, ins *sqlparse.Insert, params []
 
 	// Appending is a format capability: the source implements
 	// format.Appender when its raw file supports internal updates (CSV
-	// does; binary formats with self-describing headers do not).
+	// does; binary formats with self-describing headers and the load-first
+	// heap do not).
 	src, err := e.source(tbl)
 	if err != nil {
 		return 0, err

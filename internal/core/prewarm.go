@@ -13,21 +13,20 @@ import (
 // cache and statistics exactly as a query would — because it literally is
 // a query: SELECT count(c1, ...) over the table.
 //
-// Prewarming is never required for correctness and does nothing in
-// load-first or external-files modes.
+// Prewarming is never required for correctness. It does nothing in
+// external-files mode, and in load-first mode only loads the table.
 func (e *Engine) Prewarm(table string, columns ...string) error {
 	tbl, ok := e.cat.Lookup(table)
 	if !ok {
 		return fmt.Errorf("core: table %q does not exist", table)
 	}
-	if e.opts.Mode == ModeLoadFirst {
-		// The analogous warm-up for a load-first engine is the load; Table
-		// gates it on the format's Loadable capability.
-		_, err := e.Table(tbl.Name)
+	// Opening the source is the whole warm-up of a load-first engine: it
+	// is the load.
+	if _, err := e.source(tbl); err != nil {
 		return err
 	}
-	if e.opts.Mode == ModeExternalFiles {
-		return nil // nothing to warm: the mode keeps no state
+	if !e.env.PosMap && !e.env.Cache {
+		return nil // nothing to warm: the mode keeps no adaptive state
 	}
 	if len(columns) == 0 {
 		columns = tbl.ColumnNames()

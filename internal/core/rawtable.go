@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/format"
+	"nodb/internal/qtrace"
 	"nodb/internal/scan"
 	"nodb/internal/schema"
 	"nodb/internal/stats"
@@ -24,17 +29,15 @@ type rawTable struct {
 	*format.State
 }
 
-// csvDriver registers the CSV engine as the "csv" format.
+// csvDriver registers the CSV engine as the "csv" format. CSV is the only
+// built-in format the load-first comparator can bulk-load.
 type csvDriver struct{}
-
-// Caps implements format.Driver: CSV is the only built-in format the
-// conventional load-first baseline can bulk-load.
-func (csvDriver) Caps() format.Caps {
-	return format.Caps{Loadable: true}
-}
 
 // Open implements format.Driver.
 func (csvDriver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
+	if env.LoadFirst() {
+		return openHeapTable(tbl, env)
+	}
 	return newRawTable(tbl, env), nil
 }
 
@@ -66,131 +69,144 @@ func (rt *rawTable) Append(ctx context.Context, rows [][]datum.Datum) error {
 // table holds nothing to release.
 func (rt *rawTable) Close() error { return nil }
 
-// loadedTable adapts a bulk-loaded heap relation to plan.Table.
-type loadedTable struct {
-	tbl       *schema.Table
-	rel       *storage.Relation
-	batchSize int // rows per scan batch (0 = exec.DefaultBatchSize)
+// heapTable is the load-first comparator (a conventional DBMS) as a
+// format source: the table bulk-loaded into slotted heap pages
+// (internal/storage) with the statistics ANALYZE gathered during the
+// load. Its State keeps no map, cache or statistics. Scans are the
+// column-scan frame over a heapLoader and hold the table lock shared for
+// their whole life, so Invalidate — exclusive — waits for them before it
+// drops the heap.
+type heapTable struct {
+	*format.State
+	path string
+	rel  atomic.Pointer[storage.Relation] // nil from Invalidate until the next scan reloads
 }
 
-// Name implements plan.Table.
-func (lt *loadedTable) Name() string { return lt.tbl.Name }
-
-// Columns implements plan.Table.
-func (lt *loadedTable) Columns() []schema.Column { return lt.tbl.Columns }
-
-// Stats implements plan.Table (ANALYZE ran during load).
-func (lt *loadedTable) Stats() *stats.Table { return lt.rel.Stats }
-
-// RowCount implements plan.Table.
-func (lt *loadedTable) RowCount() int64 { return lt.rel.Stats.RowCount() }
-
-// Scan implements plan.Table: a sequential page scan with the conjuncts
-// evaluated against decoded tuples, projecting the requested ordinals.
-func (lt *loadedTable) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
-	outCols := make([]exec.Col, len(cols))
-	for i, c := range cols {
-		outCols[i] = exec.Col{Name: lt.tbl.Columns[c].Name, Type: lt.tbl.Columns[c].Type}
+// openHeapTable bulk-loads the table: the full up-front cost a
+// conventional DBMS pays before its first query.
+func openHeapTable(tbl *schema.Table, env format.Env) (*heapTable, error) {
+	dir := env.DataDir
+	if dir == "" {
+		dir = filepath.Dir(tbl.Path)
 	}
-	maxNeeded := 0
-	for _, c := range format.NeededColumns(cols, conjuncts) {
-		if c > maxNeeded {
-			maxNeeded = c
-		}
+	env.Statistics = false // ANALYZE runs during the load
+	h := &heapTable{State: format.NewState(tbl, env), path: filepath.Join(dir, tbl.Name+".heap")}
+	if err := h.load(); err != nil {
+		return nil, err
 	}
-	size := lt.batchSize
-	if size <= 0 {
-		size = exec.DefaultBatchSize
-	}
-	return &heapScan{ctx: ctx, lt: lt, cols: cols, outCols: outCols, pred: expr.JoinConjuncts(conjuncts),
-		maxNeeded: maxNeeded, size: size, budget: -1}, nil
+	return h, nil
 }
 
-// heapScan is the load-first access method. Tuples are deformed only up
-// to the last needed column, as row stores do, and qualifying tuples pack
-// their requested ordinals into a reused batch. Cancellation is observed
-// every few hundred rows.
-type heapScan struct {
-	ctx       context.Context
-	lt        *loadedTable
-	cols      []int
-	outCols   []exec.Col
-	pred      expr.Expr
-	maxNeeded int
-	size      int
-	budget    int64 // LIMIT pushdown; -1 = none
-	produced  int64
-
-	it   *storage.Iterator
-	tick int
-	b    *exec.Batch
-}
-
-// SetRowBudget implements exec.RowBudgeter.
-func (h *heapScan) SetRowBudget(n int64) { h.budget = n }
-
-// Columns implements exec.Operator.
-func (h *heapScan) Columns() []exec.Col { return h.outCols }
-
-// Open starts the page scan.
-func (h *heapScan) Open() error {
-	h.it = h.lt.rel.Heap.ScanPrefix(h.maxNeeded)
-	h.produced = 0
+// load (re)builds the heap from the raw file. Callers must hold Lk
+// exclusively, or own h alone.
+func (h *heapTable) load() error {
+	rel, err := storage.LoadCSV(h.Tbl, h.path, h.Env.Pool)
+	if err != nil {
+		return fmt.Errorf("core: loading table %s: %w", h.Tbl.Name, err)
+	}
+	h.rel.Store(rel)
+	h.Rows.Store(rel.Stats.RowCount())
 	return nil
 }
 
-// NextBatch packs up to one batch of qualifying tuples, never exceeding
-// the remaining row budget.
-func (h *heapScan) NextBatch() (*exec.Batch, error) {
-	target := h.size
-	if h.budget >= 0 {
-		if rem := h.budget - h.produced; rem < int64(target) {
-			target = int(max(rem, 0))
+// Stats implements format.Source: the statistics of the last load.
+func (h *heapTable) Stats() *stats.Table {
+	if rel := h.rel.Load(); rel != nil {
+		return rel.Stats
+	}
+	return nil
+}
+
+// OpenScan implements format.Source: a heap scan under a shared hold, or,
+// after Invalidate dropped the heap, a reload under the exclusive hold
+// that then downgrades and scans.
+func (h *heapTable) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
+	scan := func(rel *storage.Relation) exec.Operator {
+		return format.NewColumnScan(ctx, h.State, cols, conjuncts, &heapLoader{heap: rel.Heap})
+	}
+	shared := func() (exec.Operator, error) {
+		if rel := h.rel.Load(); rel != nil {
+			return scan(rel), nil
 		}
+		return nil, nil
 	}
-	if h.b == nil {
-		h.b = exec.NewBatch(len(h.cols), h.size)
-	}
-	b := h.b
-	b.Reset()
-	for b.N < target {
-		if h.tick++; h.tick&255 == 0 {
-			if err := h.ctx.Err(); err != nil {
-				return nil, err
+	exclusive := func() (exec.Operator, bool, error) {
+		if h.rel.Load() == nil {
+			if err := h.load(); err != nil {
+				return nil, false, err
 			}
 		}
-		row, err := h.it.Next()
+		return scan(h.rel.Load()), true, nil
+	}
+	gs := format.NewGuardedScan(ctx, h.Lk, format.OutputSchema(h.Tbl, cols), shared, exclusive)
+	gs.SetSharedAccess(qtrace.PhaseRawScan, "heap")
+	return gs, nil
+}
+
+// Invalidate implements format.Source: it waits for scans of the table in
+// flight, then closes and removes the heap. The next scan reloads it.
+func (h *heapTable) Invalidate() {
+	if err := h.Lk.Lock(context.Background()); err == nil {
+		h.drop(true)
+		h.Lk.Unlock()
+	}
+}
+
+// Close implements format.Source; the heap file stays on disk.
+func (h *heapTable) Close() error { return h.drop(false) }
+
+// drop detaches the heap from the source and closes it, removing the
+// file when asked.
+func (h *heapTable) drop(remove bool) error {
+	rel := h.rel.Swap(nil)
+	h.Rows.Store(-1)
+	if rel == nil {
+		return nil
+	}
+	err := rel.Heap.Close()
+	if remove {
+		_ = os.Remove(rel.Heap.Path())
+	}
+	return err
+}
+
+// heapLoader is the format.ColumnLoader of a heap scan: it deforms tuples
+// only up to the last needed column, as row stores do, and unpins its
+// page after every batch, so a scan stopped early (LIMIT, error) leaves
+// no frame pinned.
+type heapLoader struct {
+	heap   *storage.HeapFile
+	it     *storage.Iterator
+	needed []int
+}
+
+// Open implements format.ColumnLoader.
+func (l *heapLoader) Open(needed []int) (int, error) {
+	upTo := 0
+	for _, c := range needed {
+		upTo = max(upTo, c)
+	}
+	l.it, l.needed = l.heap.ScanPrefix(upTo), needed
+	return int(l.heap.Rows()), nil
+}
+
+// Load implements format.ColumnLoader.
+func (l *heapLoader) Load(cols [][]datum.Datum, row, n int, _ *qtrace.Counts) error {
+	defer l.it.Release()
+	for i := range n {
+		tup, err := l.it.Next()
 		if err == io.EOF {
-			break
+			return fmt.Errorf("core: heap %s ended at row %d of %d", l.heap.Path(), row+i, l.heap.Rows())
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if h.pred != nil {
-			ok, err := expr.TruthyResult(h.pred, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		for _, c := range l.needed {
+			cols[c][i] = tup[c]
 		}
-		for i, c := range h.cols {
-			b.Cols[i] = append(b.Cols[i], row[c])
-		}
-		b.N++
-	}
-	if b.N == 0 {
-		return nil, io.EOF
-	}
-	h.produced += int64(b.N)
-	return b, nil
-}
-
-// Close releases the page pin.
-func (h *heapScan) Close() error {
-	if h.it != nil {
-		h.it.Close()
 	}
 	return nil
 }
+
+// End implements format.ColumnLoader.
+func (l *heapLoader) End() {}

@@ -37,21 +37,15 @@ type driver struct{}
 
 func init() { format.Register("fits", driver{}) }
 
-// Caps implements format.Driver. FITS cannot be bulk-loaded
-// (conventional DBMS do not support loading FITS, which is exactly the
-// paper's §5.3 point) and its self-describing header leaves no room for
-// appends.
-func (driver) Caps() format.Caps {
-	return format.Caps{
-		Loadable: false,
-		LoadErr:  "FITS tables cannot be bulk-loaded; conventional DBMS do not support loading FITS (paper §5.3)",
-	}
-}
-
 // Open implements format.Driver: it parses the FITS headers and validates
 // the schema binding — the declared columns must match the file's
 // TTYPEn/TFORMn declarations in order, name (case-insensitive) and type.
+// FITS cannot be bulk-loaded: conventional DBMS do not support loading
+// FITS, which is exactly the paper's §5.3 point.
 func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
+	if env.LoadFirst() {
+		return nil, fmt.Errorf("fits: table %s: FITS tables cannot be bulk-loaded; conventional DBMS do not support loading FITS (paper §5.3)", tbl.Name)
+	}
 	t, err := Open(tbl.Path)
 	if err != nil {
 		return nil, format.WrapFileErr(tbl.Name, err)

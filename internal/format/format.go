@@ -19,8 +19,10 @@
 //   - ColumnScan — the batch loop of every scan whose columns arrive
 //     binary (LIMIT budget, conjunct-by-conjunct selection, counters,
 //     Part for a partition worker); a ColumnLoader fills the needed
-//     columns per row range. NewCacheScan is this frame over the binary
-//     cache, serving a query without touching the raw file,
+//     columns per row range. There are three loaders: the binary cache
+//     (NewCacheScan, serving a query without touching the raw file), the
+//     FITS row decoder, and the load-first comparator's heap pages (the
+//     CSV adapter's source when Env.Pool is set),
 //   - PartitionedScan — the parallel cold pass of every format: one
 //     worker per Part (a range of the file recording into a private
 //     shard), drained in file order, shards merged once,
@@ -59,6 +61,7 @@ import (
 	"nodb/internal/iofault"
 	"nodb/internal/schema"
 	"nodb/internal/stats"
+	"nodb/internal/storage"
 )
 
 // Env carries the engine configuration a format adapter may care about.
@@ -94,6 +97,16 @@ type Env struct {
 	// after a retryable raw-file fault (0 = default of 2, negative = none).
 	ScanRetries int
 
+	// Pool, when non-nil, selects the load-first comparator (a
+	// conventional DBMS): Open bulk-loads the table into slotted heap
+	// pages read through this shared buffer pool, and scans read the
+	// pages instead of the raw file. Formats that cannot be loaded reject
+	// it (see LoadFirst).
+	Pool *storage.Pool
+	// DataDir is where load-first heap files are written ("" = next to
+	// the raw file).
+	DataDir string
+
 	// Sidecar, when non-nil, persists each table's adaptive state across
 	// restarts: NewState asks it to reload a checkpoint at open, recording
 	// scans mark the table dirty for the background checkpointer, and
@@ -102,6 +115,9 @@ type Env struct {
 	// seam, keeping the dependency one-directional.
 	Sidecar SidecarManager
 }
+
+// LoadFirst reports whether the engine asks for bulk-loaded tables.
+func (e Env) LoadFirst() bool { return e.Pool != nil }
 
 // SidecarManager is the persistence seam the engine installs into Env.
 // Implementations live above this package (internal/sidecar); State calls
@@ -123,16 +139,6 @@ type SidecarManager interface {
 	JournalAppend(st *State)
 	// Close drains pending checkpoints and stops the background worker.
 	Close() error
-}
-
-// Caps declares what a format can do, so the engine gates modes on
-// capabilities instead of format names.
-type Caps struct {
-	// Loadable formats support bulk-loading into heap pages (ModeLoadFirst).
-	Loadable bool
-	// LoadErr is the adapter-authored error text the engine reports when a
-	// load is requested for a non-loadable format.
-	LoadErr string
 }
 
 // Source is one table's raw-format adapter: the schema binding plus the
@@ -175,10 +181,10 @@ type Appender interface {
 
 // Driver creates Sources for one registered format.
 type Driver interface {
-	// Open binds a declared table to its raw file.
+	// Open binds a declared table to its raw file. A format that cannot
+	// serve env (one that cannot be bulk-loaded, under Env.LoadFirst)
+	// fails here with its own error text.
 	Open(tbl *schema.Table, env Env) (Source, error)
-	// Caps reports the format's capabilities (known without opening files).
-	Caps() Caps
 }
 
 var (

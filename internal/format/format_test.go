@@ -19,24 +19,23 @@ import (
 	"nodb/internal/stats"
 )
 
-type stubDriver struct{ caps Caps }
+type stubDriver struct{ name string }
 
-func (d stubDriver) Caps() Caps                                      { return d.caps }
 func (d stubDriver) Open(tbl *schema.Table, env Env) (Source, error) { return nil, nil }
 
 // The real adapters register from their own packages, which this package
 // cannot import (they import it); tests that declare csv tables need the
 // name present.
-func init() { Register("csv", stubDriver{caps: Caps{Loadable: true}}) }
+func init() { Register("csv", stubDriver{name: "csv"}) }
 
 func TestRegistry(t *testing.T) {
-	Register("stub-fmt", stubDriver{caps: Caps{Loadable: true}})
-	d, err := Lookup(schema.Format("stub-fmt"))
+	Register("stub-fmt", stubDriver{name: "stub-fmt"})
+	d, err := Lookup(schema.Format("STUB-FMT"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Caps().Loadable {
-		t.Error("caps lost through registry")
+	if d != (stubDriver{name: "stub-fmt"}) {
+		t.Errorf("Lookup returned %v, want the registered driver", d)
 	}
 	if _, err := Lookup(schema.Format("no-such-format")); err == nil {
 		t.Fatal("unknown format must error")

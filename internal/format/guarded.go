@@ -35,6 +35,11 @@ type GuardedScan struct {
 	exclusive func() (exec.Operator, bool, error)
 	budget    int64 // LIMIT pushdown; -1 = none
 
+	// What a shared hold serves (default: the binary cache): the profile
+	// phase and the span details with and without a downgrade.
+	sharedPhase                   qtrace.Phase
+	sharedDetail, downgradeDetail string
+
 	retries    int           // additional cold attempts after a retryable fault
 	backoff    time.Duration // ctx-aware pause between attempts
 	invalidate func()        // drops the table's adaptive state (call holding Lk exclusive)
@@ -69,7 +74,16 @@ func NewGuardedScan(ctx context.Context, lk *TableLock, cols []exec.Col,
 		ctx = context.Background()
 	}
 	return &GuardedScan{ctx: ctx, lk: lk, cols: cols, shared: shared, exclusive: exclusive,
-		budget: -1, prof: qtrace.FromContext(ctx)}
+		budget: -1, prof: qtrace.FromContext(ctx), sharedPhase: qtrace.PhaseCacheScan,
+		sharedDetail: "access=cache shared", downgradeDetail: "access=cache downgraded"}
+}
+
+// SetSharedAccess names the access method that scans under a shared hold
+// (the shared callback's, or the exclusive one's after a downgrade) for
+// the profile and EXPLAIN ANALYZE. The default is the binary cache.
+func (g *GuardedScan) SetSharedAccess(ph qtrace.Phase, name string) {
+	g.sharedPhase = ph
+	g.sharedDetail, g.downgradeDetail = "access="+name+" shared", "access="+name+" downgraded"
 }
 
 // SetTraceSpan implements qtrace.SpanSetter: the planner's span wrapper
@@ -152,7 +166,7 @@ func (g *GuardedScan) Open() error {
 			}
 			g.inner = op
 			g.unlock = g.lk.RUnlock
-			g.setMode(qtrace.PhaseCacheScan, "access=cache shared")
+			g.setMode(g.sharedPhase, g.sharedDetail)
 			return nil
 		}
 		g.lk.RUnlock()
@@ -200,7 +214,7 @@ func (g *GuardedScan) openExclusiveLocked() error {
 					g.recorded = true
 					g.setMode(qtrace.PhaseRawScan, "access=raw recording")
 				} else {
-					g.setMode(qtrace.PhaseCacheScan, "access=cache downgraded")
+					g.setMode(g.sharedPhase, g.downgradeDetail)
 				}
 				return nil
 			}

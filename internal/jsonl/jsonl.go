@@ -16,6 +16,7 @@ package jsonl
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
 	"nodb/internal/exec"
@@ -36,17 +37,12 @@ type driver struct{}
 
 func init() { format.Register("jsonl", driver{}) }
 
-// Caps implements format.Driver: the load-first baseline has no JSON
+// Open implements format.Driver. The load-first comparator has no JSON
 // loader.
-func (driver) Caps() format.Caps {
-	return format.Caps{
-		Loadable: false,
-		LoadErr:  "JSON-Lines tables cannot be bulk-loaded; query them in-situ instead",
-	}
-}
-
-// Open implements format.Driver.
 func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
+	if env.LoadFirst() {
+		return nil, fmt.Errorf("jsonl: table %s: JSON-Lines tables cannot be bulk-loaded; query them in-situ instead", tbl.Name)
+	}
 	s := &Source{
 		State:  format.NewState(tbl, env),
 		colIdx: make(map[string]int, tbl.NumColumns()),

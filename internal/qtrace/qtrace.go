@@ -54,8 +54,9 @@ const (
 	// PhaseLockWait is time blocked acquiring table locks (shared or
 	// exclusive) inside GuardedScan, including retry re-acquisitions.
 	PhaseLockWait
-	// PhaseRawScan is time pulling batches out of a recording raw-file
-	// scan (tokenize + parse + positional-map recording).
+	// PhaseRawScan is time pulling batches out of a scan of the table's
+	// stored data: a recording raw-file scan (tokenize + parse +
+	// positional-map recording), or the load-first comparator's heap scan.
 	PhaseRawScan
 	// PhaseCacheScan is time pulling batches out of the read-only binary
 	// column cache.

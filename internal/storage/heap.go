@@ -7,22 +7,12 @@ import (
 	"os"
 
 	"nodb/internal/datum"
-	"nodb/internal/iofault"
 )
-
-// heapHandle is the read view of a heap's backing file: positioned reads
-// for the buffer pool plus Close. Both *os.File (freshly written heaps)
-// and iofault.File (reopened heaps, where the fault-injection seam
-// applies) satisfy it.
-type heapHandle interface {
-	io.ReaderAt
-	io.Closer
-}
 
 // HeapFile is a sequence of slotted pages in one OS file.
 type HeapFile struct {
 	path   string
-	f      heapHandle
+	f      *os.File
 	fileID uint32
 	pool   *Pool
 	pages  uint32
@@ -144,39 +134,8 @@ func (w *HeapWriter) Finish(pool *Pool) (*HeapFile, error) {
 	return w.hf, nil
 }
 
-// OpenHeap opens an existing heap file for reading. Reads go through the
-// iofault seam, so page-level faults are injectable like raw-file ones.
-func OpenHeap(path string, types []datum.Type, pool *Pool) (*HeapFile, error) {
-	f, err := iofault.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: opening heap %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: heap %s: %w", path, err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not page aligned", path, st.Size())
-	}
-	hf := &HeapFile{
-		path:  path,
-		f:     f,
-		pool:  pool,
-		pages: uint32(st.Size() / PageSize),
-		rows:  -1, // unknown until scanned
-		types: append([]datum.Type(nil), types...),
-	}
-	hf.fileID = pool.Register(f)
-	return hf, nil
-}
-
-// Rows returns the row count (-1 when unknown).
+// Rows returns the row count.
 func (h *HeapFile) Rows() int64 { return h.rows }
-
-// Pages returns the page count.
-func (h *HeapFile) Pages() uint32 { return h.pages }
 
 // Path returns the backing file path.
 func (h *HeapFile) Path() string { return h.path }
@@ -195,27 +154,22 @@ func (h *HeapFile) Close() error {
 	return nil
 }
 
-// Iterator streams the heap's tuples in storage order.
+// Iterator streams the heap's tuples in storage order. It pins the page
+// it is reading; Release drops that pin without losing the position, so
+// a scan consumed in batches holds no frame between them.
 type Iterator struct {
 	h      *HeapFile
 	pageNo uint32
 	slot   int
-	page   *Page
-	pinned PageID
-	hasPin bool
+	page   *Page // pinned page; nil when none is pinned
 	rowBuf []datum.Datum
 	upTo   int // last column decoded; later ones read as NULL
 	done   bool
 }
 
-// Scan returns an iterator positioned before the first tuple.
-func (h *HeapFile) Scan() *Iterator {
-	return &Iterator{h: h, upTo: len(h.types) - 1}
-}
-
-// ScanPrefix returns an iterator that decodes only columns 0..upTo of
-// each tuple (slot_deform-style partial decoding); the remaining columns
-// come back NULL.
+// ScanPrefix returns an iterator positioned before the first tuple that
+// decodes only columns 0..upTo of each tuple (slot_deform-style partial
+// decoding); the remaining columns come back NULL.
 func (h *HeapFile) ScanPrefix(upTo int) *Iterator {
 	if upTo >= len(h.types) {
 		upTo = len(h.types) - 1
@@ -232,56 +186,73 @@ func (it *Iterator) Next() ([]datum.Datum, error) {
 	for {
 		if it.page == nil {
 			if it.pageNo >= it.h.pages {
-				it.Close()
+				it.done = true
 				return nil, io.EOF
 			}
-			id := PageID{File: it.h.fileID, PageNo: it.pageNo}
-			pg, err := it.h.pool.Get(id)
+			pg, err := it.h.pool.Get(it.pageID())
 			if err != nil {
 				it.done = true
 				return nil, err
 			}
+			it.page = pg
 			if pg.Kind() == KindOverflow {
-				it.h.pool.Release(id)
-				it.pageNo++
+				it.nextPage()
 				continue
 			}
-			it.page = pg
-			it.pinned = id
-			it.hasPin = true
-			it.slot = 0
 		}
 		if it.slot >= it.page.NumTuples() {
-			it.h.pool.Release(it.pinned)
-			it.hasPin = false
-			it.page = nil
-			it.pageNo++
+			it.nextPage()
 			continue
 		}
 		raw, err := it.page.Tuple(it.slot)
 		if err != nil {
-			it.done = true
+			it.fail()
 			return nil, err
 		}
 		it.slot++
 		if len(raw) == 0 {
-			it.done = true
+			it.fail()
 			return nil, fmt.Errorf("storage: empty slot")
 		}
 		image := raw[1:]
 		if raw[0] == flagOverflow {
 			image, err = it.h.readOverflow(raw[1:])
 			if err != nil {
-				it.done = true
+				it.fail()
 				return nil, err
 			}
 		}
 		it.rowBuf, err = DecodeTuplePrefix(image, it.h.types, it.upTo, it.rowBuf)
 		if err != nil {
-			it.done = true
+			it.fail()
 			return nil, err
 		}
 		return it.rowBuf, nil
+	}
+}
+
+func (it *Iterator) pageID() PageID { return PageID{File: it.h.fileID, PageNo: it.pageNo} }
+
+// nextPage unpins the current page and moves to the start of the next.
+func (it *Iterator) nextPage() {
+	it.Release()
+	it.pageNo++
+	it.slot = 0
+}
+
+// fail ends the iteration after an error.
+func (it *Iterator) fail() {
+	it.Release()
+	it.done = true
+}
+
+// Release unpins the current page, if any. The iterator keeps its
+// position: the next Next pins the page again and resumes at the
+// following tuple. Safe to call any number of times.
+func (it *Iterator) Release() {
+	if it.page != nil {
+		it.h.pool.Release(it.pageID())
+		it.page = nil
 	}
 }
 
@@ -311,14 +282,4 @@ func (h *HeapFile) readOverflow(desc []byte) ([]byte, error) {
 		h.pool.Release(id)
 	}
 	return payload, nil
-}
-
-// Close releases any pinned page; safe to call multiple times.
-func (it *Iterator) Close() {
-	if it.hasPin {
-		it.h.pool.Release(it.pinned)
-		it.hasPin = false
-	}
-	it.page = nil
-	it.done = true
 }

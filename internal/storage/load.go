@@ -13,7 +13,6 @@ import (
 // Relation is a loaded table: heap file plus the statistics gathered while
 // loading (the loaded-DBMS equivalent of load + ANALYZE).
 type Relation struct {
-	Table *schema.Table
 	Heap  *HeapFile
 	Stats *stats.Table
 }
@@ -87,7 +86,7 @@ func LoadCSV(tbl *schema.Table, heapPath string, pool *Pool) (*Relation, error) 
 	for i := range collectors {
 		st.Set(i, collectors[i].Finalize())
 	}
-	return &Relation{Table: tbl, Heap: heap, Stats: st}, nil
+	return &Relation{Heap: heap, Stats: st}, nil
 }
 
 // columnTypes extracts the type vector of a table.

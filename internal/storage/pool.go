@@ -8,8 +8,8 @@ import (
 
 // Pool is a clock-replacement buffer pool shared by every heap file of a
 // loaded database. It is safe for concurrent use: one mutex guards the
-// frame table, clock hand and counters (page reads happen under it too —
-// a fine-grained per-frame latch would be the next step if load-first
+// frame table and clock hand (page reads happen under it too — a
+// fine-grained per-frame latch would be the next step if load-first
 // concurrency ever matters). Pinned frames are never evicted, so page
 // bytes returned by Get stay valid until Release without holding the
 // mutex.
@@ -20,8 +20,6 @@ type Pool struct {
 	hand   int
 	files  map[uint32]io.ReaderAt
 	nextID uint32
-
-	hits, misses int64
 }
 
 // PageID names a page within a registered file.
@@ -81,12 +79,10 @@ func (p *Pool) Get(id PageID) (*Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if i, ok := p.lookup[id]; ok {
-		p.hits++
 		p.frames[i].used = true
 		p.frames[i].pins++
 		return &p.frames[i].page, nil
 	}
-	p.misses++
 	f, ok := p.files[id.File]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown file %d", id.File)
@@ -136,15 +132,4 @@ func (p *Pool) victim() (int, error) {
 		return i, nil
 	}
 	return 0, fmt.Errorf("storage: buffer pool exhausted (all %d frames pinned)", len(p.frames))
-}
-
-// HitRate returns the fraction of Get calls served from memory.
-func (p *Pool) HitRate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.hits + p.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(total)
 }

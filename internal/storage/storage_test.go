@@ -138,7 +138,7 @@ func sampleTypes() []datum.Type {
 func TestTupleEncodeDecode(t *testing.T) {
 	row := sampleRow()
 	buf := EncodeTuple(row, nil)
-	back, err := DecodeTuple(buf, sampleTypes(), nil)
+	back, err := DecodeTuplePrefix(buf, sampleTypes(), len(row)-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTupleRoundtripProperty(t *testing.T) {
 			row[0] = datum.NewNull(datum.Int)
 		}
 		types := []datum.Type{datum.Int, datum.Text, datum.Float}
-		back, err := DecodeTuple(EncodeTuple(row, nil), types, nil)
+		back, err := DecodeTuplePrefix(EncodeTuple(row, nil), types, len(types)-1, nil)
 		if err != nil {
 			return false
 		}
@@ -190,7 +190,7 @@ func TestDecodeTruncated(t *testing.T) {
 	row := sampleRow()
 	buf := EncodeTuple(row, nil)
 	for cut := 0; cut < len(buf); cut += 3 {
-		if _, err := DecodeTuple(buf[:cut], sampleTypes(), nil); err == nil && cut < len(buf) {
+		if _, err := DecodeTuplePrefix(buf[:cut], sampleTypes(), len(row)-1, nil); err == nil && cut < len(buf) {
 			// Some prefixes may decode "successfully" only if cut lands at
 			// the exact end; any shorter prefix must error for this row
 			// because the last non-null column is Bool at the very end.
@@ -222,10 +222,10 @@ func TestHeapWriteScan(t *testing.T) {
 	if h.Rows() != n {
 		t.Errorf("Rows = %d", h.Rows())
 	}
-	if h.Pages() == 0 {
+	if h.pages == 0 {
 		t.Error("no pages written")
 	}
-	it := h.Scan()
+	it := h.ScanPrefix(len(types) - 1)
 	count := 0
 	for {
 		row, err := it.Next()
@@ -245,62 +245,6 @@ func TestHeapWriteScan(t *testing.T) {
 	}
 	if count != n {
 		t.Errorf("scanned %d rows, want %d", count, n)
-	}
-}
-
-func TestHeapReopen(t *testing.T) {
-	dir := t.TempDir()
-	types := []datum.Type{datum.Int}
-	path := filepath.Join(dir, "r.heap")
-	w, err := CreateHeap(path, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w.Append([]datum.Datum{datum.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pool := NewPool(4)
-	h, err := w.Finish(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Close()
-
-	h2, err := OpenHeap(path, types, NewPool(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	it := h2.Scan()
-	count := 0
-	for {
-		_, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != 100 {
-		t.Errorf("reopened scan got %d rows", count)
-	}
-}
-
-func TestOpenHeapErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := OpenHeap(filepath.Join(dir, "missing"), nil, NewPool(4)); err == nil {
-		t.Error("missing heap must error")
-	}
-	bad := filepath.Join(dir, "bad.heap")
-	if err := os.WriteFile(bad, []byte("not a page"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenHeap(bad, nil, NewPool(4)); err == nil {
-		t.Error("unaligned heap must error")
 	}
 }
 
@@ -327,7 +271,7 @@ func TestHeapOverflowTuples(t *testing.T) {
 	if h.Rows() != int64(len(widths)) {
 		t.Errorf("rows = %d", h.Rows())
 	}
-	it := h.Scan()
+	it := h.ScanPrefix(len(h.types) - 1)
 	for i, wdt := range widths {
 		row, err := it.Next()
 		if err != nil {
@@ -348,7 +292,7 @@ func TestHeapOverflowTuples(t *testing.T) {
 	}
 }
 
-func TestPoolEvictionAndHitRate(t *testing.T) {
+func TestPoolEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Build a heap with many pages.
 	w, err := CreateHeap(filepath.Join(dir, "p.heap"), []datum.Type{datum.Text})
@@ -367,13 +311,13 @@ func TestPoolEvictionAndHitRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Pages() < 10 {
-		t.Fatalf("expected many pages, got %d", h.Pages())
+	if h.pages < 10 {
+		t.Fatalf("expected many pages, got %d", h.pages)
 	}
 	// Two sequential scans: second scan of a 4-frame pool over 29 pages
 	// still misses mostly (no locality), but correctness must hold.
 	for pass := 0; pass < 2; pass++ {
-		it := h.Scan()
+		it := h.ScanPrefix(0)
 		count := 0
 		for {
 			_, err := it.Next()
@@ -389,16 +333,47 @@ func TestPoolEvictionAndHitRate(t *testing.T) {
 			t.Fatalf("pass %d scanned %d", pass, count)
 		}
 	}
-	// Repeatedly re-reading one page must hit.
-	id := PageID{File: 0, PageNo: 0}
-	for i := 0; i < 5; i++ {
-		if _, err := pool.Get(id); err != nil {
+	// A scan that releases its pin between batches resumes at the next
+	// tuple even when a second scan evicted its page in between.
+	w2, err := CreateHeap(filepath.Join(dir, "q.heap"), []datum.Type{datum.Int, datum.Text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := w2.Append([]datum.Datum{datum.NewInt(int64(i)), datum.NewText(long)}); err != nil {
 			t.Fatal(err)
 		}
-		pool.Release(id)
 	}
-	if pool.HitRate() <= 0 {
-		t.Error("expected some pool hits")
+	h2, err := w2.Finish(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	it := h2.ScanPrefix(0)
+	for i := 0; ; i++ {
+		row, err := it.Next()
+		if err == io.EOF {
+			if i != 200 {
+				t.Fatalf("batched scan ended after %d rows", i)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row[0].Int() != int64(i) {
+			t.Fatalf("row %d resumed at %v", i, row[0])
+		}
+		if i%3 == 2 {
+			it.Release()
+			other := h.ScanPrefix(0)
+			for j := 0; j < 40; j++ { // walks more pages than the pool has frames
+				if _, err := other.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			other.Release()
+		}
 	}
 }
 
@@ -416,7 +391,7 @@ func TestPoolAllPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Pages() < 5 {
+	if h.pages < 5 {
 		t.Skip("need more pages")
 	}
 	// Pin all frames.
@@ -479,7 +454,7 @@ func TestLoadCSV(t *testing.T) {
 		t.Errorf("name distinct = %+v", s)
 	}
 	// Scan back and verify order and values.
-	it := rel.Heap.Scan()
+	it := rel.Heap.ScanPrefix(tbl.NumColumns() - 1)
 	i := 0
 	for {
 		row, err := it.Next()

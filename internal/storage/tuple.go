@@ -47,11 +47,6 @@ func EncodeTuple(row []datum.Datum, buf []byte) []byte {
 	return buf
 }
 
-// DecodeTuple parses a tuple image into dst (resized to len(types)).
-func DecodeTuple(data []byte, types []datum.Type, dst []datum.Datum) ([]datum.Datum, error) {
-	return DecodeTuplePrefix(data, types, len(types)-1, dst)
-}
-
 // DecodeTuplePrefix decodes columns 0..upTo and leaves the rest NULL —
 // the slot_deform-style partial decode row stores use when a query only
 // touches a tuple's prefix. dst is resized to len(types).

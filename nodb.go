@@ -90,31 +90,31 @@ const (
 type Value = datum.Datum
 
 // Mode selects how the engine accesses tables.
-type Mode int
+type Mode = core.Mode
 
 // Engine modes, mirroring the paper's evaluation configurations.
 const (
 	// ModePMCache is full PostgresRaw: positional map and binary cache.
-	ModePMCache Mode = iota
+	ModePMCache = core.ModePMCache
 	// ModePM uses only the positional map.
-	ModePM
+	ModePM = core.ModePM
 	// ModeCache uses only the binary cache (plus the minimal end-of-line
 	// map).
-	ModeCache
+	ModeCache = core.ModeCache
 	// ModeExternalFiles keeps no auxiliary state: every query re-parses
 	// the raw file, like SQL "external tables".
-	ModeExternalFiles
+	ModeExternalFiles = core.ModeExternalFiles
 	// ModeLoadFirst bulk-loads files into an internal page store before
 	// the first query — the conventional DBMS the paper compares against.
-	ModeLoadFirst
+	// Only programs set it (the paper figures, examples/tpch); ParseMode
+	// does not accept it.
+	ModeLoadFirst = core.ModeLoadFirst
 )
 
-func (m Mode) coreMode() core.Mode { return core.Mode(m) }
-
 // ParseMode resolves a mode name, case-insensitively: pm+cache (or pmcache,
-// pm+c), pm, cache (or c), external-files (or external, baseline),
-// load-first (or loaded). The nodb and nodbd -mode flags and the driver's
-// mode= DSN key all go through it.
+// pm+c), pm, cache (or c), external-files (or external, baseline). The
+// nodb and nodbd -mode flags and the driver's mode= DSN key all go
+// through it.
 func ParseMode(name string) (Mode, error) {
 	switch strings.ToLower(name) {
 	case "pm+cache", "pmcache", "pm+c":
@@ -125,8 +125,6 @@ func ParseMode(name string) (Mode, error) {
 		return ModeCache, nil
 	case "external-files", "external", "baseline":
 		return ModeExternalFiles, nil
-	case "load-first", "loaded":
-		return ModeLoadFirst, nil
 	}
 	return 0, fmt.Errorf("nodb: unknown mode %q", name)
 }
@@ -181,18 +179,7 @@ type Options struct {
 }
 
 // SidecarOptions configure the durable-adaptive-state sidecar files.
-type SidecarOptions struct {
-	// Enable turns sidecar persistence on.
-	Enable bool
-	// Dir is where sidecar files live. Empty means next to each raw file
-	// (<raw path>.nodbaux). The directory must exist or be creatable and
-	// writable; Open verifies this.
-	Dir string
-	// MaxBytes caps each sidecar file's size (0 = unlimited). Under a
-	// budget, the most-accessed cached columns persist first and the rest
-	// are rebuilt on demand after a restart.
-	MaxBytes int64
-}
+type SidecarOptions = core.SidecarOptions
 
 // ColumnDef declares one column of a table.
 type ColumnDef struct {
@@ -338,7 +325,7 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		return nil, err
 	}
 	eng, err := core.Open(cat.cat, core.Options{
-		Mode:              opts.Mode.coreMode(),
+		Mode:              opts.Mode,
 		PMBudget:          opts.PositionalMapBudget,
 		CacheBudget:       opts.CacheBudget,
 		Statistics:        !opts.DisableStatistics,
@@ -346,11 +333,7 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		Parallelism:       opts.Parallelism,
 		DisableVectorized: opts.DisableVectorized,
 		DisableKernels:    opts.DisableKernels,
-		Sidecar: core.SidecarOptions{
-			Enable:   opts.Sidecar.Enable,
-			Dir:      opts.Sidecar.Dir,
-			MaxBytes: opts.Sidecar.MaxBytes,
-		},
+		Sidecar:           opts.Sidecar,
 	})
 	if err != nil {
 		return nil, err
