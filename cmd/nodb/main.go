@@ -204,6 +204,15 @@ func printMetrics(m nodb.Metrics) {
 }
 
 func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "nodb: %v\n", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine renders err for stderr with the program prefix exactly once:
+// errors from the nodb API carry it already.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "nodb: ") {
+		return msg
+	}
+	return "nodb: " + err.Error()
 }

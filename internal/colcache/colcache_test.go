@@ -8,6 +8,20 @@ import (
 	"nodb/internal/datum"
 )
 
+// entryOverhead is the fixed accounted footprint of one cached column.
+const entryOverhead = 128
+
+// cachedRows counts the cached rows of col (up to row 1<<14).
+func cachedRows(c *Cache, col int) int {
+	n := 0
+	for r := 0; r < 1<<14; r++ {
+		if present(c, col, r) {
+			n++
+		}
+	}
+	return n
+}
+
 // put caches d at (col, row) through a fresh view, as a scan that touches
 // the column does.
 func put(c *Cache, col, row int, typ datum.Type, d datum.Datum) {
@@ -16,7 +30,10 @@ func put(c *Cache, col, row int, typ datum.Type, d datum.Datum) {
 }
 
 // get reads (col, row) through a read-only view.
-func get(c *Cache, col, row int) (datum.Datum, bool) { return c.ReadView(col).Get(row) }
+func get(c *Cache, col, row int) (datum.Datum, bool) {
+	v := c.ReadView(col)
+	return v.Get(row)
+}
 
 func present(c *Cache, col, row int) bool {
 	_, ok := get(c, col, row)
@@ -87,11 +104,20 @@ func TestReadViewNoSideEffects(t *testing.T) {
 	if c.ReadView(9).Valid() {
 		t.Error("ReadView of an uncached column must be invalid")
 	}
-	if c.Bytes() != bytes || len(c.CachedColumns()) != 2 {
+	if c.Bytes() != bytes || len(c.d.CachedColumns()) != 2 {
 		t.Error("ReadView must not create entries")
 	}
-	if back := c.lru.Back().Value.(*entry).col; back != 0 {
-		t.Errorf("LRU tail = column %d, want 0: ReadView must not touch the LRU", back)
+	// Under a budget for two one-value columns, a third evicts the least
+	// recently used: column 0, however often ReadView read it.
+	c = New(2 * (entryOverhead + 16 + 8))
+	put(c, 0, 1, datum.Int, datum.NewInt(7))
+	put(c, 1, 1, datum.Int, datum.NewInt(8))
+	if !present(c, 0, 1) {
+		t.Fatal("column 0 not cached")
+	}
+	put(c, 2, 1, datum.Int, datum.NewInt(9))
+	if present(c, 0, 1) || !present(c, 1, 1) {
+		t.Error("ReadView touched the LRU: column 1 was evicted instead of column 0")
 	}
 }
 
@@ -114,8 +140,8 @@ func TestCoverage(t *testing.T) {
 	for r := 0; r < 10; r++ {
 		put(c, 0, r, datum.Int, datum.NewInt(int64(r)))
 	}
-	if d, _ := c.Export(0); d.N != 10 {
-		t.Errorf("rows present = %d", d.N)
+	if n := cachedRows(c, 0); n != 10 {
+		t.Errorf("rows present = %d", n)
 	}
 	if !c.FullyCovers(0, 10) {
 		t.Error("should fully cover 10 rows")
@@ -203,14 +229,7 @@ func TestDropAndDropAll(t *testing.T) {
 	c := New(0)
 	put(c, 0, 0, datum.Int, datum.NewInt(1))
 	put(c, 1, 0, datum.Int, datum.NewInt(2))
-	c.Drop(0)
-	if present(c, 0, 0) {
-		t.Error("dropped column present")
-	}
-	if !present(c, 1, 0) {
-		t.Error("other column lost")
-	}
-	c.DropAll()
+	c.d.Drop()
 	if present(c, 1, 0) || c.Bytes() != 0 {
 		t.Error("DropAll incomplete")
 	}
@@ -267,7 +286,7 @@ func TestShadowConsistencyUnderEviction(t *testing.T) {
 func TestCachedColumns(t *testing.T) {
 	c := New(0)
 	put(c, 3, 0, datum.Int, datum.NewInt(1))
-	cols := c.CachedColumns()
+	cols := c.d.CachedColumns()
 	if len(cols) != 1 || cols[0] != 3 {
 		t.Errorf("CachedColumns = %v", cols)
 	}
@@ -382,8 +401,8 @@ func TestAbsorb(t *testing.T) {
 	}
 	// Nil shard is a no-op.
 	main.Absorb(nil, 5)
-	if d, _ := main.Export(0); d.N != 3 {
-		t.Errorf("rows present = %d", d.N)
+	if n := cachedRows(main, 0); n != 3 {
+		t.Errorf("rows present = %d", n)
 	}
 }
 
@@ -421,7 +440,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 			return datum.NewText(fmt.Sprintf("s%d", r))
 		}
 	}
-	const rows = 300
+	const rows = 2500 // crosses two chunk boundaries
 	for _, typ := range types {
 		for _, variant := range []string{"dense", "nulls", "gaps"} {
 			c := New(0)
@@ -436,7 +455,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 				}
 			}
 			v := c.View(0, typ)
-			for _, span := range [][2]int{{0, rows}, {1, 63}, {63, 2}, {60, 70}, {128, 64}, {150, 40}, {299, 1}} {
+			for _, span := range [][2]int{{0, rows}, {1, 63}, {63, 2}, {60, 70}, {128, 64}, {150, 40}, {299, 1}, {1000, 100}, {1020, 1100}, {2047, 2}, {2499, 1}} {
 				start, n := span[0], span[1]
 				dst := make([]datum.Datum, n)
 				got := v.GetBatch(start, n, dst)
@@ -464,92 +483,46 @@ func TestGetBatchMatchesGet(t *testing.T) {
 	}
 }
 
-// TestBitRangeHelpers pins the mask arithmetic of the word-at-a-time
-// range scans at word boundaries.
-func TestBitRangeHelpers(t *testing.T) {
-	bm := make([]uint64, 3)
-	for i := 10; i < 140; i++ {
-		bitSet(bm, i)
-	}
-	cases := []struct {
-		start, n int
-		all, any bool
-	}{
-		{10, 130, true, true},
-		{9, 2, false, true},
-		{0, 5, false, false},
-		{63, 2, true, true},
-		{64, 64, true, true},
-		{139, 1, true, true},
-		{140, 5, false, false},
-		{130, 20, false, true},
-		{0, 192, false, true},
-		{100, 200, false, true}, // extends past the bitmap
-		{200, 10, false, false}, // fully past the bitmap
-	}
-	for _, tc := range cases {
-		if got := bitRangeAllSet(bm, tc.start, tc.n); got != tc.all {
-			t.Errorf("bitRangeAllSet(%d,%d) = %v, want %v", tc.start, tc.n, got, tc.all)
+// TestAbsorbColumnThatCannotFit: under a budget a shard column merges whole
+// or not at all, and the cache stays within budget either way.
+func TestAbsorbColumnThatCannotFit(t *testing.T) {
+	sh := New(0)
+	for r := 0; r < 100; r++ {
+		put(sh, 0, r, datum.Int, datum.NewInt(int64(r)))
+		if r < 10 {
+			put(sh, 1, r, datum.Int, datum.NewInt(int64(r)))
 		}
-		if got := bitRangeAnySet(bm, tc.start, tc.n); got != tc.any {
-			t.Errorf("bitRangeAnySet(%d,%d) = %v, want %v", tc.start, tc.n, got, tc.any)
-		}
+	}
+	const budget = entryOverhead*2 + 16 + 10*8 + 64 // column 1 fits, column 0 never
+	main := New(budget)
+	main.Absorb(sh, 5)
+	if main.Bytes() > budget {
+		t.Errorf("budget exceeded: %d > %d", main.Bytes(), budget)
+	}
+	if n := cachedRows(main, 0); n != 0 {
+		t.Errorf("oversized column partially merged: %d rows", n)
+	}
+	if n := cachedRows(main, 1); n != 10 {
+		t.Errorf("fitting column merged %d rows, want 10", n)
+	}
+	if v, ok := get(main, 1, 14); !ok || v.Int() != 9 {
+		t.Errorf("Get(1,14) = %v,%v", v, ok)
 	}
 }
 
-// A column created after another has spanned the table is sized to that
-// span at once: filling it row by row — what a scan does to a column the
-// budget evicted earlier — never reallocates its arrays, and the values and
-// accounting are what growing by doubling gave.
-func TestNewColumnSizedToKnownSpan(t *testing.T) {
-	const rows = 5000
-	c := New(0)
-	v0 := c.View(0, datum.Int)
-	for r := 0; r < rows; r++ {
-		v0.Put(r, datum.NewInt(int64(r)))
-	}
-	v1 := c.View(1, datum.Int)
-	v1.Put(0, datum.NewInt(0))
-	e := c.cols[1]
-	if cap(e.ints) != rows || cap(e.present) != (rows+63)/64 || cap(e.nulls) != (rows+63)/64 {
-		t.Fatalf("capacity after the first value: ints=%d present=%d nulls=%d, want %d, %d, %d",
-			cap(e.ints), cap(e.present), cap(e.nulls), rows, (rows+63)/64, (rows+63)/64)
-	}
-	ints, present := &e.ints[0], &e.present[0]
-	for r := 1; r < rows; r++ {
-		v1.Put(r, datum.NewInt(int64(-r)))
-	}
-	if &e.ints[0] != ints || &e.present[0] != present || len(e.ints) != rows {
-		t.Error("filling the column reallocated its arrays")
-	}
-	if e.bytes != c.cols[0].bytes {
-		t.Errorf("accounted bytes differ: %d vs %d", e.bytes, c.cols[0].bytes)
-	}
-	for _, r := range []int{0, 1, rows / 2, rows - 1} {
-		if d, ok := get(c, 1, r); !ok || d.Int() != int64(-r) {
-			t.Errorf("row %d = %v %v", r, d, ok)
+// BenchmarkAbsorb merges a 4-column × 10000-row shard at an unaligned row
+// offset, the shape of a parallel cold scan's second partition.
+func BenchmarkAbsorb(b *testing.B) {
+	const cols, rows = 4, 10000
+	sh := New(0)
+	for col := 0; col < cols; col++ {
+		v := sh.View(col, datum.Int)
+		for r := 0; r < rows; r++ {
+			v.Put(r, datum.NewInt(int64(r)))
 		}
 	}
-	if _, ok := get(c, 1, rows); ok {
-		t.Error("row past the span reads as cached")
-	}
-
-	// A longer column still grows past the hint, and raises it.
-	v1.Put(rows+10, datum.NewInt(7))
-	if d, ok := get(c, 1, rows+10); !ok || d.Int() != 7 {
-		t.Errorf("row past the hint = %v %v", d, ok)
-	}
-	v2 := c.View(2, datum.Float)
-	v2.Put(3, datum.NewFloat(1.5))
-	if got := cap(c.cols[2].floats); got != rows+11 {
-		t.Errorf("capacity after the span grew: %d, want %d", got, rows+11)
-	}
-	// Dropping everything (the file changed, perhaps shrank) forgets the
-	// span: the next column is no longer sized to it.
-	c.DropAll()
-	v3 := c.View(3, datum.Int)
-	v3.Put(0, datum.NewInt(1))
-	if got := cap(c.cols[3].ints); got >= rows {
-		t.Errorf("capacity after DropAll: %d, want below the old span %d", got, rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(0).Absorb(sh, 9999)
 	}
 }

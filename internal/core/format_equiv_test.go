@@ -146,24 +146,34 @@ func TestCrossFormatEquivalence(t *testing.T) {
 // scan while actually flowing through the worker-pool/merge pipeline, and
 // the merged cache serves identical warm scans.
 func TestFITSParallelSharesPipeline(t *testing.T) {
-	const n = 2000
-	seqE := openEngine(t, formatFixture(t, t.TempDir(), n), Options{Mode: ModePMCache, Parallelism: 1})
-	parE := openEngine(t, formatFixture(t, t.TempDir(), n), Options{Mode: ModePMCache, Parallelism: 8})
-	q := "SELECT id, mag, flux FROM obs_fits WHERE flux >= 30"
-	seqCold, parCold := mustQuery(t, seqE, q), mustQuery(t, parE, q)
-	if !reflect.DeepEqual(seqCold.Rows, parCold.Rows) {
-		t.Fatal("parallel FITS cold scan differs from sequential")
-	}
-	seqWarm, parWarm := mustQuery(t, seqE, q), mustQuery(t, parE, q)
-	if !reflect.DeepEqual(seqWarm.Rows, parWarm.Rows) {
-		t.Fatal("parallel FITS warm scan differs from sequential")
-	}
-	sm, pm := seqE.Metrics("obs_fits"), parE.Metrics("obs_fits")
-	if sm != pm {
-		t.Errorf("metrics differ\nseq: %+v\npar: %+v", sm, pm)
-	}
-	if pm.TuplesParsed != n {
-		t.Errorf("TuplesParsed = %d; the warm pass must serve from the merged cache", pm.TuplesParsed)
+	// Partitions split on 1024-row chunk boundaries: 2000 rows give two
+	// ranges, 2500 three, and 700 — less than a chunk — one.
+	for _, tc := range []struct{ n, workers int64 }{{2000, 2}, {2500, 3}, {700, 1}} {
+		t.Run(fmt.Sprintf("rows=%d", tc.n), func(t *testing.T) {
+			n := tc.n
+			seqE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 1})
+			parE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 8})
+			q := "SELECT id, mag, flux FROM obs_fits WHERE flux >= 30"
+			seqCold, parCold := mustQuery(t, seqE, q), mustQuery(t, parE, q)
+			if !reflect.DeepEqual(seqCold.Rows, parCold.Rows) {
+				t.Fatal("parallel FITS cold scan differs from sequential")
+			}
+			seqWarm, parWarm := mustQuery(t, seqE, q), mustQuery(t, parE, q)
+			if !reflect.DeepEqual(seqWarm.Rows, parWarm.Rows) {
+				t.Fatal("parallel FITS warm scan differs from sequential")
+			}
+			sm, pm := seqE.Metrics("obs_fits"), parE.Metrics("obs_fits")
+			if sm != pm {
+				t.Errorf("metrics differ\nseq: %+v\npar: %+v", sm, pm)
+			}
+			if pm.TuplesParsed != n {
+				t.Errorf("TuplesParsed = %d; the warm pass must serve from the merged cache", pm.TuplesParsed)
+			}
+			cold := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 8})
+			if w := profileQuery(t, cold, q).Ctrs.Workers; w != tc.workers {
+				t.Errorf("parallel cold pass ran %d workers, want %d", w, tc.workers)
+			}
+		})
 	}
 }
 

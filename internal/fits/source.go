@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nodb/internal/chunkdir"
 	"nodb/internal/colcache"
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -103,14 +104,16 @@ func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr
 			return newRangeScan(ctx, s.State, s.t, cols, conjuncts, 0, s.t.NRows)
 		},
 		Par: func(ctx context.Context, workers int) exec.Operator {
-			// Contiguous row ranges, one per worker, each decoded into a
-			// private cache shard.
+			// Contiguous row ranges of whole chunks (the header gives the row
+			// count), at most one per worker, none empty: every shard
+			// segment is adopted whole at merge.
 			return s.NewPartitionedScan(ctx, cols, workers, func(workers int) ([]format.Part, func() error, error) {
-				nrows := s.t.NRows
-				n := max(min(int64(workers), nrows), 1)
+				nrows, cr := s.t.NRows, int64(chunkdir.ChunkRows)
+				chunks := max((nrows+cr-1)/cr, 1)
+				n := min(int64(workers), chunks)
 				parts := make([]format.Part, n)
 				for i := range n {
-					parts[i] = newRangeScan(ctx, s.Shard(), s.t, cols, conjuncts, nrows*i/n, nrows*(i+1)/n)
+					parts[i] = newRangeScan(ctx, s.Shard(), s.t, cols, conjuncts, min(chunks*i/n*cr, nrows), min(chunks*(i+1)/n*cr, nrows))
 				}
 				return parts, nil, nil
 			})
@@ -152,9 +155,7 @@ func (s *Source) reopenLocked() error {
 	}
 	s.t.Close()
 	s.t = t
-	if s.Cache != nil {
-		s.Cache.DropAll()
-	}
+	s.Dir.Drop()
 	s.Rows.Store(t.NRows)
 	s.FileSize = 0
 	s.FP = format.Fingerprint{}
@@ -170,9 +171,7 @@ func (s *Source) reopenLocked() error {
 func (s *Source) Invalidate() {
 	if err := s.Lk.Lock(context.Background()); err == nil {
 		defer s.Lk.Unlock()
-		if s.Cache != nil {
-			s.Cache.DropAll()
-		}
+		s.Dir.Drop()
 		_ = s.reopenLocked()
 	}
 }

@@ -11,9 +11,9 @@
 //
 //   - TableLock — the context-aware per-table readers-writer lock
 //     (recording scans exclusive, warm cache readers shared),
-//   - State — the adaptive auxiliary structures of one table (positional
-//     map, binary value cache, statistics, counters) plus the standard
-//     access-method decision (NewScan),
+//   - State — the adaptive structures of one table (a chunk directory
+//     holding positional map and binary cache, statistics, counters) plus
+//     the standard access-method decision (NewScan),
 //   - GuardedScan — the leaf operator that defers the access-method choice
 //     to Open, under the table lock,
 //   - ColumnScan — the batch loop of every scan whose columns arrive
@@ -25,7 +25,7 @@
 //     CSV adapter's source when Env.Pool is set),
 //   - PartitionedScan — the parallel cold pass of every format: one
 //     worker per Part (a range of the file recording into a private
-//     shard), drained in file order, shards merged once,
+//     shard), drained in file order, shard directories absorbed once,
 //   - LineScan — the in-situ scan of every line-oriented format (see below).
 //
 // Adding a line-oriented format (newline-terminated tuples: CSV, JSONL)

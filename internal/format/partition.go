@@ -55,8 +55,8 @@ type Split func(workers int) (parts []Part, release func() error, err error)
 // goroutine per Part, each feeding a bounded channel, drained in file
 // order so the rows are bit-identical to a sequential pass for any worker
 // count. When the pass completes, the shards merge into the table's
-// shared structures once — positional map (posmap.AbsorbShard), cache
-// (colcache.Absorb), counters and statistics (FoldCollectors) — and,
+// shared structures once — the chunk directory (chunkdir.Dir.Absorb),
+// counters and statistics (FoldCollectors) — and,
 // unless the file changed underneath, the row count publishes. Later
 // queries thus keep the paper's adaptive-indexing benefit.
 type PartitionedScan struct {
@@ -248,19 +248,12 @@ func (p *PartitionedScan) rebase(i int, err error) error {
 func (p *PartitionedScan) merge(n int, clean bool) error {
 	p.merged = true
 	st := p.st
-	if st.PM != nil {
-		st.PM.BeginScan() // pin merged chunks like a sequential pass would
-	}
+	st.Dir.BeginScan() // pin merged map halves like a sequential pass would
 	total := 0
 	var collected []*stats.Collector
 	for _, pt := range p.parts[:n] {
 		sh, cols := pt.Shard()
-		if st.PM != nil {
-			st.PM.AbsorbShard(sh.PM, total)
-		}
-		if st.Cache != nil {
-			st.Cache.Absorb(sh.Cache, total)
-		}
+		st.Dir.Absorb(sh.Dir, total)
 		// Each worker flushed its scan counters into its shard at Close
 		// (and into the query profile); fold them into the table here.
 		c := sh.Counters.Load()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"nodb/internal/chunkdir"
 	"nodb/internal/colcache"
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -17,9 +18,10 @@ import (
 )
 
 // State is the shared adaptive-structure state of one raw table — the part
-// of a format adapter that is the same for every format: the positional
-// map, the binary value cache, on-the-fly statistics, the known row count,
-// instrumentation counters, and the per-table lock that mediates them.
+// of a format adapter that is the same for every format: the chunk
+// directory holding the positional map and the binary value cache,
+// on-the-fly statistics, the known row count, instrumentation counters,
+// and the per-table lock that mediates them.
 // Format adapters embed a *State and add their format-specific scans; the
 // methods here implement most of the Source interface.
 //
@@ -33,9 +35,14 @@ type State struct {
 	Env Env
 	Lk  *TableLock
 
-	PM          *posmap.Map     // nil unless Env.PosMap
+	// Dir is the table's one directory of (column, chunk) slots: tuple
+	// starts, map positions and cached values. Invalidation (Dir.Drop),
+	// the shard merge (Dir.Absorb) and the sidecar go through it whole;
+	// PM and Cache are the views scans record and read through.
+	Dir         *chunkdir.Dir
+	PM          *posmap.Map     // view of Dir; nil unless Env.PosMap
 	RecordAttrs bool            // Env.AttrPointers (false: tuple starts only)
-	Cache       *colcache.Cache // nil unless Env.Cache
+	Cache       *colcache.Cache // view of Dir; nil unless Env.Cache
 	St          *stats.Table    // nil unless Env.Statistics
 
 	Types []datum.Type
@@ -64,13 +71,7 @@ func NewState(tbl *schema.Table, env Env) *State {
 	for i, c := range tbl.Columns {
 		st.Types[i] = c.Type
 	}
-	if env.PosMap {
-		st.PM = posmap.New(tbl.NumColumns(), posmap.Options{Budget: env.PMBudget})
-		st.RecordAttrs = env.AttrPointers
-	}
-	if env.Cache {
-		st.Cache = colcache.New(env.CacheBudget)
-	}
+	st.views(chunkdir.New(tbl.NumColumns(), env.PMBudget, env.CacheBudget))
 	if env.Statistics {
 		st.St = stats.NewTable()
 	}
@@ -87,23 +88,29 @@ func NewState(tbl *schema.Table, env Env) *State {
 	return st
 }
 
+// views installs d as st's directory with the map and cache views the
+// environment asks for.
+func (st *State) views(d *chunkdir.Dir) {
+	st.Dir = d
+	if st.Env.PosMap {
+		st.PM = posmap.Of(d)
+		st.RecordAttrs = st.Env.AttrPointers
+	}
+	if st.Env.Cache {
+		st.Cache = colcache.Of(d)
+	}
+}
+
 // Shard returns a private view of the table for one partition worker: the
 // same schema, environment and shared (read-only during the scan)
-// statistics, but fresh unbounded auxiliary structures and counters, so
-// nothing on the worker's per-tuple hot path is shared. The parallel scan
-// merges shards back when the pass completes; the shared budgets apply at
-// merge time.
+// statistics, but a fresh unbudgeted directory and counters, so nothing on
+// the worker's per-tuple hot path is shared. The parallel scan absorbs
+// shards back when the pass completes; the shared budgets apply then.
 func (st *State) Shard() *State {
 	sh := &State{Tbl: st.Tbl, Env: st.Env, Lk: NewTableLock(), Types: st.Types, St: st.St}
 	sh.Env.Sidecar = nil // shards are scan-private; only the parent persists
 	sh.Rows.Store(-1)
-	if st.PM != nil {
-		sh.PM = posmap.New(st.Tbl.NumColumns(), posmap.Options{})
-		sh.RecordAttrs = st.RecordAttrs
-	}
-	if st.Cache != nil {
-		sh.Cache = colcache.New(0)
-	}
+	sh.views(chunkdir.New(st.Tbl.NumColumns(), 0, 0))
 	return sh
 }
 
@@ -142,10 +149,7 @@ func (st *State) ScanWorkers() int {
 	if st.Env.PMBudget > 0 || st.Env.CacheBudget > 0 {
 		return 1
 	}
-	if st.PM != nil && (st.PM.NumTuples() > 0 || st.PM.MemoryBytes() > 0) {
-		return 1
-	}
-	if st.Cache != nil && len(st.Cache.CachedColumns()) > 0 {
+	if st.Dir.NumTuples() > 0 || st.Dir.MapBytes() > 0 || st.Dir.CacheBytes() > 0 {
 		return 1
 	}
 	return n
@@ -220,12 +224,7 @@ func (st *State) Refresh() error {
 // InvalidateLocked drops every auxiliary structure. Callers must hold Lk
 // exclusively.
 func (st *State) InvalidateLocked() {
-	if st.PM != nil {
-		st.PM.Drop()
-	}
-	if st.Cache != nil {
-		st.Cache.DropAll()
-	}
+	st.Dir.Drop()
 	if st.St != nil {
 		st.St.Drop()
 	}

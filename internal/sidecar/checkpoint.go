@@ -1,9 +1,7 @@
 package sidecar
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -67,64 +65,64 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 		}
 	}
 
-	if st.PM != nil && st.PM.NumTuples() > 0 {
+	d := st.Dir
+	if starts := d.Starts(); len(starts) > 0 {
 		b = enc{}
-		starts := st.PM.Starts()
 		b.u64(uint64(len(starts)))
 		for _, s := range starts {
 			b.i64(s)
 		}
 		if p.trySection(tagStarts, b.b, maxBytes) {
-			for _, a := range st.PM.IndexedAttrs() {
-				b = enc{}
-				b.u32(uint32(a))
-				cntAt := len(b.b)
-				b.u64(0)
-				n := uint64(0)
-				st.PM.ForEachPointer(a, func(row int, rel uint32) {
-					if row <= math.MaxUint32 {
-						b.u32(uint32(row))
-						b.u32(rel)
-						n++
+			for col := range st.Types {
+				for idx, s := range d.Slots(col) {
+					if s != nil && s.Offs != nil {
+						b = enc{}
+						b.u32(uint32(col))
+						b.u32(uint32(idx))
+						b.u8(slotOffs)
+						for _, rel := range s.Offs {
+							b.u32(rel)
+						}
+						p.trySection(tagSlot, b.b, maxBytes)
 					}
-				})
-				binary.LittleEndian.PutUint64(b.b[cntAt:], n)
-				p.trySection(tagAttr, b.b, maxBytes)
+				}
 			}
 		}
 	}
 
-	if st.Cache != nil {
-		for _, col := range hotColumns(st) {
-			d, ok := st.Cache.Export(col)
-			if !ok {
+	// A column is cached as its schema type; its segments are written all
+	// or none.
+	for _, col := range hotColumns(st) {
+		typ := st.Types[col]
+		var c enc
+		for idx, s := range d.Slots(col) {
+			if s == nil || s.Seg == nil {
 				continue
 			}
 			b = enc{}
-			b.u32(uint32(d.Col))
-			b.u8(uint8(d.Type))
-			b.u64(uint64(d.N))
-			b.u64(uint64(len(d.Present)))
-			for _, w := range d.Present {
+			b.u32(uint32(col))
+			b.u32(uint32(idx))
+			b.u8(slotSeg)
+			b.u8(uint8(typ))
+			for _, w := range s.Seg.Present {
 				b.u64(w)
 			}
-			b.u64(uint64(len(d.Nulls)))
-			for _, w := range d.Nulls {
+			for _, w := range s.Seg.Nulls {
 				b.u64(w)
 			}
-			b.u64(uint64(len(d.Ints)))
-			for _, v := range d.Ints {
+			for _, v := range s.Seg.Ints {
 				b.i64(v)
 			}
-			b.u64(uint64(len(d.Floats)))
-			for _, v := range d.Floats {
+			for _, v := range s.Seg.Floats {
 				b.f64(v)
 			}
-			b.u64(uint64(len(d.Strs)))
-			for _, s := range d.Strs {
-				b.str(s)
+			for _, v := range s.Seg.Strs {
+				b.str(v)
 			}
-			p.trySection(tagColumn, b.b, maxBytes)
+			c.section(tagSlot, b.b)
+		}
+		if maxBytes <= 0 || int64(len(p.b)+len(c.b)) <= maxBytes {
+			p.b = append(p.b, c.b...)
 		}
 	}
 	return p.b
@@ -134,7 +132,7 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 // by ordinal) — the workload-driven materialization order: under a byte
 // budget the most-queried columns persist first.
 func hotColumns(st *format.State) []int {
-	cols := st.Cache.CachedColumns()
+	cols := st.Dir.CachedColumns()
 	sort.Slice(cols, func(i, j int) bool {
 		ai, aj := int64(0), int64(0)
 		if cols[i] < len(st.ColAccess) {

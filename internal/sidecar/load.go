@@ -6,7 +6,8 @@ import (
 	"io/fs"
 	"time"
 
-	"nodb/internal/colcache"
+	"nodb/internal/chunkdir"
+	"nodb/internal/datum"
 	"nodb/internal/format"
 	"nodb/internal/iofault"
 	"nodb/internal/stats"
@@ -28,8 +29,7 @@ type fileData struct {
 	statCols []statCol
 
 	starts []int64
-	attrs  []attrData
-	cols   []colcache.ColumnData
+	slots  []slotData
 
 	journal []format.Fingerprint
 }
@@ -39,10 +39,12 @@ type statCol struct {
 	cs  *stats.ColumnStats
 }
 
-type attrData struct {
-	attr int
-	rows []uint32
-	rels []uint32
+// slotData is one decoded slot section: offs or seg is set.
+type slotData struct {
+	col, idx int
+	offs     []uint32
+	typ      datum.Type
+	seg      *chunkdir.Segment
 }
 
 // errCorrupt marks a structurally invalid sidecar (bad magic, version,
@@ -70,6 +72,11 @@ func readFileTail(path, magic string) (payload, tail []byte, err error) {
 	if err != nil {
 		return nil, nil, errCorrupt
 	}
+	return splitFile(raw, magic)
+}
+
+// splitFile validates raw's header and splits it into payload and tail.
+func splitFile(raw []byte, magic string) (payload, tail []byte, err error) {
 	if len(raw) < headerLen || string(raw[:8]) != magic {
 		return nil, nil, errCorrupt
 	}
@@ -154,11 +161,7 @@ func parsePayload(fd *fileData, payload []byte) bool {
 				cs.Min = s.datum()
 				cs.Max = s.datum()
 				cs.Distinct = s.f64()
-				nb := int(s.u32())
-				if nb < 0 || nb > 1<<16 {
-					return false
-				}
-				if nb > 0 {
+				if nb := s.count32(8); nb > 0 {
 					bounds := make([]float64, nb)
 					for j := range bounds {
 						bounds[j] = s.f64()
@@ -168,63 +171,16 @@ func parsePayload(fd *fileData, payload []byte) bool {
 				fd.statCols = append(fd.statCols, statCol{col: col, cs: cs})
 			}
 		case tagStarts:
-			n := int(s.u64())
-			if !s.need(8 * n) {
-				return false
-			}
-			fd.starts = make([]int64, n)
+			fd.starts = make([]int64, s.count(8))
 			for i := range fd.starts {
 				fd.starts[i] = s.i64()
 			}
-		case tagAttr:
-			a := attrData{attr: int(s.u32())}
-			n := int(s.u64())
-			if !s.need(8 * n) {
+		case tagSlot:
+			sd, ok := decodeSlot(&s, len(payload))
+			if !ok {
 				return false
 			}
-			a.rows = make([]uint32, n)
-			a.rels = make([]uint32, n)
-			for i := 0; i < n; i++ {
-				a.rows[i] = s.u32()
-				a.rels[i] = s.u32()
-			}
-			fd.attrs = append(fd.attrs, a)
-		case tagColumn:
-			var c colcache.ColumnData
-			c.Col = int(s.u32())
-			c.Type = decType(s.u8())
-			c.N = int(s.u64())
-			if c.Present = decU64s(&s); s.bad {
-				return false
-			}
-			if c.Nulls = decU64s(&s); s.bad {
-				return false
-			}
-			ni := int(s.u64())
-			if !s.need(8 * ni) {
-				return false
-			}
-			c.Ints = make([]int64, ni)
-			for i := range c.Ints {
-				c.Ints[i] = s.i64()
-			}
-			nf := int(s.u64())
-			if !s.need(8 * nf) {
-				return false
-			}
-			c.Floats = make([]float64, nf)
-			for i := range c.Floats {
-				c.Floats[i] = s.f64()
-			}
-			ns := int(s.u64())
-			if ns < 0 || ns > len(payload) {
-				return false
-			}
-			c.Strs = make([]string, ns)
-			for i := range c.Strs {
-				c.Strs[i] = s.str()
-			}
-			fd.cols = append(fd.cols, c)
+			fd.slots = append(fd.slots, sd)
 		}
 		if s.bad {
 			return false
@@ -233,16 +189,57 @@ func parsePayload(fd *fileData, payload []byte) bool {
 	return sawMeta && sawSchema && !d.bad
 }
 
-func decU64s(s *dec) []uint64 {
-	n := int(s.u64())
-	if !s.need(8 * n) {
-		return nil
+// decodeSlot decodes a slot section body. Every array has a fixed length
+// and each element takes at least 4 bytes of the body, which is checked
+// before anything is allocated; the chunk index is bounded by the payload
+// length. So no section can make the loader allocate more than a small
+// multiple of the bytes it spans.
+func decodeSlot(s *dec, payloadLen int) (slotData, bool) {
+	const n = chunkdir.ChunkRows
+	sd := slotData{col: int(s.u32()), idx: int(s.u32())}
+	kind := s.u8()
+	if sd.idx > payloadLen/n {
+		return sd, false
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = s.u64()
+	if kind == slotOffs && s.need(4*n) {
+		sd.offs = make([]uint32, n)
+		for i := range sd.offs {
+			sd.offs[i] = s.u32()
+		}
+		return sd, !s.bad
 	}
-	return out
+	sd.typ = decType(s.u8())
+	sg := &chunkdir.Segment{}
+	for w := range sg.Present {
+		sg.Present[w] = s.u64()
+	}
+	for w := range sg.Nulls {
+		sg.Nulls[w] = s.u64()
+	}
+	if kind != slotSeg || !s.need(4*n) {
+		return sd, false
+	}
+	switch sd.typ {
+	case datum.Int, datum.Date, datum.Bool:
+		sg.Ints = make([]int64, n)
+		for i := range sg.Ints {
+			sg.Ints[i] = s.i64()
+		}
+	case datum.Float:
+		sg.Floats = make([]float64, n)
+		for i := range sg.Floats {
+			sg.Floats[i] = s.f64()
+		}
+	case datum.Text:
+		sg.Strs = make([]string, n)
+		for i := range sg.Strs {
+			sg.Strs[i] = s.str()
+		}
+	default:
+		return sd, false
+	}
+	sd.seg = sg
+	return sd, !s.bad
 }
 
 func decodeFingerprint(s *dec) format.Fingerprint {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nodb/internal/chunkdir"
 	"nodb/internal/format"
 	"nodb/internal/iofault"
 )
@@ -226,7 +227,8 @@ func (m *Manager) LoadLocked(st *format.State) {
 		}
 		return
 	}
-	if !schemaMatches(fd, st) {
+	dir, ok := directory(fd, st)
+	if !ok || !schemaMatches(fd, st) {
 		m.loadMisses.Add(1)
 		m.discard(path)
 		return
@@ -243,7 +245,7 @@ func (m *Manager) LoadLocked(st *format.State) {
 		return
 	}
 
-	install(fd, st)
+	install(fd, dir, st)
 	st.FP = cur
 	st.FileSize = cur.Size
 	if change == format.FileSame {
@@ -296,10 +298,32 @@ func schemaMatches(fd *fileData, st *format.State) bool {
 	return true
 }
 
-// install replays the sidecar's sections into st's live structures,
-// honoring whatever structures this environment actually builds (a FITS
-// table has no positional map; ModePM has no cache).
-func install(fd *fileData, st *format.State) {
+// directory decodes the sidecar's tuple starts and slots into a fresh
+// chunk directory, keeping only the structures this environment builds (a
+// FITS table has no positional map; ModePM has no cache). It reports false
+// when a slot is malformed or typed against the schema.
+func directory(fd *fileData, st *format.State) (*chunkdir.Dir, bool) {
+	dir := chunkdir.New(len(st.Types), 0, 0)
+	if st.PM != nil {
+		for i, off := range fd.starts {
+			dir.RecordTupleStart(i, off)
+		}
+	}
+	for _, sd := range fd.slots {
+		if sd.offs != nil && !st.RecordAttrs || sd.seg != nil && st.Cache == nil {
+			continue
+		}
+		if sd.seg != nil && (sd.col >= len(st.Types) || st.Types[sd.col] != sd.typ) ||
+			!dir.Install(sd.col, sd.idx, sd.offs, sd.typ, sd.seg) {
+			return nil, false
+		}
+	}
+	return dir, true
+}
+
+// install puts the sidecar's state into st's live structures: counters and
+// statistics, then the decoded directory through the shard merge.
+func install(fd *fileData, dir *chunkdir.Dir, st *format.State) {
 	for i, v := range fd.access {
 		if i < len(st.ColAccess) {
 			st.ColAccess[i].Store(v)
@@ -313,43 +337,7 @@ func install(fd *fileData, st *format.State) {
 			}
 		}
 	}
-	if st.PM != nil {
-		for i, off := range fd.starts {
-			st.PM.RecordTupleStart(i, off)
-		}
-		if st.RecordAttrs {
-			for _, a := range fd.attrs {
-				if a.attr < 0 || a.attr >= st.PM.NumAttrs() {
-					continue
-				}
-				// The checkpoint wrote each attribute's pointers in ascending
-				// row order (posmap.ForEachPointer), so consecutive rows form
-				// long runs: restore each run as one block. Pointers past
-				// the restored tuple starts are dropped: they are useless,
-				// and a row number read from disk must not size the map's
-				// dense chunk index.
-				cu := st.PM.Cursor(a.attr)
-				tuples := st.PM.NumTuples()
-				for i := 0; i < len(a.rows); {
-					j := i + 1
-					for j < len(a.rows) && a.rows[j] == a.rows[j-1]+1 {
-						j++
-					}
-					if row := int(a.rows[i]); row < tuples {
-						cu.RecordRun(row, a.rels[i:min(j, i+tuples-row)])
-					}
-					i = j
-				}
-			}
-		}
-	}
-	if st.Cache != nil {
-		for _, c := range fd.cols {
-			if c.Col >= 0 && c.Col < len(st.Types) && st.Types[c.Col] == c.Type {
-				st.Cache.Restore(c)
-			}
-		}
-	}
+	st.Dir.Absorb(dir, 0)
 }
 
 // discard removes a sidecar file that failed validation.

@@ -11,7 +11,7 @@
 // File layout (all integers little-endian):
 //
 //	magic    [8]byte  "NODBSC01"
-//	version  uint32
+//	version  uint32   2
 //	plen     uint64   payload length
 //	psum     uint64   FNV-1a over the payload bytes
 //	payload  [plen]byte — tagged sections: tag u8, len u64, body
@@ -19,20 +19,28 @@
 //
 // Sections carry the raw file's fingerprint and row count, a schema
 // guard (table name, column names and types — drift discards the file),
-// per-column access counters, statistics, positional-map tuple starts and
-// attribute pointers, and cached columns. Cached columns are written in
-// descending access-counter order, so a MaxBytes budget keeps the
-// workload's hot columns and drops the cold ones (workload-driven
-// vertical partitioning over raw data).
+// per-column access counters, statistics, the tuple starts, and the slots
+// of the table's chunk directory (internal/chunkdir), one section per slot
+// half written as its arrays: column u32, chunk u32, kind u8, then the
+// ChunkRows map offsets (u32), or the segment's type u8, present and NULL
+// bitmaps and ChunkRows values (i64, f64 or length-prefixed text). Loading
+// decodes every section into a fresh directory and installs it through the
+// Absorb that merges a parallel scan's shards, adopting slots by pointer.
+//
+// Under MaxBytes, map slots follow the tuple starts, each written while
+// it fits; then cached columns in descending access-counter order, so the
+// budget keeps the workload's hot columns. A column's segments are written
+// all or none: a partly cached column could not serve a cache scan.
 //
 // Validity is keyed by format.Fingerprint exactly like the in-memory
 // state: on load, FileSame installs everything, FileAppended installs the
 // (still valid) prefix structures with the row count forgotten, and
-// FileReplaced — or any checksum/version/schema mismatch — discards the
-// sidecar and the table starts cold. Correct rows or a typed-error path,
-// never wrong rows. INSERT appends journal the post-append fingerprint
-// after the payload, so a checkpoint taken before an append still
-// validates as FileAppended without re-hashing the raw file.
+// FileReplaced — or any checksum, version, schema or section mismatch —
+// discards the sidecar and the table starts cold. Version 1 files (with
+// per-pointer map and per-column cache sections) are discarded as corrupt,
+// not migrated. INSERT appends journal the post-append fingerprint after
+// the payload, so a checkpoint taken before an append still validates as
+// FileAppended without re-hashing the raw file.
 package sidecar
 
 import (
@@ -46,7 +54,7 @@ import (
 const (
 	fileMagic   = "NODBSC01"
 	stmtMagic   = "NODBST01"
-	fileVersion = 1
+	fileVersion = 2
 	headerLen   = 8 + 4 + 8 + 8
 )
 
@@ -58,9 +66,14 @@ const (
 	tagAccess  = 3          // per-column access counters
 	tagStats   = 4          // per-column statistics + stats row count
 	tagStarts  = 5          // positional-map tuple start offsets
-	tagAttr    = 6          // one attribute's positional-map pointers
-	tagColumn  = 7          // one cached column
+	tagSlot    = 8          // one half of one chunk-directory slot
 	journalTag = 0x4C4A444E // "NDJL": append-journal record magic
+)
+
+// Slot section kinds.
+const (
+	slotOffs = 1 // map offsets
+	slotSeg  = 2 // cache segment
 )
 
 // decType narrows a stored type byte back to a datum.Type.
@@ -175,6 +188,23 @@ func (d *dec) u64() uint64 {
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
 	return v
+}
+
+// count reads a u64 element count and returns it when that many elements
+// of size bytes fit in what is left to decode; otherwise it latches bad and
+// returns 0. A count read from disk can thus never size an allocation past
+// the input.
+func (d *dec) count(size int) int { return d.fit(d.u64(), size) }
+
+// count32 is count for a u32 element count.
+func (d *dec) count32(size int) int { return d.fit(uint64(d.u32()), size) }
+
+func (d *dec) fit(n uint64, size int) int {
+	if d.bad || n > uint64(len(d.b)-d.off)/uint64(size) {
+		d.bad = true
+		return 0
+	}
+	return int(n)
 }
 
 func (d *dec) i64() int64   { return int64(d.u64()) }
