@@ -82,72 +82,86 @@ func requireSameLookups(t *testing.T, what string, got, want *Map, rows int) {
 // stop early, reads through cursors in between — over several scans whose
 // attribute ranges shift, under no budget and under one small enough to
 // refuse chunks in the middle of a scan and evict across scans.
+//
+// Each case is named for a chunk height h it was first written for, when the
+// height was an option. The height is now fixed at chunkRows, so a case keeps
+// its table's length in chunks of height h: 40 chunks at h=1, a little over
+// four at h=7, three and a half at h=1024.
 func TestWriterMatchesCursorRecord(t *testing.T) {
+	for _, h := range []int{1, 7, 1024} {
+		rows := (3*h + h/2 + 5) * chunkRows / h
+		if h == 1 {
+			rows = 40 * chunkRows
+		}
+		for _, budgetChunks := range []int{0, 9, 30} {
+			t.Run(fmt.Sprintf("chunkRows=%d/budget=%d", h, budgetChunks), func(t *testing.T) {
+				testWriterMatchesCursorRecord(t, rows, budgetChunks, int64(h*100+budgetChunks))
+			})
+		}
+	}
+}
+
+func testWriterMatchesCursorRecord(t *testing.T, rows, budgetChunks int, seed int64) {
 	const attrs = equivAttrs
-	const rows = 3*chunkRows + chunkRows/2 + 5
-	for _, budgetChunks := range []int{0, 9, 30} {
-		t.Run(fmt.Sprintf("budget=%d", budgetChunks), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(102400 + budgetChunks)))
-			opts := Options{Budget: int64(budgetChunks) * chunkBytes}
-			got, want := New(attrs, opts), New(attrs, opts)
-			for scan := 0; scan < 5; scan++ {
-				got.BeginScan()
-				want.BeginScan()
-				w := got.Writer()
-				gotCu := make([]*Cursor, attrs)
-				refCu := make([]*Cursor, attrs)
-				for a := range refCu {
-					gotCu[a], refCu[a] = got.Cursor(a), want.Cursor(a)
-				}
-				// Later scans start recording at attribute lo, as forward
-				// navigation from a known position does: the chunks
-				// below lo stay unpinned and become eviction victims.
-				lo := 0
-				if scan > 0 {
-					lo = rng.Intn(attrs / 2)
-				}
-				for row := 0; row < rows; row++ {
-					got.RecordTupleStart(row, int64(row*100))
-					want.RecordTupleStart(row, int64(row*100))
-					width := attrs
-					if rng.Intn(10) == 0 {
-						width = 1 + rng.Intn(attrs) // short row
-					}
-					known := lo // attributes below are located already
-					for step := 0; step < 3 && known < width; step++ {
-						upTo := known + rng.Intn(attrs-known)
-						// A scan reads the requested column through its
-						// cursor before tokenizing towards it.
-						gr, gok := gotCu[upTo].Get(row)
-						wr, wok := refCu[upTo].Get(row)
-						if gr != wr || gok != wok {
-							t.Fatalf("scan %d row %d: Get(%d) = %d,%v, reference %d,%v", scan, row, upTo, gr, gok, wr, wok)
-						}
-						end := min(upTo+1, width)
-						if end <= known {
-							continue
-						}
-						rels := make([]uint32, end-known)
-						for i := range rels {
-							rels[i] = uint32((known+i)*7 + row%5 + scan)
-						}
-						w.RecordRow(row, known, rels)
-						for i, rel := range rels {
-							refCu[known+i].Record(row, rel)
-						}
-						known = end
-						if rng.Intn(2) == 0 {
-							break // tuple did not qualify: no further columns
-						}
-					}
-				}
-				requireSame(t, fmt.Sprintf("after scan %d", scan), got, want)
+	rng := rand.New(rand.NewSource(seed))
+	opts := Options{Budget: int64(budgetChunks) * chunkBytes}
+	got, want := New(attrs, opts), New(attrs, opts)
+	for scan := 0; scan < 5; scan++ {
+		got.BeginScan()
+		want.BeginScan()
+		w := got.Writer()
+		gotCu := make([]*Cursor, attrs)
+		refCu := make([]*Cursor, attrs)
+		for a := range refCu {
+			gotCu[a], refCu[a] = got.Cursor(a), want.Cursor(a)
+		}
+		// Later scans start recording at attribute lo, as forward
+		// navigation from a known position does: the chunks
+		// below lo stay unpinned and become eviction victims.
+		lo := 0
+		if scan > 0 {
+			lo = rng.Intn(attrs / 2)
+		}
+		for row := 0; row < rows; row++ {
+			got.RecordTupleStart(row, int64(row*100))
+			want.RecordTupleStart(row, int64(row*100))
+			width := attrs
+			if rng.Intn(10) == 0 {
+				width = 1 + rng.Intn(attrs) // short row
 			}
-			requireSameLookups(t, "final", got, want, rows)
-			if budgetChunks == 9 && got.Metrics().Evictions == 0 {
-				t.Error("budget never forced an eviction: the test lost its teeth")
+			known := lo // attributes below are located already
+			for step := 0; step < 3 && known < width; step++ {
+				upTo := known + rng.Intn(attrs-known)
+				// A scan reads the requested column through its
+				// cursor before tokenizing towards it.
+				gr, gok := gotCu[upTo].Get(row)
+				wr, wok := refCu[upTo].Get(row)
+				if gr != wr || gok != wok {
+					t.Fatalf("scan %d row %d: Get(%d) = %d,%v, reference %d,%v", scan, row, upTo, gr, gok, wr, wok)
+				}
+				end := min(upTo+1, width)
+				if end <= known {
+					continue
+				}
+				rels := make([]uint32, end-known)
+				for i := range rels {
+					rels[i] = uint32((known+i)*7 + row%5 + scan)
+				}
+				w.RecordRow(row, known, rels)
+				for i, rel := range rels {
+					refCu[known+i].Record(row, rel)
+				}
+				known = end
+				if rng.Intn(2) == 0 {
+					break // tuple did not qualify: no further columns
+				}
 			}
-		})
+		}
+		requireSame(t, fmt.Sprintf("after scan %d", scan), got, want)
+	}
+	requireSameLookups(t, "final", got, want, rows)
+	if budgetChunks == 9 && got.Metrics().Evictions == 0 {
+		t.Error("budget never forced an eviction: the test lost its teeth")
 	}
 }
 
