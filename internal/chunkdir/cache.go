@@ -228,9 +228,34 @@ func (sg *Segment) set(r int, typ datum.Type, d datum.Datum) {
 	sg.bytes += sg.valueBytes(typ, r)
 }
 
-// fill copies src's values of rows [lo, hi) to rows shift further on,
-// keeping the rows sg holds already.
+// fill copies src's values of rows [lo, hi) to rows shift further on (a
+// negative shift moves them back), keeping the rows sg holds already.
+// Into a range sg holds nothing of, that is one typed run and a shifted OR
+// of each bitmap.
 func (sg *Segment) fill(src *Segment, lo, hi, shift int, typ datum.Type) {
+	if !bitRangeAnySet(sg.Present[:], lo+shift, hi-lo) {
+		switch typ {
+		case datum.Float:
+			copy(sg.Floats[lo+shift:hi+shift], src.Floats[lo:hi])
+		case datum.Text:
+			copy(sg.Strs[lo+shift:hi+shift], src.Strs[lo:hi])
+		default:
+			copy(sg.Ints[lo+shift:hi+shift], src.Ints[lo:hi])
+		}
+		n := orShifted(&sg.Present, &src.Present, lo, hi, shift)
+		orShifted(&sg.Nulls, &src.Nulls, lo, hi, shift)
+		sg.n += n
+		if typ != datum.Text {
+			sg.bytes += 8 * int64(n)
+			return
+		}
+		for r := lo; r < hi; r++ {
+			if bitGet(src.Present[:], r) {
+				sg.bytes += src.valueBytes(typ, r)
+			}
+		}
+		return
+	}
 	for r := lo; r < hi; r++ {
 		t := r + shift
 		if !bitGet(src.Present[:], r) || bitGet(sg.Present[:], t) {
@@ -250,6 +275,27 @@ func (sg *Segment) fill(src *Segment, lo, hi, shift int, typ datum.Type) {
 			sg.Ints[t] = src.Ints[r]
 		}
 	}
+}
+
+// orShifted ORs bits [lo, hi) of src into dst, each moved shift places,
+// one source word at a time, and returns how many were set. The moved
+// range must stay inside the bitmap.
+func orShifted(dst, src *[words]uint64, lo, hi, shift int) int {
+	set := 0
+	for i := lo; i < hi; {
+		w, b := i/64, i%64
+		n := min(64-b, hi-i)
+		x := src[w] >> uint(b) & (uint64(1)<<uint(n) - 1)
+		t := i + shift
+		tw, tb := t/64, t%64
+		dst[tw] |= x << uint(tb)
+		if tb+n > 64 {
+			dst[tw+1] |= x >> uint(64-tb)
+		}
+		set += bits.OnesCount64(x)
+		i += n
+	}
+	return set
 }
 
 // valueBytes is the accounted size of one value.

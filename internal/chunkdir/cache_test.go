@@ -1,6 +1,9 @@
 package chunkdir
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestBitRangeHelpers pins the mask arithmetic of the word-at-a-time
 // range scans at word boundaries.
@@ -32,6 +35,32 @@ func TestBitRangeHelpers(t *testing.T) {
 		}
 		if got := bitRangeAnySet(bm, tc.start, tc.n); got != tc.any {
 			t.Errorf("bitRangeAnySet(%d,%d) = %v, want %v", tc.start, tc.n, got, tc.any)
+		}
+	}
+}
+
+// TestOrShifted checks the word-at-a-time shifted OR of a bit range
+// against a bit-by-bit copy, for shifts both ways across word boundaries.
+func TestOrShifted(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var src, dst, want [words]uint64
+		for w := range src {
+			src[w], dst[w] = rng.Uint64(), rng.Uint64()&rng.Uint64()
+		}
+		want = dst
+		lo := rng.Intn(ChunkRows)
+		hi := lo + rng.Intn(ChunkRows-lo+1)
+		shift := rng.Intn(ChunkRows-(hi-lo)+1) - lo // lands anywhere in the bitmap
+		set := 0
+		for r := lo; r < hi; r++ {
+			if bitGet(src[:], r) {
+				bitSet(want[:], r+shift)
+				set++
+			}
+		}
+		if got := orShifted(&dst, &src, lo, hi, shift); dst != want || got != set {
+			t.Fatalf("orShifted([%d,%d) by %d): %d set, bitmap differs: %v", lo, hi, shift, got, dst != want)
 		}
 	}
 }

@@ -6,6 +6,10 @@
 // value Segment with present and NULL bitmaps). Tuple starts — the paper's
 // minimal end-of-line map — are one dense array per table.
 //
+// Each column also holds one stats.Synopsis (§4.4) over a prefix of the
+// rows: counts, min and max, and order-independent sketches, so a shard's
+// synopsis merges at any row offset where the column's coverage ends.
+//
 // The halves keep the paper's two knobs, each with its own budget: the
 // map is LRU over slots with the current scan's slots pinned, charging
 // ChunkRows*4+64 bytes per half; the cache is LRU over whole columns, the
@@ -13,9 +17,10 @@
 // a column 128 bytes, 16 per bitmap word up to its highest cached row and
 // 8 per value (16+len per Text value).
 //
-// Lifecycle rules are written once, over slots: Drop forgets everything;
-// Absorb merges a shard, adopting slot halves by pointer at a chunk-aligned
-// row offset; the sidecar installs its slots through Absorb. Scans go
+// Lifecycle rules are written once, over slots and synopses: Drop forgets
+// everything; Absorb merges a shard, adopting slot halves by pointer at a
+// chunk-aligned row offset and synopses where the coverage starts at row
+// 0; the sidecar installs its slots and synopses through Absorb. Scans go
 // through Cursor, Writer and View, which resolve a slot once per chunk. A
 // Dir is not safe for concurrent use; the engine serializes access per
 // table.
@@ -25,6 +30,7 @@ import (
 	"container/list"
 
 	"nodb/internal/datum"
+	"nodb/internal/stats"
 )
 
 // ChunkRows is the number of rows one slot covers: one default batch, and
@@ -65,12 +71,13 @@ type Segment struct {
 	bytes int64 // accounted value bytes
 }
 
-// column is one column's row of slots plus its cache entry.
+// column is one column's row of slots plus its cache entry and synopsis.
 type column struct {
-	slots   []*Slot // index = chunk; nil = empty
-	mapLive int     // slots with a map half
-	mapGen  int64   // bumped when this column's set of map halves changes
-	cache   *entry  // nil = not cached
+	slots   []*Slot         // index = chunk; nil = empty
+	mapLive int             // slots with a map half
+	mapGen  int64           // bumped when this column's set of map halves changes
+	cache   *entry          // nil = not cached
+	syn     *stats.Synopsis // statistics of rows [0, syn.Rows()); nil = none
 }
 
 // entry is a cached column: the unit of cache accounting and eviction.
@@ -175,9 +182,28 @@ func (d *Dir) Slots(col int) []*Slot {
 	return d.cols[col].slots
 }
 
-// Drop discards tuple starts, map halves and cached columns when the file
-// changed in place, shrank or was rewritten (paper §4.5). Open views,
-// cursors and writers stay safe; the directory stays usable.
+// Synopsis returns col's synopsis, or nil.
+func (d *Dir) Synopsis(col int) *stats.Synopsis {
+	if col < 0 || col >= len(d.cols) {
+		return nil
+	}
+	return d.cols[col].syn
+}
+
+// Feed returns col's synopsis, creating an empty one of typ. A scan feeds
+// it the value of row r only when r == Rows(): the synopsis covers a
+// prefix, and the first row a scan does not parse ends its feed.
+func (d *Dir) Feed(col int, typ datum.Type) *stats.Synopsis {
+	c := d.column(col)
+	if c.syn == nil {
+		c.syn = stats.NewSynopsis(typ)
+	}
+	return c.syn
+}
+
+// Drop discards tuple starts, map halves, cached columns and synopses when
+// the file changed in place, shrank or was rewritten (paper §4.5). Open
+// views, cursors and writers stay safe; the directory stays usable.
 func (d *Dir) Drop() {
 	d.starts = d.starts[:0]
 	for c := range d.cols {
@@ -185,7 +211,7 @@ func (d *Dir) Drop() {
 		if col.cache != nil {
 			d.remove(col.cache)
 		}
-		col.slots, col.mapLive = nil, 0
+		col.slots, col.mapLive, col.syn = nil, 0, nil
 		col.mapGen++
 	}
 	d.evictGen++
@@ -202,8 +228,10 @@ func (d *Dir) Drop() {
 // by pointer, otherwise copied as one run per chunk. A cached column
 // merges whole or not at all (a partial one could not serve a cache scan);
 // otherwise the budgets decide what survives exactly as if every position
-// were recorded and every value put in ascending column and row order.
-// The shard must not be used afterwards.
+// were recorded and every value put in ascending column and row order. A
+// shard synopsis merges where d's coverage of its column ends at
+// rowOffset (adopted by pointer when that is row 0) and is dropped
+// otherwise. The shard must not be used afterwards.
 func (d *Dir) Absorb(sh *Dir, rowOffset int) {
 	if sh == nil || rowOffset < 0 {
 		return
@@ -230,6 +258,14 @@ func (d *Dir) Absorb(sh *Dir, rowOffset int) {
 	for col := range sh.cols {
 		if src := sh.cols[col].cache; src != nil {
 			d.absorbColumn(sh.cols[col].slots, src, rowOffset)
+		}
+		if src := sh.cols[col].syn; src != nil {
+			switch dst := d.column(col); {
+			case dst.syn == nil && rowOffset == 0:
+				dst.syn = src
+			case dst.syn != nil && dst.syn.Rows() == int64(rowOffset):
+				dst.syn.Merge(src)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -14,18 +15,21 @@ import (
 	"nodb/internal/format"
 	"nodb/internal/schema"
 	"nodb/internal/sidecar"
+	"nodb/internal/stats"
 )
 
 // TestDirectoryEquivalence runs seeded random schedules against a
 // table's directory and against ref, a per-value model of the two policies
 // (map: LRU over (attribute, chunk) with scan pinning; cache: LRU over
 // columns with the conversion-cost victim window) and of today's byte
-// accounting. Steps: cursor and writer recordings, puts with NULLs and
-// holes, Nearest probes, absorbs of random shards at aligned and unaligned
+// accounting, and of each column synopsis as the list of rows it covers.
+// Steps: cursor and writer recordings, puts with NULLs and holes, synopsis
+// feeds, Nearest probes, absorbs of random shards at aligned and unaligned
 // offsets into empty and partly filled directories, Drop, and a sidecar
 // checkpoint → reload round trip. After every step the map's pointers, the
 // cache's values, MemoryBytes, Bytes, Metrics().Pointers and evictions
-// must equal the model's, and the directory must pass Verify.
+// must equal the model's, every synopsis must fold to the statistics of
+// one synopsis fed its rows in order, and the directory must pass Verify.
 func TestDirectoryEquivalence(t *testing.T) {
 	for _, b := range []struct{ pm, cache int64 }{{0, 0}, {5 * mapBytes, 0}, {0, 30_000}, {7 * mapBytes, 24_000}} {
 		t.Run(fmt.Sprintf("pm=%d/cache=%d", b.pm, b.cache), func(t *testing.T) {
@@ -33,6 +37,7 @@ func TestDirectoryEquivalence(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				h := newHarness(t, b.pm, b.cache)
 				rng := rand.New(rand.NewSource(seed*1000 + b.pm + b.cache))
+				h.srng = rand.New(rand.NewSource(seed))
 				for step := 0; step < 50; step++ {
 					what := h.step(rng)
 					h.check(fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
@@ -62,6 +67,10 @@ type harness struct {
 	tbl *schema.Table
 	env format.Env
 	mgr *sidecar.Manager
+
+	// srng draws the synopsis feeds, apart from the schedule's rng, so
+	// the feeds leave the map and cache schedules as they were.
+	srng *rand.Rand
 }
 
 func newHarness(t *testing.T, pm, cache int64) *harness {
@@ -77,7 +86,7 @@ func newHarness(t *testing.T, pm, cache int64) *harness {
 	tbl := &schema.Table{Name: "t", Columns: cols, Path: raw}
 	h := &harness{t: t, tbl: tbl, mgr: sidecar.New(sidecar.Config{Dir: dir})}
 	t.Cleanup(func() { _ = h.mgr.Close() })
-	h.env = format.Env{PosMap: true, AttrPointers: true, Cache: true, PMBudget: pm, CacheBudget: cache}
+	h.env = format.Env{PosMap: true, AttrPointers: true, Cache: true, Statistics: true, PMBudget: pm, CacheBudget: cache}
 	h.st = format.NewState(tbl, h.env)
 	h.ref = newRef(pm, cache)
 	return h
@@ -170,6 +179,23 @@ func fill(t *testing.T, rng *rand.Rand, d *chunkdir.Dir, m *ref, from, to int) {
 	}
 }
 
+// feed gives a random run of one column's next rows to its synopsis in d
+// and m, the row at local row r keyed by position (base+r)*100.
+func feed(rng *rand.Rand, d *chunkdir.Dir, m *ref, base int) {
+	col := rng.Intn(attrs)
+	typ := colTypes[col]
+	syn, rows := d.Feed(col, typ), m.syns[col]
+	if rows == nil {
+		rows = []synRow{}
+	}
+	for k := rng.Intn(2 * chunkdir.ChunkRows); k > 0; k-- {
+		r := synRow{uint64(base+len(rows)) * 100, value(typ, rng)}
+		syn.Add(r.pos, r.v)
+		rows = append(rows, r)
+	}
+	m.syns[col] = rows
+}
+
 // span picks a random row range.
 func span(rng *rand.Rand) (int, int) {
 	from := rng.Intn(maxRows)
@@ -182,6 +208,10 @@ func (h *harness) step(rng *rand.Rand) string {
 	case op < 5:
 		from, to := span(rng)
 		fill(h.t, rng, d, h.ref, from, to)
+		if h.srng.Intn(2) == 0 {
+			feed(h.srng, d, h.ref, 0)
+			return "record/put/feed"
+		}
 		return "record/put"
 	case op < 7:
 		// Absorb a shard at an aligned or unaligned offset. Its tuple
@@ -189,6 +219,8 @@ func (h *harness) step(rng *rand.Rand) string {
 		off := len(h.ref.starts)
 		if rng.Intn(3) == 0 {
 			off = rng.Intn(maxRows)
+		} else if h.srng.Intn(2) == 0 { // where a synopsis's coverage ends, so the shard's merges
+			off = len(h.ref.syns[h.srng.Intn(attrs)])
 		}
 		if rng.Intn(2) == 0 {
 			off -= off % chunkdir.ChunkRows
@@ -197,6 +229,7 @@ func (h *harness) step(rng *rand.Rand) string {
 		sh, shRef := chunkdir.New(attrs, 0, 0), newRef(0, 0)
 		for k := rng.Intn(3) + 1; k > 0; k-- {
 			fill(h.t, rng, sh, shRef, 0, n)
+			feed(h.srng, sh, shRef, off)
 		}
 		// A shard's tuple starts are absolute offsets.
 		d.BeginScan()
@@ -235,6 +268,11 @@ func (h *harness) roundTrip() {
 		h.t.Fatal(err)
 	}
 	h.st.FP = fp
+	for col := 0; col < attrs; col++ { // publish: a checkpoint keeps published synopses
+		if syn := h.st.Dir.Synopsis(col); syn != nil {
+			h.st.St.Set(col, syn.Finalize())
+		}
+	}
 	h.mgr.MarkDirty(h.st)
 	if err := h.mgr.Flush(context.Background()); err != nil {
 		h.t.Fatal(err)
@@ -288,6 +326,22 @@ func (h *harness) check(what string) {
 			t.Fatalf("%s: position (row %d, attr %d) = %d, reference %d", what, k[0], k[1], got[k], rel)
 		}
 	}
+	for col := 0; col < attrs; col++ {
+		syn, rows := d.Synopsis(col), m.syns[col]
+		if (syn == nil) != (rows == nil) {
+			t.Fatalf("%s: column %d synopsis %v, reference %d rows", what, col, syn != nil, len(rows))
+		}
+		if syn == nil {
+			continue
+		}
+		want := stats.NewSynopsis(colTypes[col])
+		for _, r := range rows {
+			want.Add(r.pos, r.v)
+		}
+		if got := syn.Finalize(); !reflect.DeepEqual(got, want.Finalize()) {
+			t.Fatalf("%s: column %d synopsis folds to %+v, reference %+v", what, col, got, want.Finalize())
+		}
+	}
 	cols := d.CachedColumns()
 	if len(cols) != len(m.cols) {
 		t.Fatalf("%s: cached columns %v, reference %d", what, cols, len(m.cols))
@@ -323,6 +377,14 @@ type ref struct {
 	corder         []*refCol // cache LRU, most recent first
 	cacheBytes     int64
 	cacheEvictions int
+
+	syns map[int][]synRow // per column, the rows its synopsis covers (non-nil = has one)
+}
+
+// synRow is one row a synopsis covers: its position key and value.
+type synRow struct {
+	pos uint64
+	v   datum.Datum
 }
 
 type refChunk struct {
@@ -339,7 +401,7 @@ type refCol struct {
 }
 
 func newRef(pm, cache int64) *ref {
-	return &ref{pmBudget: pm, cacheBudget: cache, chunks: map[[2]int]*refChunk{}, cols: map[int]*refCol{}}
+	return &ref{pmBudget: pm, cacheBudget: cache, chunks: map[[2]int]*refChunk{}, cols: map[int]*refCol{}, syns: map[int][]synRow{}}
 }
 
 func (m *ref) mapBytes() int64 { return int64(len(m.chunks)) * mapBytes }
@@ -557,6 +619,7 @@ func (m *ref) drop() {
 	for _, e := range m.cols {
 		m.removeCol(e)
 	}
+	m.syns = map[int][]synRow{}
 }
 
 // clip drops what a sidecar does not keep: positions of rows without a
@@ -578,8 +641,14 @@ func (m *ref) clip() {
 
 // absorb is the per-value merge: tuple starts that continue m's, then
 // every position recorded and every cached column put whole (or not at
-// all), in ascending attribute, column and row order.
+// all), in ascending attribute, column and row order; a synopsis's rows
+// join a column's whose rows end at off (or that has none, at off 0).
 func (m *ref) absorb(sh *ref, off int) {
+	for col, rows := range sh.syns {
+		if mine, ok := m.syns[col]; ok && len(mine) == off || !ok && off == 0 {
+			m.syns[col] = append(append([]synRow{}, mine...), rows...)
+		}
+	}
 	if skip := len(m.starts) - off; skip >= 0 && skip < len(sh.starts) {
 		m.starts = append(m.starts, sh.starts[skip:]...)
 	}

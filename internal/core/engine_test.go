@@ -246,14 +246,34 @@ func TestStatisticsCollection(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 1000)
 	e := openEngine(t, cat, Options{Mode: ModePMCache, Statistics: true})
 	mustQuery(t, e, "SELECT a FROM wide WHERE id < 100")
+	// The filter reads id on every row, a only on qualifying ones: a's
+	// synopsis covers a prefix of the table and publishes nothing.
 	m := e.Metrics("wide")
-	if m.StatsColumns < 2 { // id and a
-		t.Errorf("stats columns = %d, want >= 2", m.StatsColumns)
+	if m.StatsColumns != 1 {
+		t.Errorf("stats columns = %d, want 1 (id)", m.StatsColumns)
 	}
 	// Statistics must be extended incrementally by later queries.
+	mustQuery(t, e, "SELECT a, c FROM wide")
+	if got := e.Metrics("wide").StatsColumns; got != 3 {
+		t.Errorf("stats columns = %d after scanning a and c whole, want 3", got)
+	}
+	// An INSERT appends: a complete pass over other columns keeps the
+	// statistics of a and c, and a pass over c extends them.
+	if _, _, err := e.Exec("INSERT INTO wide VALUES (1000, 1, 2, 3.5, 'ins', date '2001-01-01')"); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, e, "SELECT name FROM wide")
+	src, err := e.source(cat.Tables()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := src.Stats()
+	if st.RowCount() != 1001 || st.Col(1) == nil || st.Col(3) == nil || st.Col(3).Count != 1000 || st.Col(4) == nil {
+		t.Fatalf("after an append: %d rows, a %+v, c %+v, name %+v", st.RowCount(), st.Col(1), st.Col(3), st.Col(4))
+	}
 	mustQuery(t, e, "SELECT c FROM wide")
-	if got := e.Metrics("wide").StatsColumns; got <= m.StatsColumns {
-		t.Errorf("stats columns did not grow: %d -> %d", m.StatsColumns, got)
+	if cs := st.Col(3); cs.Count != 1001 || cs.Max.Float() != 249.75 {
+		t.Errorf("c after a pass over the appended row: %+v", cs)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"nodb/internal/datum"
 	"nodb/internal/fits"
 	"nodb/internal/schema"
+	"nodb/internal/stats"
 	"nodb/internal/testutil"
 )
 
@@ -143,20 +144,31 @@ func TestCrossFormatEquivalence(t *testing.T) {
 
 // TestFITSParallelSharesPipeline pins the acceptance criterion: a FITS
 // scan with Parallelism=8 returns rows bit-identical to the sequential
-// scan while actually flowing through the worker-pool/merge pipeline, and
-// the merged cache serves identical warm scans.
+// scan while actually flowing through the worker-pool/merge pipeline, the
+// merged cache serves identical warm scans, and the one cold pass leaves
+// every column it read with statistics equal to the sequential pass's.
 func TestFITSParallelSharesPipeline(t *testing.T) {
 	// Partitions split on 1024-row chunk boundaries: 2000 rows give two
 	// ranges, 2500 three, and 700 — less than a chunk — one.
 	for _, tc := range []struct{ n, workers int64 }{{2000, 2}, {2500, 3}, {700, 1}} {
 		t.Run(fmt.Sprintf("rows=%d", tc.n), func(t *testing.T) {
 			n := tc.n
-			seqE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 1})
-			parE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 8})
+			seqE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 1, Statistics: true})
+			parE := openEngine(t, formatFixture(t, t.TempDir(), int(n)), Options{Mode: ModePMCache, Parallelism: 8, Statistics: true})
 			q := "SELECT id, mag, flux FROM obs_fits WHERE flux >= 30"
 			seqCold, parCold := mustQuery(t, seqE, q), mustQuery(t, parE, q)
 			if !reflect.DeepEqual(seqCold.Rows, parCold.Rows) {
 				t.Fatal("parallel FITS cold scan differs from sequential")
+			}
+			seqSt, parSt := fitsStats(t, seqE), fitsStats(t, parE)
+			for c := 0; c < 3; c++ {
+				sc, pc := seqSt.Col(c), parSt.Col(c)
+				if sc == nil || sc.Count != n || sc.Distinct != float64(n) {
+					t.Fatalf("column %d: statistics after one full pass = %+v", c, sc)
+				}
+				if !reflect.DeepEqual(sc, pc) {
+					t.Errorf("column %d statistics differ\nseq: %+v\npar: %+v", c, sc, pc)
+				}
 			}
 			seqWarm, parWarm := mustQuery(t, seqE, q), mustQuery(t, parE, q)
 			if !reflect.DeepEqual(seqWarm.Rows, parWarm.Rows) {
@@ -175,6 +187,17 @@ func TestFITSParallelSharesPipeline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fitsStats returns the statistics of e's obs_fits table.
+func fitsStats(t *testing.T, e *Engine) *stats.Table {
+	t.Helper()
+	tbl, _ := e.cat.Lookup("obs_fits")
+	src, err := e.source(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src.Stats()
 }
 
 // TestConcurrentWarmFITSScansOverlap proves the old one-scan-at-a-time

@@ -13,6 +13,7 @@ import (
 	"nodb/internal/format"
 	"nodb/internal/qtrace"
 	"nodb/internal/schema"
+	"nodb/internal/stats"
 )
 
 // Source is the FITS format adapter (paper §5.3: "The FITS-enabled
@@ -55,15 +56,14 @@ func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
 		t.Close()
 		return nil, err
 	}
-	// Attribute positions are implicit in fixed-width rows and the format
-	// keeps no statistics collectors; the binary cache is the adaptive
-	// structure for binary formats ("while parsing may not be required ...
-	// techniques such as caching become more important"), so any engine
-	// mode that keeps adaptive state — positional map, cache or both —
-	// maps to the cache here. Only the external-files straw man (no
-	// structures at all) stays cacheless.
+	// Attribute positions are implicit in fixed-width rows; the binary
+	// cache is the adaptive structure for binary formats ("while parsing
+	// may not be required ... techniques such as caching become more
+	// important"), so any engine mode that keeps adaptive state —
+	// positional map, cache or both — maps to the cache here. Only the
+	// external-files straw man (no structures at all) stays cacheless.
 	env.Cache = env.Cache || env.PosMap
-	env.PosMap, env.AttrPointers, env.Statistics = false, false, false
+	env.PosMap, env.AttrPointers = false, false
 	st := format.NewState(tbl, env)
 	st.Rows.Store(t.NRows)
 	if fp, err := format.TakeFingerprint(tbl.Path); err == nil {
@@ -155,10 +155,8 @@ func (s *Source) reopenLocked() error {
 	}
 	s.t.Close()
 	s.t = t
-	s.Dir.Drop()
+	s.InvalidateLocked()
 	s.Rows.Store(t.NRows)
-	s.FileSize = 0
-	s.FP = format.Fingerprint{}
 	if fp, err := format.TakeFingerprint(s.Tbl.Path); err == nil {
 		s.FP = fp
 		s.FileSize = fp.Size
@@ -167,11 +165,11 @@ func (s *Source) reopenLocked() error {
 }
 
 // Invalidate implements format.Source: waits for scans in flight, then
-// drops the cache and re-reads the header.
+// drops the adaptive state and re-reads the header.
 func (s *Source) Invalidate() {
 	if err := s.Lk.Lock(context.Background()); err == nil {
 		defer s.Lk.Unlock()
-		s.Dir.Drop()
+		s.InvalidateLocked()
 		_ = s.reopenLocked()
 	}
 }
@@ -183,8 +181,9 @@ func (s *Source) Close() error { return s.t.Close() }
 // pass over rows [lo, hi) into st — the table's own State, or a partition
 // worker's shard (State.Shard). It decodes the needed columns straight
 // into the frame's column-major batch (fixed-width rows columnarize
-// trivially) and fills st's binary cache as it goes, at rows relative to
-// lo. Cancellation is observed every 256 rows, exactly like the CSV
+// trivially) and fills st's binary cache and column synopses as it goes,
+// at rows relative to lo; a synopsis's position key is the absolute row
+// number. Cancellation is observed every 256 rows, exactly like the CSV
 // pipeline; the range's row count publishes only when the pass reaches
 // its end.
 type rangeLoader struct {
@@ -196,6 +195,7 @@ type rangeLoader struct {
 	needed  []int
 	rd      *Reader
 	views   []colcache.View
+	syns    []*stats.Synopsis // per column: what the pass feeds; nil = none
 	readBuf []datum.Datum
 	tick    int
 }
@@ -208,7 +208,7 @@ func newRangeScan(ctx context.Context, st *format.State, t *Table, outCols []int
 	return format.NewColumnScan(ctx, st, outCols, conjuncts, &rangeLoader{ctx: ctx, st: st, t: t, lo: lo, hi: hi})
 }
 
-// Open positions the range reader and acquires cache views.
+// Open positions the range reader and acquires cache views and synopses.
 func (l *rangeLoader) Open(needed []int) (int, error) {
 	if err := l.t.CheckPayload(); err != nil {
 		return 0, err
@@ -226,11 +226,18 @@ func (l *rangeLoader) Open(needed []int) (int, error) {
 			l.views[c] = cache.View(c, l.st.Types[c])
 		}
 	}
+	if l.st.Env.Statistics {
+		l.syns = make([]*stats.Synopsis, l.st.Tbl.NumColumns())
+		for _, c := range needed {
+			l.syns[c] = l.st.Dir.Feed(c, l.st.Types[c])
+		}
+	}
 	return int(l.hi - l.lo), nil
 }
 
-// Load decodes rows [row, row+n) of the range and caches their values
-// (a view that is not attached keeps nothing).
+// Load decodes rows [row, row+n) of the range, caches their values (a
+// view that is not attached keeps nothing) and feeds each synopsis that
+// covers the rows before them.
 func (l *rangeLoader) Load(cols [][]datum.Datum, row, n int, c *qtrace.Counts) error {
 	for i := 0; i < n; i++ {
 		if l.tick++; l.tick&255 == 0 {
@@ -246,6 +253,13 @@ func (l *rangeLoader) Load(cols [][]datum.Datum, row, n int, c *qtrace.Counts) e
 		for j, col := range l.needed {
 			cols[col][i] = buf[j]
 			l.views[col].Put(row+i, buf[j])
+		}
+	}
+	for _, col := range l.needed {
+		if l.syns != nil && l.syns[col] != nil && l.syns[col].Rows() == int64(row) {
+			for i, v := range cols[col][:n] {
+				l.syns[col].Add(uint64(l.lo)+uint64(row+i), v)
+			}
 		}
 	}
 	c[qtrace.CtrTuplesParsed] += int64(n)

@@ -10,7 +10,6 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/qtrace"
-	"nodb/internal/stats"
 )
 
 // ColumnLoader is what a producer of already-binary columns supplies to
@@ -110,8 +109,8 @@ func (s *ColumnScan) Columns() []exec.Col { return s.cols }
 // SetRowBudget implements exec.RowBudgeter.
 func (s *ColumnScan) SetRowBudget(n int64) { s.budget = n }
 
-// Shard implements Part. Column scans keep no statistics.
-func (s *ColumnScan) Shard() (*State, []*stats.Collector) { return s.st, nil }
+// Shard implements Part.
+func (s *ColumnScan) Shard() *State { return s.st }
 
 // Open resets the cursor and opens the loader.
 func (s *ColumnScan) Open() error {

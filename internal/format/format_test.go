@@ -16,7 +16,6 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/qtrace"
 	"nodb/internal/schema"
-	"nodb/internal/stats"
 )
 
 type stubDriver struct{ name string }
@@ -138,7 +137,7 @@ func (f *fakePart) Fill(b *exec.Batch, n int) error {
 	return nil
 }
 
-func (f *fakePart) Shard() (*State, []*stats.Collector) { return f.sh, nil }
+func (f *fakePart) Shard() *State { return f.sh }
 
 func (f *fakePart) Close() error {
 	var c qtrace.Counts

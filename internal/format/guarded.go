@@ -44,7 +44,7 @@ type GuardedScan struct {
 	backoff    time.Duration // ctx-aware pause between attempts
 	invalidate func()        // drops the table's adaptive state (call holding Lk exclusive)
 	ctrs       *Counters     // where consumed retries count
-	onRecorded func()        // fires in Close (lock released) after a recording pass ran
+	onRecorded func()        // fires in Close, still holding exclusively, after a recording pass ran
 
 	inner          exec.Operator
 	unlock         func()
@@ -128,11 +128,12 @@ func (g *GuardedScan) SetRetry(retries int, backoff time.Duration, invalidate fu
 	g.retries, g.backoff, g.invalidate, g.ctrs = retries, backoff, invalidate, ctrs
 }
 
-// OnRecorded installs a hook fired from Close — after the table lock is
-// released — when a recording pass (an exclusive, non-downgraded access
-// method) ran at any point of the scan. The sidecar checkpointer hangs
-// off this: only scans that may have mutated the adaptive structures
-// schedule a persist.
+// OnRecorded installs a hook fired from Close — after the inner scan
+// closed, before the exclusive hold is released — when a recording pass
+// (an exclusive, non-downgraded access method) ran at any point of the
+// scan. Statistics publication and the sidecar checkpointer hang off
+// this: only scans that may have mutated the adaptive structures publish
+// and schedule a persist.
 func (g *GuardedScan) OnRecorded(fn func()) { g.onRecorded = fn }
 
 // Columns implements exec.Operator.
@@ -344,13 +345,13 @@ func (g *GuardedScan) Close() error {
 		err = g.inner.Close()
 		g.inner = nil
 	}
+	if g.recorded && g.holdsExclusive && g.onRecorded != nil {
+		g.recorded = false
+		g.onRecorded()
+	}
 	if g.unlock != nil {
 		g.unlock()
 		g.unlock = nil
-	}
-	if g.recorded && g.onRecorded != nil {
-		g.recorded = false
-		g.onRecorded()
 	}
 	return err
 }

@@ -80,7 +80,7 @@ func (e *RowError) Unwrap() error { return e.Cause }
 //     Parsing" / "Selective Tuple Formation"),
 //   - navigates with the positional map, through the decoder (§4.2),
 //   - records tuple starts and newly discovered positions into the map and
-//     parsed values into the binary cache, and feeds statistics collectors
+//     parsed values into the binary cache, and feeds the column synopses
 //     (§4.3, §4.4).
 //
 // The exported fields are the decoder's view of the scan.
@@ -133,8 +133,8 @@ type LineScan struct {
 	eof    bool // finish ran cleanly: the input is exhausted
 
 	cacheViews []colcache.View
-	collectors []*stats.Collector // indexed by column ordinal; nil entries
-	collecting bool
+	syns       []*stats.Synopsis // per column ordinal: what the scan feeds; nil = none
+	off        int64             // the current tuple's start offset
 
 	batchSize int
 	budget    int64 // LIMIT pushdown row budget; -1 = none
@@ -183,8 +183,8 @@ func (s *LineScan) RowErr(col int, cause error) error {
 	return e
 }
 
-// Open starts the sequential file pass and attaches statistics collectors
-// for needed columns that lack statistics.
+// Open starts the sequential file pass and attaches the needed columns'
+// synopses when statistics are on.
 func (s *LineScan) Open() error {
 	if err := s.ctx.Err(); err != nil {
 		return err // a partition worker started after the cancel: read nothing
@@ -243,19 +243,12 @@ func (s *LineScan) Open() error {
 	} else {
 		s.cacheViews = nil
 	}
-	if st.St != nil {
-		if s.collectors == nil {
-			s.collectors = make([]*stats.Collector, width)
+	if st.Env.Statistics {
+		if s.syns == nil {
+			s.syns = make([]*stats.Synopsis, width)
 		}
-		for i := range s.collectors {
-			s.collectors[i] = nil
-		}
-		s.collecting = false
 		for _, c := range s.Needed {
-			if !st.St.Has(c) {
-				s.collectors[c] = stats.NewCollector(st.Types[c], int64(c)+1)
-				s.collecting = true
-			}
+			s.syns[c] = st.Dir.Feed(c, st.Types[c])
 		}
 	}
 	s.dec.Begin(s)
@@ -325,9 +318,8 @@ func (s *LineScan) Fill(b *exec.Batch, target int) error {
 	return nil
 }
 
-// Shard implements Part: the State the scan records into and the
-// statistics collectors a partition worker leaves attached for the merge.
-func (s *LineScan) Shard() (*State, []*stats.Collector) { return s.St, s.collectors }
+// Shard implements Part: the State the scan records into.
+func (s *LineScan) Shard() *State { return s.St }
 
 // step runs the selective pipeline up to the next qualifying tuple, whose
 // output columns it leaves in rowBuf. Cancellation is observed every 256
@@ -360,6 +352,7 @@ func (s *LineScan) step() error {
 		if s.St.PM != nil {
 			s.St.PM.RecordTupleStart(s.Row, off)
 		}
+		s.off = off
 		s.curGen++
 		s.C[qtrace.CtrTuplesParsed]++
 
@@ -416,6 +409,7 @@ func (s *LineScan) fill(line []byte, col int) error {
 			s.C[qtrace.CtrCacheHits]++
 			s.rowBuf[col] = v
 			s.gen[col] = s.curGen
+			s.feed(col)
 			return nil
 		}
 		s.C[qtrace.CtrCacheMisses]++
@@ -427,27 +421,33 @@ func (s *LineScan) fill(line []byte, col int) error {
 	if cached {
 		s.cacheViews[col].Put(s.Row, s.rowBuf[col])
 	}
-	if s.collecting {
-		if c := s.collectors[col]; c != nil {
-			c.Add(s.rowBuf[col])
+	s.gen[col] = s.curGen
+	s.feed(col)
+	return nil
+}
+
+// feed gives rowBuf[col] to the column's synopsis when that covers every
+// row before the current one: the first row the scan does not fill for
+// col ends the feed.
+func (s *LineScan) feed(col int) {
+	if s.syns != nil {
+		if syn := s.syns[col]; syn != nil && syn.Rows() == int64(s.Row) {
+			syn.Add(uint64(s.off), s.rowBuf[col])
 		}
 	}
-	s.gen[col] = s.curGen
-	return nil
 }
 
 // finish runs once the scan has seen the whole file: it verifies the
 // pass is consistent with the file version the adaptive state was built
-// from, then fixes the row count and publishes any newly collected
-// statistics. A row-count mismatch or a file that changed mid-scan
-// reports ErrFileChanged without publishing — emitted rows may already
-// be wrong, and totals from such a pass must never become truth.
+// from, then fixes the row count. A row-count mismatch or a file that
+// changed mid-scan reports ErrFileChanged without publishing — emitted
+// rows may already be wrong, and totals from such a pass must never
+// become truth.
 func (s *LineScan) finish() error {
 	st := s.St
 	if s.shard {
-		// Partition worker: the shard table keeps the local row count;
-		// collectors stay attached for the partitioned merge to fold and
-		// verify.
+		// Partition worker: the shard table keeps the local row count for
+		// the partitioned merge to verify.
 		st.Rows.Store(int64(s.Row))
 		return nil
 	}
@@ -459,10 +459,6 @@ func (s *LineScan) finish() error {
 		return fmt.Errorf("format: table %s: file changed during scan: %w", st.Tbl.Name, ErrFileChanged)
 	}
 	st.Rows.Store(int64(s.Row))
-	if st.St != nil {
-		PublishCollectors(st.St, int64(s.Row), s.collectors)
-		s.collectors = nil
-	}
 	return nil
 }
 

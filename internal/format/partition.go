@@ -9,7 +9,6 @@ import (
 
 	"nodb/internal/exec"
 	"nodb/internal/qtrace"
-	"nodb/internal/stats"
 )
 
 // BatchRowsPerMsg is how many qualifying tuples a partition worker groups
@@ -37,10 +36,9 @@ type Part interface {
 	// io.EOF once the range is exhausted, with b holding whatever this call
 	// appended.
 	Fill(b *exec.Batch, n int) error
-	// Shard returns the State the part recorded into — its Rows holds the
-	// range's row count once Fill has reported io.EOF — and the statistics
-	// collectors it attached (indexed by column ordinal, nil for none).
-	Shard() (*State, []*stats.Collector)
+	// Shard returns the State the part recorded into; its Rows holds the
+	// range's row count once Fill has reported io.EOF.
+	Shard() *State
 	// Close ends the scan and flushes its counters into the shard (and the
 	// query profile).
 	Close() error
@@ -55,9 +53,9 @@ type Split func(workers int) (parts []Part, release func() error, err error)
 // goroutine per Part, each feeding a bounded channel, drained in file
 // order so the rows are bit-identical to a sequential pass for any worker
 // count. When the pass completes, the shards merge into the table's
-// shared structures once — the chunk directory (chunkdir.Dir.Absorb),
-// counters and statistics (FoldCollectors) — and,
-// unless the file changed underneath, the row count publishes. Later
+// shared structures once — the chunk directory with its column synopses
+// (chunkdir.Dir.Absorb) and the counters — and, unless the file changed
+// underneath, the row count publishes. Later
 // queries thus keep the paper's adaptive-indexing benefit.
 type PartitionedScan struct {
 	ctx     context.Context
@@ -231,8 +229,7 @@ func (p *PartitionedScan) rebase(i int, err error) error {
 	var re *RowError
 	if errors.As(err, &re) {
 		for _, pt := range p.parts[:i] {
-			sh, _ := pt.Shard()
-			re.Row += int(max(sh.Rows.Load(), 0))
+			re.Row += int(max(pt.Shard().Rows.Load(), 0))
 		}
 	}
 	return err
@@ -241,24 +238,22 @@ func (p *PartitionedScan) rebase(i int, err error) error {
 // merge folds the shards of parts[0..n) — in file order, offsetting rows
 // by the parts before them — into the table's positional map, cache and
 // counters. After a clean drain of every part it also verifies the file
-// is the version the pass started from and publishes the row count and
-// statistics, exactly what a sequential scan's finish does; an abandoned
-// pass (LIMIT, error, early Close) merges its drained prefix but
-// publishes nothing. It runs at most once per Open.
+// is the version the pass started from and publishes the row count,
+// exactly what a sequential scan's finish does; an abandoned pass (LIMIT,
+// error, early Close) merges its drained prefix but publishes nothing. It
+// runs at most once per Open.
 func (p *PartitionedScan) merge(n int, clean bool) error {
 	p.merged = true
 	st := p.st
 	st.Dir.BeginScan() // pin merged map halves like a sequential pass would
 	total := 0
-	var collected []*stats.Collector
 	for _, pt := range p.parts[:n] {
-		sh, cols := pt.Shard()
+		sh := pt.Shard()
 		st.Dir.Absorb(sh.Dir, total)
 		// Each worker flushed its scan counters into its shard at Close
 		// (and into the query profile); fold them into the table here.
 		c := sh.Counters.Load()
 		st.Counters.Flush(nil, &c)
-		collected = FoldCollectors(collected, cols)
 		total += int(sh.Rows.Load())
 	}
 	if !clean {
@@ -272,15 +267,14 @@ func (p *PartitionedScan) merge(n int, clean bool) error {
 			st.Tbl.Name, ErrFileChanged)
 	}
 	st.Rows.Store(int64(total))
-	PublishCollectors(st.St, int64(total), collected)
 	return nil
 }
 
 // Close stops the workers and waits for them. A pass abandoned before a
 // full drain — LIMIT, error, early Close — still merges the leading parts
 // whose workers read their whole range before they noticed, mirroring
-// how an aborted sequential scan keeps the recordings it made; row counts
-// and statistics stay unpublished. A worker notices teardown only at its
+// how an aborted sequential scan keeps the recordings it made; the row
+// count stays unpublished. A worker notices teardown only at its
 // next send, so a part whose last batch is in flight always counts as
 // read; how many later ones do depends on scheduling.
 func (p *PartitionedScan) Close() error {

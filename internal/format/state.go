@@ -19,9 +19,10 @@ import (
 
 // State is the shared adaptive-structure state of one raw table — the part
 // of a format adapter that is the same for every format: the chunk
-// directory holding the positional map and the binary value cache,
-// on-the-fly statistics, the known row count, instrumentation counters,
-// and the per-table lock that mediates them.
+// directory holding the positional map, the binary value cache and the
+// column synopses, the statistics published from them, the known row
+// count, instrumentation counters, and the per-table lock that mediates
+// them.
 // Format adapters embed a *State and add their format-specific scans; the
 // methods here implement most of the Source interface.
 //
@@ -36,14 +37,17 @@ type State struct {
 	Lk  *TableLock
 
 	// Dir is the table's one directory of (column, chunk) slots: tuple
-	// starts, map positions and cached values. Invalidation (Dir.Drop),
-	// the shard merge (Dir.Absorb) and the sidecar go through it whole;
-	// PM and Cache are the views scans record and read through.
+	// starts, map positions and cached values, plus one synopsis per
+	// column. Invalidation (Dir.Drop), the shard merge (Dir.Absorb) and
+	// the sidecar go through it whole; PM and Cache are the views scans
+	// record and read through.
 	Dir         *chunkdir.Dir
 	PM          *posmap.Map     // view of Dir; nil unless Env.PosMap
 	RecordAttrs bool            // Env.AttrPointers (false: tuple starts only)
 	Cache       *colcache.Cache // view of Dir; nil unless Env.Cache
-	St          *stats.Table    // nil unless Env.Statistics
+	// St is what the planner reads of Dir's synopses (publishStats); nil
+	// unless Env.Statistics, and in partition-worker shards.
+	St *stats.Table
 
 	Types []datum.Type
 
@@ -82,6 +86,7 @@ func NewState(tbl *schema.Table, env Env) *State {
 		// taking it keeps the loader's locking contract uniform.
 		if err := st.Lk.Lock(context.Background()); err == nil {
 			env.Sidecar.LoadLocked(st)
+			st.publishStats(true)
 			st.Lk.Unlock()
 		}
 	}
@@ -102,12 +107,12 @@ func (st *State) views(d *chunkdir.Dir) {
 }
 
 // Shard returns a private view of the table for one partition worker: the
-// same schema, environment and shared (read-only during the scan)
-// statistics, but a fresh unbudgeted directory and counters, so nothing on
-// the worker's per-tuple hot path is shared. The parallel scan absorbs
-// shards back when the pass completes; the shared budgets apply then.
+// same schema and environment, but a fresh unbudgeted directory and
+// counters, so nothing on the worker's per-tuple hot path is shared. The
+// parallel scan absorbs shards back when the pass completes; the shared
+// budgets apply then, and the parent publishes the merged statistics.
 func (st *State) Shard() *State {
-	sh := &State{Tbl: st.Tbl, Env: st.Env, Lk: NewTableLock(), Types: st.Types, St: st.St}
+	sh := &State{Tbl: st.Tbl, Env: st.Env, Lk: NewTableLock(), Types: st.Types}
 	sh.Env.Sidecar = nil // shards are scan-private; only the parent persists
 	sh.Rows.Store(-1)
 	sh.views(chunkdir.New(st.Tbl.NumColumns(), 0, 0))
@@ -221,6 +226,28 @@ func (st *State) Refresh() error {
 	return nil
 }
 
+// publishStats folds each column synopsis into the planner's statistics
+// (Synopsis.Finalize, memoized until the synopsis changes), together with
+// the row count of the last complete pass. A column's statistics show
+// once its synopsis covers that many rows, and stay as it grows: an
+// append never hides them. all shows every synopsis, covering or not: a
+// sidecar keeps only those that showed. Callers hold Lk exclusively.
+func (st *State) publishStats(all bool) {
+	t := st.St
+	if t == nil {
+		return
+	}
+	if n := st.Rows.Load(); n >= 0 {
+		t.SetRowCount(n)
+	}
+	rows := t.RowCount()
+	for col := range st.Types {
+		if syn := st.Dir.Synopsis(col); syn != nil && (all || t.Has(col) || rows > 0 && syn.Rows() >= rows) {
+			t.Set(col, syn.Finalize())
+		}
+	}
+}
+
 // InvalidateLocked drops every auxiliary structure. Callers must hold Lk
 // exclusively.
 func (st *State) InvalidateLocked() {
@@ -275,46 +302,6 @@ func (st *State) Metrics() Metrics {
 func (st *State) StatsLite() Metrics {
 	c := st.Counters.Load()
 	return Metrics{Rows: st.Rows.Load(), ScanTotals: qtrace.Totals(&c)}
-}
-
-// FoldCollectors folds one partition shard's statistics collectors into
-// the accumulating per-column set (merging where both sides collected a
-// column) and returns the accumulator. The first shard's slice is adopted
-// directly; shards must not be used afterwards. Shared by every format's
-// parallel merge so the fold semantics cannot diverge between adapters.
-func FoldCollectors(merged, shard []*stats.Collector) []*stats.Collector {
-	switch {
-	case shard == nil:
-	case merged == nil:
-		merged = shard
-	default:
-		for col, c := range shard {
-			if c == nil {
-				continue
-			}
-			if merged[col] == nil {
-				merged[col] = c
-			} else {
-				merged[col].Merge(c)
-			}
-		}
-	}
-	return merged
-}
-
-// PublishCollectors finalizes the merged collectors into the table's
-// statistics together with the completed pass's row count — what a scan
-// does when it has seen the whole file. st may be nil (statistics off).
-func PublishCollectors(st *stats.Table, rows int64, merged []*stats.Collector) {
-	if st == nil {
-		return
-	}
-	st.SetRowCount(rows)
-	for col, c := range merged {
-		if c != nil {
-			st.Set(col, c.Finalize())
-		}
-	}
 }
 
 // ScanPlan supplies a format's access methods to NewScan. Seq builds the
@@ -381,11 +368,14 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	gs := NewGuardedScan(ctx, st.Lk, cols, shared, exclusive)
 	retries, backoff := st.Env.RetryBudget()
 	gs.SetRetry(retries, backoff, st.InvalidateLocked, &st.Counters)
-	if mgr := st.Env.Sidecar; mgr != nil {
-		// A recording scan may have extended the adaptive structures;
-		// schedule a (debounced) checkpoint once the scan closes and the
-		// table lock is released.
-		gs.OnRecorded(func() { mgr.MarkDirty(st) })
-	}
+	// A recording scan may have extended the adaptive structures: publish
+	// the statistics before the exclusive hold ends and schedule a
+	// (debounced) checkpoint.
+	gs.OnRecorded(func() {
+		st.publishStats(false)
+		if mgr := st.Env.Sidecar; mgr != nil {
+			mgr.MarkDirty(st)
+		}
+	})
 	return gs
 }

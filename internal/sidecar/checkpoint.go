@@ -18,14 +18,22 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 	if st.FP.Zero() {
 		return nil
 	}
-	var p enc
+	// Sized for the map and cache halves, so the payload is not copied
+	// over and over as it grows; b is reused for every section body.
+	d := st.Dir
+	p := enc{b: make([]byte, 0, d.MapBytes()+d.CacheBytes()+8*int64(d.NumTuples()))}
 
 	var b enc
 	encodeFingerprint(&b, st.FP)
 	b.i64(st.Rows.Load())
+	statRows := int64(-1)
+	if st.St != nil {
+		statRows = st.St.RowCount()
+	}
+	b.i64(statRows)
 	p.section(tagMeta, b.b)
 
-	b = enc{}
+	b.b = b.b[:0]
 	b.str(st.Tbl.Name)
 	b.u32(uint32(len(st.Tbl.Columns)))
 	for _, c := range st.Tbl.Columns {
@@ -34,40 +42,40 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 	}
 	p.section(tagSchema, b.b)
 
-	b = enc{}
+	b.b = b.b[:0]
 	b.u32(uint32(len(st.ColAccess)))
 	for i := range st.ColAccess {
 		b.i64(st.ColAccess[i].Load())
 	}
 	p.section(tagAccess, b.b)
 
-	if st.St != nil {
-		if cols := st.St.Ordinals(); len(cols) > 0 {
-			b = enc{}
-			b.i64(st.St.RowCount())
-			b.u32(uint32(len(cols)))
-			for _, c := range cols {
-				cs := st.St.Col(c)
-				b.u32(uint32(c))
-				b.u8(uint8(cs.Type))
-				b.i64(cs.Count)
-				b.i64(cs.Nulls)
-				b.datum(cs.Min)
-				b.datum(cs.Max)
-				b.f64(cs.Distinct)
-				bounds := cs.HistogramBounds()
-				b.u32(uint32(len(bounds)))
-				for _, x := range bounds {
-					b.f64(x)
-				}
+	// Only synopses whose statistics were published persist: a restored
+	// table publishes every synopsis it installs.
+	for col := range st.Types {
+		if syn := d.Synopsis(col); syn != nil && st.St != nil && st.St.Has(col) {
+			b.b = b.b[:0]
+			b.u32(uint32(col))
+			b.u8(uint8(syn.Type))
+			b.i64(syn.Count)
+			b.i64(syn.Nulls)
+			b.datum(syn.Min)
+			b.datum(syn.Max)
+			hashes, keys, vals := syn.Sketches()
+			b.u32(uint32(len(hashes)))
+			for _, h := range hashes {
+				b.u64(h)
 			}
-			p.section(tagStats, b.b)
+			b.u32(uint32(len(keys)))
+			for i, k := range keys {
+				b.u64(k)
+				b.f64(vals[i])
+			}
+			p.trySection(tagSynopsis, b.b, maxBytes)
 		}
 	}
 
-	d := st.Dir
 	if starts := d.Starts(); len(starts) > 0 {
-		b = enc{}
+		b.b = b.b[:0]
 		b.u64(uint64(len(starts)))
 		for _, s := range starts {
 			b.i64(s)
@@ -76,7 +84,7 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 			for col := range st.Types {
 				for idx, s := range d.Slots(col) {
 					if s != nil && s.Offs != nil {
-						b = enc{}
+						b.b = b.b[:0]
 						b.u32(uint32(col))
 						b.u32(uint32(idx))
 						b.u8(slotOffs)
@@ -99,7 +107,7 @@ func encodeState(st *format.State, maxBytes int64) []byte {
 			if s == nil || s.Seg == nil {
 				continue
 			}
-			b = enc{}
+			b.b = b.b[:0]
 			b.u32(uint32(col))
 			b.u32(uint32(idx))
 			b.u8(slotSeg)

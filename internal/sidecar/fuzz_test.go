@@ -11,6 +11,7 @@ import (
 	"nodb/internal/datum"
 	"nodb/internal/format"
 	"nodb/internal/schema"
+	"nodb/internal/stats"
 )
 
 var fuzzTypes = []datum.Type{datum.Int, datum.Float, datum.Text, datum.Date, datum.Bool}
@@ -26,27 +27,28 @@ func fuzzTable(path string) *schema.Table {
 
 // fuzzEnv records everything, with budgets small enough that installing
 // can evict.
-var fuzzEnv = format.Env{PosMap: true, AttrPointers: true, Cache: true,
+var fuzzEnv = format.Env{PosMap: true, AttrPointers: true, Cache: true, Statistics: true,
 	PMBudget: 3 * (chunkdir.ChunkRows*4 + 64), CacheBudget: 40_000}
 
 // fuzzState is an empty recording state of the fuzz table.
 func fuzzState() *format.State { return format.NewState(fuzzTable("t.csv"), fuzzEnv) }
 
-// v2Payload checkpoints a small state: tuple starts and map offsets over
-// two chunks, and every type cached with NULLs and gaps.
-func v2Payload() []byte {
+// payload checkpoints a state of rows rows: tuple starts, map offsets of
+// the first attrs attributes, the first cols columns cached with NULLs and
+// gaps (every type when cols is 3), and their synopses.
+func payload(rows, attrs, cols int) []byte {
 	st := fuzzState()
 	d := st.Dir
 	d.BeginScan()
 	w := d.Writer()
-	const rows = 1500
 	for row := 0; row < rows; row++ {
 		d.RecordTupleStart(row, int64(row*40))
-		w.RecordRow(row, 0, []uint32{0, 8, 16})
+		w.RecordRow(row, 0, []uint32{0, 8, 16}[:attrs])
 	}
-	for col, typ := range fuzzTypes[:3] {
+	for col, typ := range fuzzTypes[:cols] {
 		v := d.View(col, typ)
-		for row := 0; row < rows; row += 1 + col {
+		syn := d.Feed(col, typ)
+		for row := 0; row < rows; row++ {
 			x := datum.NewNull(typ)
 			switch {
 			case row%7 == 0:
@@ -55,15 +57,27 @@ func v2Payload() []byte {
 			case typ == datum.Text:
 				x = datum.NewText(string(rune('a' + row%26)))
 			default:
-				x = datum.NewInt(int64(row))
+				x = datum.NewInt(int64(row % 10))
 			}
-			v.Put(row, x)
+			syn.Add(uint64(row*40), x)
+			if row%(1+col) == 0 {
+				v.Put(row, x)
+			}
 		}
+		st.St.Set(col, syn.Finalize())
 	}
-	st.FP = format.Fingerprint{Size: rows * 40, ModTime: time.Unix(1, 0)}
-	st.Rows.Store(rows)
+	st.FP = format.Fingerprint{Size: int64(rows * 40), ModTime: time.Unix(1, 0)}
+	st.Rows.Store(int64(rows))
 	return encodeState(st, 0)
 }
+
+// v3Payload checkpoints two chunks of every structure (about 90 KB).
+func v3Payload() []byte { return payload(1500, 3, 3) }
+
+// smallPayload checkpoints one map half, one segment and one synopsis
+// (about 14 KB), so a short fuzz run spends its time exploring rather than
+// decoding.
+func smallPayload() []byte { return payload(100, 1, 1) }
 
 // v1Payload is what the version-1 encoder wrote for a small state: the
 // same meta, schema and access sections, then per-pointer map sections
@@ -111,7 +125,8 @@ func v1Payload(fp format.Fingerprint) []byte {
 // be discarded or install a state that passes the directory's invariants.
 func FuzzSidecarDecode(f *testing.F) {
 	f.Add(v1Payload(format.Fingerprint{Size: 80, ModTime: time.Unix(1, 0)}))
-	f.Add(v2Payload())
+	f.Add(v3Payload())
+	f.Add(smallPayload())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var h enc
 		h.b = append(h.b, fileMagic...)
@@ -122,7 +137,7 @@ func FuzzSidecarDecode(f *testing.F) {
 		st := fuzzState()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		fd := &fileData{rows: -1, statRows: -1}
+		fd := &fileData{rows: -1, statRows: -1, syns: map[int]*stats.Synopsis{}}
 		body, tail, err := splitFile(raw, fileMagic)
 		ok := err == nil && parsePayload(fd, body) && schemaMatches(fd, st)
 		fd.journal = parseJournal(tail)
@@ -147,16 +162,22 @@ func FuzzSidecarDecode(f *testing.F) {
 	})
 }
 
-// TestSidecarSeedsDecode pins what the fuzz seeds exercise: the v2 seed
-// installs map offsets and cached values; under a v2 header the retired
-// v1 sections are skipped, so the v1 seed installs its tuple starts only.
+// TestSidecarSeedsDecode pins what the fuzz seeds exercise: the v3 seeds
+// install map offsets, cached values and synopses; under a v3 header the
+// retired v1 sections are skipped, so the v1 seed installs its tuple
+// starts only.
 func TestSidecarSeedsDecode(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		payload          []byte
 		pointers, cached bool
-	}{{"v2", v2Payload(), true, true}, {"v1", v1Payload(format.Fingerprint{Size: 80, ModTime: time.Unix(1, 0)}), false, false}} {
-		fd := &fileData{rows: -1, statRows: -1}
+		synopses         int
+	}{
+		{"v3", v3Payload(), true, true, 3},
+		{"small", smallPayload(), true, true, 1},
+		{"v1", v1Payload(format.Fingerprint{Size: 80, ModTime: time.Unix(1, 0)}), false, false, 0},
+	} {
+		fd := &fileData{rows: -1, statRows: -1, syns: map[int]*stats.Synopsis{}}
 		if !parsePayload(fd, tc.payload) {
 			t.Fatalf("%s: payload does not parse", tc.name)
 		}
@@ -172,49 +193,59 @@ func TestSidecarSeedsDecode(t *testing.T) {
 		if err := st.Dir.Verify(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if st.Dir.NumTuples() == 0 || (st.Dir.MapMetrics().Pointers > 0) != tc.pointers || (st.Dir.CacheBytes() > 0) != tc.cached {
-			t.Errorf("%s: installed %d starts, %d pointers, %d cache bytes", tc.name,
-				st.Dir.NumTuples(), st.Dir.MapMetrics().Pointers, st.Dir.CacheBytes())
+		synopses := 0
+		for col := range fuzzTypes {
+			if syn := st.Dir.Synopsis(col); syn != nil && syn.Rows() > 0 {
+				synopses++
+			}
+		}
+		if st.Dir.NumTuples() == 0 || (st.Dir.MapMetrics().Pointers > 0) != tc.pointers || (st.Dir.CacheBytes() > 0) != tc.cached || synopses != tc.synopses {
+			t.Errorf("%s: installed %d starts, %d pointers, %d cache bytes, %d synopses", tc.name,
+				st.Dir.NumTuples(), st.Dir.MapMetrics().Pointers, st.Dir.CacheBytes(), synopses)
 		}
 	}
 }
 
-// TestSidecarFaultVersion1: a version-1 sidecar (per-pointer map and
-// per-column cache sections) that matches its raw file is not migrated: it
-// is discarded as corrupt, counted once, and the table starts cold.
+// TestSidecarFaultVersion1: a sidecar of an earlier version — version 1
+// (per-pointer map and per-column cache sections) or version 2 (finalized
+// statistics instead of synopses) — that matches its raw file is not
+// migrated: it is discarded as corrupt, counted once, and the table starts
+// cold.
 func TestSidecarFaultVersion1(t *testing.T) {
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "t.csv")
-	if err := os.WriteFile(raw, []byte("1,2.5,x,3,true\n2,3.5,y,4,false\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := format.TakeFingerprint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := v1Payload(fp)
-	var h enc
-	h.b = append(h.b, fileMagic...)
-	h.u32(1)
-	h.u64(uint64(len(payload)))
-	h.u64(checksum(payload))
-	m := New(Config{Dir: dir})
-	defer m.Close()
-	tbl := fuzzTable(raw)
-	aux := m.Path(&format.State{Tbl: tbl})
-	if err := os.WriteFile(aux, append(h.b, payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	env := fuzzEnv
-	env.Sidecar = m
-	st := format.NewState(tbl, env)
-	if st.Dir.NumTuples() != 0 || st.Dir.CacheBytes() != 0 || st.Rows.Load() != -1 || !st.FP.Zero() {
-		t.Errorf("v1 sidecar installed state: %d starts, %d cache bytes, rows %d", st.Dir.NumTuples(), st.Dir.CacheBytes(), st.Rows.Load())
-	}
-	if s := m.Stats(); s.CorruptDiscarded != 1 || s.LoadMisses != 1 || s.LoadHits != 0 {
-		t.Errorf("stats after a v1 sidecar: %+v", s)
-	}
-	if _, err := os.Stat(aux); !os.IsNotExist(err) {
-		t.Errorf("v1 sidecar not removed (err=%v)", err)
+	for _, version := range []uint32{1, 2} {
+		dir := t.TempDir()
+		raw := filepath.Join(dir, "t.csv")
+		if err := os.WriteFile(raw, []byte("1,2.5,x,3,true\n2,3.5,y,4,false\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fp, err := format.TakeFingerprint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := v1Payload(fp)
+		var h enc
+		h.b = append(h.b, fileMagic...)
+		h.u32(version)
+		h.u64(uint64(len(payload)))
+		h.u64(checksum(payload))
+		m := New(Config{Dir: dir})
+		tbl := fuzzTable(raw)
+		aux := m.Path(&format.State{Tbl: tbl})
+		if err := os.WriteFile(aux, append(h.b, payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		env := fuzzEnv
+		env.Sidecar = m
+		st := format.NewState(tbl, env)
+		if st.Dir.NumTuples() != 0 || st.Dir.CacheBytes() != 0 || st.Rows.Load() != -1 || !st.FP.Zero() {
+			t.Errorf("v%d sidecar installed state: %d starts, %d cache bytes, rows %d", version, st.Dir.NumTuples(), st.Dir.CacheBytes(), st.Rows.Load())
+		}
+		if s := m.Stats(); s.CorruptDiscarded != 1 || s.LoadMisses != 1 || s.LoadHits != 0 {
+			t.Errorf("stats after a v%d sidecar: %+v", version, s)
+		}
+		if _, err := os.Stat(aux); !os.IsNotExist(err) {
+			t.Errorf("v%d sidecar not removed (err=%v)", version, err)
+		}
+		m.Close()
 	}
 }

@@ -1,8 +1,8 @@
 package sidecar
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"io/fs"
 	"time"
 
@@ -26,17 +26,12 @@ type fileData struct {
 	access []int64
 
 	statRows int64
-	statCols []statCol
+	syns     map[int]*stats.Synopsis // by column
 
 	starts []int64
 	slots  []slotData
 
 	journal []format.Fingerprint
-}
-
-type statCol struct {
-	col int
-	cs  *stats.ColumnStats
 }
 
 // slotData is one decoded slot section: offs or seg is set.
@@ -68,11 +63,16 @@ func readFileTail(path, magic string) (payload, tail []byte, err error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	raw, err := io.ReadAll(f)
-	if err != nil {
+	// One read into a buffer sized from the file: growing it from empty
+	// copied a checkpoint of a few MB about ten times over.
+	var buf bytes.Buffer
+	if fi, err := f.Stat(); err == nil {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
 		return nil, nil, errCorrupt
 	}
-	return splitFile(raw, magic)
+	return splitFile(buf.Bytes(), magic)
 }
 
 // splitFile validates raw's header and splits it into payload and tail.
@@ -102,7 +102,7 @@ func readSidecar(path string) (*fileData, error) {
 	if err != nil {
 		return nil, err
 	}
-	fd := &fileData{rows: -1, statRows: -1}
+	fd := &fileData{rows: -1, statRows: -1, syns: map[int]*stats.Synopsis{}}
 	if !parsePayload(fd, payload) {
 		return nil, errCorrupt
 	}
@@ -129,6 +129,7 @@ func parsePayload(fd *fileData, payload []byte) bool {
 		case tagMeta:
 			fd.fp = decodeFingerprint(&s)
 			fd.rows = s.i64()
+			fd.statRows = s.i64()
 			sawMeta = true
 		case tagSchema:
 			fd.table = s.str()
@@ -149,27 +150,12 @@ func parsePayload(fd *fileData, payload []byte) bool {
 			for i := 0; i < n && !s.bad; i++ {
 				fd.access = append(fd.access, s.i64())
 			}
-		case tagStats:
-			fd.statRows = s.i64()
-			n := int(s.u32())
-			for i := 0; i < n && !s.bad; i++ {
-				col := int(s.u32())
-				cs := &stats.ColumnStats{}
-				cs.Type = decType(s.u8())
-				cs.Count = s.i64()
-				cs.Nulls = s.i64()
-				cs.Min = s.datum()
-				cs.Max = s.datum()
-				cs.Distinct = s.f64()
-				if nb := s.count32(8); nb > 0 {
-					bounds := make([]float64, nb)
-					for j := range bounds {
-						bounds[j] = s.f64()
-					}
-					cs.SetHistogramBounds(bounds)
-				}
-				fd.statCols = append(fd.statCols, statCol{col: col, cs: cs})
+		case tagSynopsis:
+			col, syn := decodeSynopsis(&s)
+			if syn == nil {
+				return false
 			}
+			fd.syns[col] = syn
 		case tagStarts:
 			fd.starts = make([]int64, s.count(8))
 			for i := range fd.starts {
@@ -240,6 +226,33 @@ func decodeSlot(s *dec, payloadLen int) (slotData, bool) {
 	}
 	sd.seg = sg
 	return sd, !s.bad
+}
+
+// decodeSynopsis decodes a synopsis section body, nil when malformed.
+// Counts must not be negative, and min and max must be values of the
+// column's type unless the column has none; any sketch content then
+// leaves a valid synopsis. Array lengths are bounded by the body, as
+// decodeSlot's are.
+func decodeSynopsis(s *dec) (int, *stats.Synopsis) {
+	col := int(s.u32())
+	syn := stats.NewSynopsis(decType(s.u8()))
+	syn.Count, syn.Nulls = s.i64(), s.i64()
+	syn.Min, syn.Max = s.datum(), s.datum()
+	hashes := make([]uint64, s.count32(8))
+	for i := range hashes {
+		hashes[i] = s.u64()
+	}
+	keys := make([]uint64, s.count32(16))
+	vals := make([]float64, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = s.u64(), s.f64()
+	}
+	typed := func(v datum.Datum) bool { return !v.Null() && v.T == syn.Type }
+	if s.bad || syn.Count < 0 || syn.Nulls < 0 || syn.Count > 0 && !(typed(syn.Min) && typed(syn.Max)) {
+		return col, nil
+	}
+	syn.AddSketches(hashes, keys, vals)
+	return col, syn
 }
 
 func decodeFingerprint(s *dec) format.Fingerprint {

@@ -19,9 +19,9 @@ type Config struct {
 	// (<raw path>.nodbaux); otherwise <Dir>/<table>.nodbaux.
 	Dir string
 	// MaxBytes caps a checkpoint file's size (0 = unlimited). Small
-	// sections (fingerprint, schema, access counters, statistics) always
-	// fit; positional-map and cached-column sections are dropped
-	// coldest-first when the budget runs out.
+	// sections (fingerprint, schema, access counters) always fit;
+	// synopses go first, then positional-map and cached-column sections,
+	// dropped coldest-first when the budget runs out.
 	MaxBytes int64
 	// StmtPath is where hot prepared-statement texts persist ("" = off).
 	StmtPath string
@@ -298,12 +298,21 @@ func schemaMatches(fd *fileData, st *format.State) bool {
 	return true
 }
 
-// directory decodes the sidecar's tuple starts and slots into a fresh
-// chunk directory, keeping only the structures this environment builds (a
-// FITS table has no positional map; ModePM has no cache). It reports false
-// when a slot is malformed or typed against the schema.
+// directory decodes the sidecar's synopses, tuple starts and slots into a
+// fresh chunk directory, keeping only the structures this environment
+// builds (a FITS table has no positional map; ModePM has no cache;
+// statistics may be off). It reports false when a synopsis or slot is
+// malformed or typed against the schema.
 func directory(fd *fileData, st *format.State) (*chunkdir.Dir, bool) {
 	dir := chunkdir.New(len(st.Types), 0, 0)
+	for col, syn := range fd.syns {
+		if col < 0 || col >= len(st.Types) || st.Types[col] != syn.Type {
+			return nil, false
+		}
+		if st.Env.Statistics {
+			dir.Feed(col, syn.Type).Merge(syn)
+		}
+	}
 	if st.PM != nil {
 		for i, off := range fd.starts {
 			dir.RecordTupleStart(i, off)
@@ -322,7 +331,8 @@ func directory(fd *fileData, st *format.State) (*chunkdir.Dir, bool) {
 }
 
 // install puts the sidecar's state into st's live structures: counters and
-// statistics, then the decoded directory through the shard merge.
+// the statistics row count, then the decoded directory through the shard
+// merge. The table publishes the restored synopses' statistics.
 func install(fd *fileData, dir *chunkdir.Dir, st *format.State) {
 	for i, v := range fd.access {
 		if i < len(st.ColAccess) {
@@ -331,11 +341,6 @@ func install(fd *fileData, dir *chunkdir.Dir, st *format.State) {
 	}
 	if st.St != nil && fd.statRows >= 0 {
 		st.St.SetRowCount(fd.statRows)
-		for _, sc := range fd.statCols {
-			if sc.col >= 0 && sc.col < len(st.Types) {
-				st.St.Set(sc.col, sc.cs)
-			}
-		}
 	}
 	st.Dir.Absorb(dir, 0)
 }

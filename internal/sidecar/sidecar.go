@@ -11,34 +11,40 @@
 // File layout (all integers little-endian):
 //
 //	magic    [8]byte  "NODBSC01"
-//	version  uint32   2
+//	version  uint32   3
 //	plen     uint64   payload length
 //	psum     uint64   FNV-1a over the payload bytes
 //	payload  [plen]byte — tagged sections: tag u8, len u64, body
 //	journal  zero or more self-checksummed append records
 //
-// Sections carry the raw file's fingerprint and row count, a schema
-// guard (table name, column names and types — drift discards the file),
-// per-column access counters, statistics, the tuple starts, and the slots
-// of the table's chunk directory (internal/chunkdir), one section per slot
-// half written as its arrays: column u32, chunk u32, kind u8, then the
-// ChunkRows map offsets (u32), or the segment's type u8, present and NULL
-// bitmaps and ChunkRows values (i64, f64 or length-prefixed text). Loading
-// decodes every section into a fresh directory and installs it through the
-// Absorb that merges a parallel scan's shards, adopting slots by pointer.
+// Sections carry the raw file's fingerprint, row count and the row count
+// its statistics were published at, a schema guard (table name, column
+// names and types — drift discards the file), per-column access counters,
+// and the table's chunk directory (internal/chunkdir): one section per
+// column synopsis whose statistics were published — column u32, type u8,
+// counts, min and max, then its value hashes and its sample's position
+// keys and values (stats.Synopsis.Sketches) — then the tuple starts and
+// one section per slot half, written as its arrays: column u32, chunk
+// u32, kind u8, then the ChunkRows map offsets (u32), or the segment's
+// type u8, present and NULL bitmaps and ChunkRows values (i64, f64 or
+// length-prefixed text). Loading decodes every section into a fresh
+// directory and installs it through the Absorb that merges a parallel
+// scan's shards, adopting slots and synopses by pointer.
 //
-// Under MaxBytes, map slots follow the tuple starts, each written while
-// it fits; then cached columns in descending access-counter order, so the
-// budget keeps the workload's hot columns. A column's segments are written
-// all or none: a partly cached column could not serve a cache scan.
+// Under MaxBytes, synopses are written first, each while it fits; map
+// slots follow the tuple starts, likewise; then cached columns in
+// descending access-counter order, so the budget keeps the workload's hot
+// columns. A column's segments are written all or none: a partly cached
+// column could not serve a cache scan.
 //
 // Validity is keyed by format.Fingerprint exactly like the in-memory
 // state: on load, FileSame installs everything, FileAppended installs the
 // (still valid) prefix structures with the row count forgotten, and
 // FileReplaced — or any checksum, version, schema or section mismatch —
-// discards the sidecar and the table starts cold. Version 1 files (with
-// per-pointer map and per-column cache sections) are discarded as corrupt,
-// not migrated. INSERT appends journal the post-append fingerprint after
+// discards the sidecar and the table starts cold. Files of earlier
+// versions (version 1's per-pointer map and per-column cache sections,
+// version 2's finalized statistics) are discarded as corrupt, not
+// migrated. INSERT appends journal the post-append fingerprint after
 // the payload, so a checkpoint taken before an append still validates as
 // FileAppended without re-hashing the raw file.
 package sidecar
@@ -54,20 +60,20 @@ import (
 const (
 	fileMagic   = "NODBSC01"
 	stmtMagic   = "NODBST01"
-	fileVersion = 2
+	fileVersion = 3
 	headerLen   = 8 + 4 + 8 + 8
 )
 
 // Section tags. Unknown tags are skipped on load, so later versions can
 // add sections without invalidating older readers.
 const (
-	tagMeta    = 1          // fingerprint + row count
-	tagSchema  = 2          // table name, column names and types
-	tagAccess  = 3          // per-column access counters
-	tagStats   = 4          // per-column statistics + stats row count
-	tagStarts  = 5          // positional-map tuple start offsets
-	tagSlot    = 8          // one half of one chunk-directory slot
-	journalTag = 0x4C4A444E // "NDJL": append-journal record magic
+	tagMeta     = 1          // fingerprint, row count, statistics row count
+	tagSchema   = 2          // table name, column names and types
+	tagAccess   = 3          // per-column access counters
+	tagStarts   = 5          // positional-map tuple start offsets
+	tagSlot     = 8          // one half of one chunk-directory slot
+	tagSynopsis = 9          // one column synopsis
+	journalTag  = 0x4C4A444E // "NDJL": append-journal record magic
 )
 
 // Slot section kinds.

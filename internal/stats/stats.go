@@ -1,9 +1,14 @@
-// Package stats implements on-the-fly statistics collection (paper §4.4):
-// while the in-situ scan parses a column for the first time, values stream
-// through a Collector that maintains min/max, null counts, a reservoir
-// sample, a bounded distinct set and — at Finalize — an equi-depth
-// histogram. The optimizer consumes these through the same estimation
-// interfaces a conventional DBMS exposes after ANALYZE.
+// Package stats implements on-the-fly statistics (paper §4.4). While an
+// in-situ scan parses a column, it feeds each value to the column's
+// Synopsis: exact counts, NULLs, min and max, a k-minimum-values sketch of
+// value hashes, and a bottom-k sample keyed by a hash of each row's
+// absolute position. A synopsis covers a prefix of the table's rows; two
+// synopses over adjacent row ranges merge into exactly the synopsis one
+// pass over both would build, in any order, so a table's statistics do
+// not depend on how its pass was partitioned. Finalize folds a synopsis
+// into the ColumnStats the optimizer consumes through the same estimation
+// interfaces a conventional DBMS exposes after ANALYZE, including an
+// equi-depth histogram over the sample.
 //
 // Statistics are only built for requested attributes ("PostgresRaw creates
 // statistics only on requested attributes") and are incrementally extended
@@ -11,31 +16,25 @@
 package stats
 
 import (
-	"math/rand"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"nodb/internal/datum"
 )
 
-// Defaults for collection; exported so benchmarks can reason about cost.
+// Sketch sizes; exported so benchmarks and tests can reason about them.
 const (
-	// SampleSize is the reservoir size per column.
+	// SampleSize is how many rows the sample keeps: those with the
+	// smallest position hashes.
 	SampleSize = 1024
-	// DistinctLimit caps the exact distinct set; beyond it the estimate
-	// scales the sample's distinct ratio to the full count.
+	// DistinctLimit is the largest distinct count the sketch knows
+	// exactly; beyond it the count is estimated from the hash of the
+	// (DistinctLimit+1)-th smallest value hash.
 	DistinctLimit = 4096
 	// HistogramBuckets is the number of equi-depth buckets.
 	HistogramBuckets = 64
-	// sampleFullUntil is how many values receive full treatment before
-	// the collector switches to row sampling; sampleStep is the stride
-	// afterwards. Counts and null counts stay exact for every value;
-	// min/max, the distinct set and the reservoir are computed from the
-	// sample, which is what keeps on-the-fly collection a small overhead
-	// on the first scan (paper §4.4: the scan feeds the statistics
-	// routines "a sample of the data" — exactly what ANALYZE does).
-	sampleFullUntil = 2048
-	sampleStep      = 16
 )
 
 // ColumnStats is the finalized statistics of one column.
@@ -52,13 +51,8 @@ type ColumnStats struct {
 }
 
 // HistogramBounds returns the equi-depth bucket boundaries (nil for
-// non-numeric columns), for sidecar serialization.
+// non-numeric columns).
 func (s *ColumnStats) HistogramBounds() []float64 { return s.bounds }
-
-// SetHistogramBounds installs bucket boundaries on a reconstructed
-// ColumnStats (sidecar restore). Call before the stats are published to a
-// Table; installed stats are immutable.
-func (s *ColumnStats) SetHistogramBounds(b []float64) { s.bounds = b }
 
 // NullFraction returns the fraction of NULLs among all observed rows.
 func (s *ColumnStats) NullFraction() float64 {
@@ -150,169 +144,336 @@ func (s *ColumnStats) cdf(x float64) float64 {
 	}
 }
 
-// Collector accumulates statistics for one column while a scan feeds it.
-type Collector struct {
-	typ         datum.Type
-	count       int64
-	nulls       int64
-	sampled     int64 // values that passed the sampling gate
-	fedDistinct int64 // values fed to the distinct set
-	min, max    datum.Datum
+// Synopsis is the mergeable statistics of one column over a prefix of a
+// table's rows. Add feeds one row's value; Merge folds in the synopsis of
+// other rows. Both sketches are order-independent — the distinct sketch
+// keeps the smallest value hashes, the sample the rows with the smallest
+// position hashes — so every partitioning of the rows folds to the same
+// ColumnStats. A table of SampleSize rows or fewer keeps every row in its
+// sample, and a column of DistinctLimit distinct values or fewer is
+// counted exactly. A Synopsis is not safe for concurrent use.
+type Synopsis struct {
+	Type         datum.Type
+	Count, Nulls int64 // non-NULL and NULL values fed
+	Min, Max     datum.Datum
 
-	distinct     map[uint64]struct{}
-	distinctOver bool
+	// The distinct sketch: every distinct value hash <= hashCut fed. While
+	// fed it lives in set, an open-addressing table (linear probing, at
+	// most 3/4 full; 0 marks an empty slot, so a zero hash is stored as
+	// 1); compact cuts it back to the DistinctLimit+1 smallest and leaves
+	// them in hashes until the next feed.
+	set     []uint64
+	setN    int
+	hashes  []uint64
+	hashCut uint64
+	// sample holds every numeric row with position key <= sampleCut; each
+	// time it fills, it is cut back to the SampleSize smallest keys.
+	sample    []sampled
+	sampleCut uint64
 
-	sample []datum.Datum
-	rng    *rand.Rand
+	fold     *ColumnStats // Finalize's result while Rows() == foldRows
+	foldRows int64
 }
 
-// NewCollector returns an empty collector for a column of type typ. seed
-// makes sampling deterministic for reproducible experiments.
-func NewCollector(typ datum.Type, seed int64) *Collector {
-	return &Collector{
-		typ:      typ,
-		distinct: make(map[uint64]struct{}, 256),
-		rng:      rand.New(rand.NewSource(seed)),
-	}
+// sampled is one sample row: its position key and its value.
+type sampled struct {
+	key uint64
+	v   float64
 }
 
-// Add feeds one value.
-func (c *Collector) Add(v datum.Datum) {
+// NewSynopsis returns an empty synopsis of a typ column.
+func NewSynopsis(typ datum.Type) *Synopsis {
+	return &Synopsis{Type: typ, hashCut: math.MaxUint64, sampleCut: math.MaxUint64}
+}
+
+// Rows returns how many rows s covers.
+func (s *Synopsis) Rows() int64 { return s.Count + s.Nulls }
+
+// Add feeds the value of the row at absolute position pos: the tuple's
+// start offset in a line-oriented file, the row number otherwise.
+func (s *Synopsis) Add(pos uint64, v datum.Datum) {
 	if v.Null() {
-		c.nulls++
+		s.Nulls++
 		return
 	}
-	c.count++
-	// Sampling gate for everything beyond exact counts.
-	if c.count > sampleFullUntil && c.count%sampleStep != 0 {
-		return
+	switch {
+	case s.Count == 0:
+		s.Min, s.Max = v, v
+	case datum.Compare(v, s.Min) < 0:
+		s.Min = v
+	case datum.Compare(v, s.Max) > 0:
+		s.Max = v
 	}
-	if c.min.Null() || datum.Compare(v, c.min) < 0 {
-		c.min = v
-	}
-	if c.max.Null() || datum.Compare(v, c.max) > 0 {
-		c.max = v
-	}
-	if !c.distinctOver {
-		c.fedDistinct++
-		c.distinct[v.Hash()] = struct{}{}
-		if len(c.distinct) > DistinctLimit {
-			c.distinctOver = true
-		}
-	}
-	c.sampled++
-	// Reservoir sampling (Algorithm R) over the sampled stream.
-	if len(c.sample) < SampleSize {
-		c.sample = append(c.sample, v)
-	} else if j := c.rng.Int63n(c.sampled); j < SampleSize {
-		c.sample[j] = v
+	s.Count++
+	s.addHash(valueHash(v))
+	if numericish(s.Type) {
+		s.addSample(mix(pos^posSeed), v.Float())
 	}
 }
 
-// Merge folds another collector for the same column into c, combining the
-// partition-local collectors of a parallel scan before Finalize. Counts,
-// nulls and min/max combine exactly; the distinct set unions (saturating at
-// the limit) and o's reservoir re-samples into c's, preserving the
-// approximate-sample contract of single-threaded collection.
-func (c *Collector) Merge(o *Collector) {
-	if o == nil {
+// Merge folds o — the synopsis of rows s does not cover — into s. The
+// result is what feeding both row sets to one synopsis builds.
+func (s *Synopsis) Merge(o *Synopsis) {
+	if s.Rows() == 0 { // s becomes a copy of o
+		*s = *o
+		s.set, s.hashes, s.sample = slices.Clone(o.set), slices.Clone(o.hashes), slices.Clone(o.sample)
 		return
 	}
-	c.count += o.count
-	c.nulls += o.nulls
-	c.fedDistinct += o.fedDistinct
-	if !o.min.Null() && (c.min.Null() || datum.Compare(o.min, c.min) < 0) {
-		c.min = o.min
-	}
-	if !o.max.Null() && (c.max.Null() || datum.Compare(o.max, c.max) > 0) {
-		c.max = o.max
-	}
-	if o.distinctOver {
-		c.distinctOver = true
-	}
-	if !c.distinctOver {
-		for h := range o.distinct {
-			c.distinct[h] = struct{}{}
+	if o.Count > 0 {
+		if s.Count == 0 || datum.Compare(o.Min, s.Min) < 0 {
+			s.Min = o.Min
 		}
-		if len(c.distinct) > DistinctLimit {
-			c.distinctOver = true
+		if s.Count == 0 || datum.Compare(o.Max, s.Max) > 0 {
+			s.Max = o.Max
 		}
 	}
-	// Reservoir merge, weighted by the gated-stream sizes the two samples
-	// represent (o.sampled values stand behind o's reservoir, not just
-	// len(o.sample)): free slots fill directly, then each remaining item of
-	// o replaces a random slot with probability o.sampled/total, so neither
-	// partition dominates the merged sample.
-	rest := o.sample
-	for len(c.sample) < SampleSize && len(rest) > 0 {
-		c.sample = append(c.sample, rest[0])
-		rest = rest[1:]
+	s.Count += o.Count
+	s.Nulls += o.Nulls
+	// Either side's cut bounds the union's smallest hashes and keys.
+	s.hashCut, s.sampleCut = min(s.hashCut, o.hashCut), min(s.sampleCut, o.sampleCut)
+	for _, h := range o.distinct() {
+		s.addHash(h)
 	}
-	if total := c.sampled + o.sampled; len(rest) > 0 && total > 0 {
-		for _, v := range rest {
-			if c.rng.Int63n(total) < o.sampled {
-				c.sample[c.rng.Int63n(int64(len(c.sample)))] = v
+	s.sample = append(s.sample, o.sample...)
+	s.cut()
+}
+
+// Sketches returns what a checkpoint keeps of s besides its exported
+// fields: the DistinctLimit+1 smallest value hashes, and the sample's
+// position keys and values. s is not changed.
+func (s *Synopsis) Sketches() (hashes, keys []uint64, vals []float64) {
+	sample := smallestKeys(slices.Clone(s.sample))
+	keys, vals = make([]uint64, len(sample)), make([]float64, len(sample))
+	for i, e := range sample {
+		keys[i], vals[i] = e.key, e.v
+	}
+	return smallestDistinct(s.distinct()), keys, vals
+}
+
+// AddSketches merges sketches as Sketches returns them into s, a new
+// synopsis (a checkpoint restore): the hashes stay at rest. Any input
+// leaves s valid.
+func (s *Synopsis) AddSketches(hashes, keys []uint64, vals []float64) {
+	s.hashes = append(s.hashes, hashes...)
+	for i := range min(len(keys), len(vals)) {
+		if numericish(s.Type) {
+			s.sample = append(s.sample, sampled{keys[i], vals[i]})
+		}
+	}
+	s.cut()
+}
+
+// Finalize folds s into the planner's ColumnStats, memoized until s
+// changes.
+func (s *Synopsis) Finalize() *ColumnStats {
+	if s.fold != nil && s.foldRows == s.Rows() {
+		return s.fold
+	}
+	// At rest, the distinct sketch keeps only what it must, in a slice.
+	if s.hashes, s.set, s.setN = slices.Clone(smallestDistinct(s.distinct())), nil, 0; len(s.hashes) > DistinctLimit {
+		s.hashCut = slices.Max(s.hashes)
+	}
+	cs := &ColumnStats{Type: s.Type, Count: s.Count, Nulls: s.Nulls, Min: s.Min, Max: s.Max}
+	cs.Distinct = float64(len(s.hashes))
+	if len(s.hashes) > DistinctLimit {
+		// k-minimum values: the (k+1)-th smallest of n uniform hashes lies
+		// near (k+1)/n of the hash range, so n ≈ k / that fraction.
+		const hashRange = float64(1 << 64)
+		est := DistinctLimit / (float64(slices.Max(s.hashes)) / hashRange)
+		cs.Distinct = min(float64(s.Count), max(float64(DistinctLimit+1), est))
+	}
+	if _, _, vals := s.Sketches(); len(vals) >= HistogramBuckets {
+		slices.Sort(vals)
+		cs.bounds = make([]float64, HistogramBuckets+1)
+		for b := 0; b <= HistogramBuckets; b++ {
+			cs.bounds[b] = vals[b*(len(vals)-1)/HistogramBuckets]
+		}
+	}
+	s.fold, s.foldRows = cs, s.Rows()
+	return cs
+}
+
+// addHash feeds value hash h.
+func (s *Synopsis) addHash(h uint64) {
+	if h > s.hashCut {
+		return
+	}
+	if 4*(s.setN+1) > 3*len(s.set) {
+		s.rebuild(s.distinct())
+	}
+	h = max(h, 1)
+	mask := uint64(len(s.set) - 1)
+	i := h & mask
+	for ; s.set[i] != 0; i = (i + 1) & mask {
+		if s.set[i] == h {
+			return
+		}
+	}
+	s.set[i] = h
+	if s.setN++; s.setN >= 3*(DistinctLimit+1)/2 {
+		keep := smallestDistinct(s.distinct())
+		s.hashCut = slices.Max(keep)
+		s.rebuild(keep)
+	}
+}
+
+// rebuild puts hs into a fresh set with room for more.
+func (s *Synopsis) rebuild(hs []uint64) {
+	n := 64
+	for 4*(len(hs)+1) > 3*n {
+		n *= 2
+	}
+	s.set, s.setN, s.hashes = make([]uint64, n), 0, nil
+	for _, h := range hs {
+		s.addHash(h)
+	}
+}
+
+// distinct returns a copy of the distinct sketch's hashes.
+func (s *Synopsis) distinct() []uint64 {
+	out := slices.Clone(s.hashes)
+	for _, h := range s.set {
+		if h != 0 {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// addSample feeds the row with position key k and value v.
+func (s *Synopsis) addSample(k uint64, v float64) {
+	if k <= s.sampleCut {
+		s.sample = append(s.sample, sampled{k, v})
+		s.cut()
+	}
+}
+
+// cut cuts the sample back to the SampleSize smallest keys once it holds
+// twice that, lowering its cut to the largest key kept. Keys above a cut
+// are never among the smallest, so appending them unchecked (Merge) loses
+// nothing.
+func (s *Synopsis) cut() {
+	if len(s.sample) >= 2*SampleSize {
+		s.sample = slices.Clone(smallestKeys(s.sample))
+		s.sampleCut = s.sample[SampleSize-1].key
+	}
+}
+
+// smallestDistinct returns the DistinctLimit+1 smallest of distinct hs,
+// reordering hs (Hoare's quickselect).
+func smallestDistinct(hs []uint64) []uint64 {
+	n := DistinctLimit
+	if len(hs) <= n+1 {
+		return hs
+	}
+	for lo, hi := 0, len(hs)-1; lo < hi; {
+		p, i, j := hs[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for hs[i] < p {
+				i++
+			}
+			for hs[j] > p {
+				j--
+			}
+			if i <= j {
+				hs[i], hs[j] = hs[j], hs[i]
+				i, j = i+1, j-1
 			}
 		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			lo = hi
+		}
 	}
-	c.sampled += o.sampled
+	return hs[:n+1]
 }
 
-// Finalize builds the ColumnStats snapshot.
-func (c *Collector) Finalize() *ColumnStats {
-	s := &ColumnStats{
-		Type:  c.typ,
-		Count: c.count,
-		Nulls: c.nulls,
-		Min:   c.min,
-		Max:   c.max,
+// smallestKeys returns the SampleSize rows of rows with the smallest
+// (distinct) keys, the largest of them last, reordering rows: Hoare's
+// quickselect.
+func smallestKeys(rows []sampled) []sampled {
+	n := SampleSize - 1
+	if len(rows) <= n {
+		return rows
 	}
-	d := float64(len(c.distinct))
-	switch {
-	case c.distinctOver:
-		// The set overflowed: scale the reservoir's distinct ratio up to
-		// the full population.
-		seen := make(map[uint64]struct{}, len(c.sample))
-		for _, v := range c.sample {
-			seen[v.Hash()] = struct{}{}
+	for lo, hi := 0, len(rows)-1; lo < hi; {
+		p, i, j := rows[lo+(hi-lo)/2].key, lo, hi
+		for i <= j {
+			for rows[i].key < p {
+				i++
+			}
+			for rows[j].key > p {
+				j--
+			}
+			if i <= j {
+				rows[i], rows[j] = rows[j], rows[i]
+				i, j = i+1, j-1
+			}
 		}
-		ratio := float64(len(seen)) / float64(len(c.sample))
-		s.Distinct = ratio * float64(c.count)
-		if s.Distinct < float64(DistinctLimit) {
-			s.Distinct = float64(DistinctLimit)
-		}
-	case c.fedDistinct > 0 && d > float64(c.fedDistinct)/2:
-		// The sampled stream is mostly unique — a high-cardinality column
-		// observed through the sampling gate; scale up to the population.
-		s.Distinct = d * float64(c.count) / float64(c.fedDistinct)
-	default:
-		// The sample saturated well below its size: the sample plausibly
-		// saw every distinct value (low-cardinality column).
-		s.Distinct = d
-	}
-	if numericish(c.typ) && len(c.sample) >= HistogramBuckets {
-		xs := make([]float64, len(c.sample))
-		for i, v := range c.sample {
-			xs[i] = v.Float()
-		}
-		sort.Float64s(xs)
-		s.bounds = make([]float64, HistogramBuckets+1)
-		for b := 0; b <= HistogramBuckets; b++ {
-			idx := b * (len(xs) - 1) / HistogramBuckets
-			s.bounds[b] = xs[idx]
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			lo = hi
 		}
 	}
-	return s
+	return rows[:n+1]
 }
+
+// posSeed keeps a row's position key apart from the hash of an equal
+// integer value.
+const posSeed = 0x9e3779b97f4a7c15
+
+// valueHash is the distinct sketch's hash of a non-NULL value.
+func valueHash(v datum.Datum) uint64 {
+	if v.T == datum.Float || v.T == datum.Text {
+		return mix(v.Hash())
+	}
+	return mix(uint64(v.Int()))
+}
+
+// mix is MurmurHash3's 64-bit finalizer: a bijection whose outputs are
+// spread uniformly enough for the sketches to rank them.
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// Collector feeds one Synopsis in arrival order, each value at its
+// ordinal: the position key of a table's row number. The load-first heap's
+// ANALYZE uses it.
+type Collector struct{ syn *Synopsis }
+
+// NewCollector returns an empty collector for a column of type typ. The
+// seed is ignored: the sample is chosen by position, not at random.
+func NewCollector(typ datum.Type, seed int64) *Collector {
+	return &Collector{syn: NewSynopsis(typ)}
+}
+
+// Add feeds the next value.
+func (c *Collector) Add(v datum.Datum) { c.syn.Add(uint64(c.syn.Rows()), v) }
+
+// Finalize folds the values fed so far into ColumnStats.
+func (c *Collector) Finalize() *ColumnStats { return c.syn.Finalize() }
 
 func numericish(t datum.Type) bool {
 	return t == datum.Int || t == datum.Float || t == datum.Date
 }
 
-// Table aggregates the statistics of one table: per-column stats plus the
-// row count discovered by the first full scan. It is safe for concurrent
-// use: a finishing scan publishes stats while other sessions plan against
-// them. Individual *ColumnStats are immutable once installed.
+// Table is what the planner reads of one table's statistics: per-column
+// stats plus the row count of the last complete pass. It is safe for
+// concurrent use: a finishing scan publishes stats while other sessions
+// plan against them. Individual *ColumnStats are immutable once installed.
 type Table struct {
 	mu       sync.RWMutex
 	rowCount int64
@@ -324,8 +485,8 @@ func NewTable() *Table {
 	return &Table{cols: make(map[int]*ColumnStats)}
 }
 
-// RowCount returns the table row count discovered by the first full scan
-// (0 until then).
+// RowCount returns the row count of the last complete pass (0 until
+// then).
 func (t *Table) RowCount() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -355,19 +516,6 @@ func (t *Table) Col(col int) *ColumnStats {
 
 // Has reports whether stats exist for the column.
 func (t *Table) Has(col int) bool { return t.Col(col) != nil }
-
-// Ordinals returns the sorted column ordinals that have stats, for
-// deterministic sidecar serialization.
-func (t *Table) Ordinals() []int {
-	t.mu.RLock()
-	out := make([]int, 0, len(t.cols))
-	for col := range t.cols {
-		out = append(out, col)
-	}
-	t.mu.RUnlock()
-	sort.Ints(out)
-	return out
-}
 
 // CoveredColumns returns how many columns have stats.
 func (t *Table) CoveredColumns() int {

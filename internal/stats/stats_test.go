@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nodb/internal/datum"
@@ -150,13 +152,24 @@ func TestEmptyColumn(t *testing.T) {
 	}
 }
 
-func TestReservoirIsBounded(t *testing.T) {
-	c := NewCollector(datum.Int, 1)
+func TestSampleIsBounded(t *testing.T) {
+	s := NewSynopsis(datum.Int)
 	for i := 0; i < SampleSize*10; i++ {
-		c.Add(datum.NewInt(int64(i)))
+		s.Add(uint64(i), datum.NewInt(int64(i)))
+		if len(s.sample) >= 2*SampleSize {
+			t.Fatalf("sample holds %d rows after %d", len(s.sample), i+1)
+		}
 	}
-	if len(c.sample) != SampleSize {
-		t.Errorf("sample size = %d, want %d", len(c.sample), SampleSize)
+	if _, keys, _ := s.Sketches(); len(keys) != SampleSize {
+		t.Errorf("sample size = %d, want %d", len(keys), SampleSize)
+	}
+	// A table of SampleSize rows or fewer keeps every row.
+	small := NewSynopsis(datum.Float)
+	for i := 0; i < SampleSize; i++ {
+		small.Add(uint64(i), datum.NewFloat(float64(i)))
+	}
+	if _, keys, _ := small.Sketches(); len(keys) != SampleSize {
+		t.Errorf("small table sample = %d rows, want all %d", len(keys), SampleSize)
 	}
 }
 
@@ -216,59 +229,107 @@ func TestCdfMonotonic(t *testing.T) {
 	}
 }
 
-func TestCollectorMerge(t *testing.T) {
-	// Split one value stream across three partition collectors; the merged
-	// result must match a single collector exactly on the exact statistics
-	// (counts, nulls, min/max, exact distinct).
-	whole := NewCollector(datum.Int, 1)
-	parts := []*Collector{NewCollector(datum.Int, 1), NewCollector(datum.Int, 2), NewCollector(datum.Int, 3)}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 900; i++ {
-		var v datum.Datum
-		if i%13 == 0 {
-			v = datum.NewNull(datum.Int)
-		} else {
-			v = datum.NewInt(int64(rng.Intn(200) - 100))
+// feedParts feeds rows [0, n) of a seeded column to one synopsis per
+// part, splitting at cuts, and returns the parts.
+func feedParts(typ datum.Type, n int, cuts []int, value func(i int) datum.Datum) []*Synopsis {
+	var parts []*Synopsis
+	lo := 0
+	for _, hi := range append(cuts, n) {
+		p := NewSynopsis(typ)
+		for i := lo; i < hi; i++ {
+			p.Add(uint64(i)*37, value(i))
 		}
-		whole.Add(v)
-		parts[i/300].Add(v)
+		parts = append(parts, p)
+		lo = hi
 	}
-	merged := parts[0]
-	merged.Merge(parts[1])
-	merged.Merge(parts[2])
-	merged.Merge(nil) // no-op
+	return parts
+}
 
-	a, b := whole.Finalize(), merged.Finalize()
-	if a.Count != b.Count || a.Nulls != b.Nulls {
-		t.Errorf("count/nulls: seq %d/%d merged %d/%d", a.Count, a.Nulls, b.Count, b.Nulls)
+func TestSynopsisMerge(t *testing.T) {
+	// One column split into partitions at arbitrary rows and merged in any
+	// order folds to exactly the single pass's statistics: counts, NULLs,
+	// exact min/max, distinct count and histogram bounds.
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]datum.Datum, 20000)
+	for i := range vals {
+		switch {
+		case i%13 == 0:
+			vals[i] = datum.NewNull(datum.Int)
+		case i < 10000:
+			vals[i] = datum.NewInt(int64(rng.Intn(10000)))
+		default:
+			vals[i] = datum.NewInt(int64(rng.Intn(100)) * 1000)
+		}
 	}
-	if datum.Compare(a.Min, b.Min) != 0 || datum.Compare(a.Max, b.Max) != 0 {
-		t.Errorf("min/max: seq %v/%v merged %v/%v", a.Min, a.Max, b.Min, b.Max)
+	value := func(i int) datum.Datum { return vals[i] }
+	want := feedParts(datum.Int, len(vals), nil, value)[0].Finalize()
+	for _, cuts := range [][]int{{1}, {4321}, {5000, 10000, 15000}, {3, 999, 1024, 7777, 19999}} {
+		parts := feedParts(datum.Int, len(vals), cuts, value)
+		fwd, rev := NewSynopsis(datum.Int), NewSynopsis(datum.Int)
+		for i := range parts {
+			fwd.Merge(parts[i])
+		}
+		rev.Merge(parts[len(parts)-1])
+		for i := len(parts) - 2; i >= 0; i-- {
+			rev.Merge(parts[i])
+		}
+		for name, s := range map[string]*Synopsis{"forward": fwd, "reverse": rev} {
+			if got := s.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Errorf("cuts %v %s: merged %+v, single pass %+v", cuts, name, got, want)
+			}
+		}
 	}
-	if a.Distinct != b.Distinct {
-		t.Errorf("distinct: seq %v merged %v", a.Distinct, b.Distinct)
-	}
-	if len(merged.sample) > SampleSize {
-		t.Errorf("merged sample overflowed: %d", len(merged.sample))
+	if want.Min.Int() != 0 || want.Max.Int() != 99000 {
+		t.Errorf("min/max = %v/%v, want the exact extremes", want.Min, want.Max)
 	}
 }
 
-func TestCollectorMergeOverflowSaturates(t *testing.T) {
-	a := NewCollector(datum.Int, 1)
-	b := NewCollector(datum.Int, 2)
-	for i := 0; i < DistinctLimit; i++ {
-		a.Add(datum.NewInt(int64(i)))
-		b.Add(datum.NewInt(int64(i + DistinctLimit)))
+func TestSynopsisDistinct(t *testing.T) {
+	// Exact up to the limit, at it, and in a union of two halves; an
+	// estimate within a few percent beyond it.
+	for _, n := range []int{1, 100, DistinctLimit, DistinctLimit + 1, 10000, 100000} {
+		for _, typ := range []datum.Type{datum.Int, datum.Text, datum.Float} {
+			value := func(i int) datum.Datum {
+				switch typ {
+				case datum.Text:
+					return datum.NewText(fmt.Sprintf("v%d", i%n))
+				case datum.Float:
+					return datum.NewFloat(float64(i%n) / 8)
+				}
+				return datum.NewInt(int64(i % n))
+			}
+			parts := feedParts(typ, 2*n, []int{n}, value)
+			parts[0].Merge(parts[1])
+			cs := parts[0].Finalize()
+			if cs.Count != int64(2*n) {
+				t.Errorf("%v n=%d: count %d", typ, n, cs.Count)
+			}
+			switch {
+			case n <= DistinctLimit && cs.Distinct != float64(n):
+				t.Errorf("%v n=%d: distinct %v, want exact", typ, n, cs.Distinct)
+			case n > DistinctLimit && math.Abs(cs.Distinct-float64(n)) > 0.05*float64(n):
+				t.Errorf("%v n=%d: distinct estimate %v", typ, n, cs.Distinct)
+			}
+		}
 	}
-	a.Merge(b)
-	if !a.distinctOver {
-		t.Error("union past the limit must mark overflow")
+}
+
+func TestSynopsisSketchesRoundTrip(t *testing.T) {
+	// A checkpoint keeps the scalars and Sketches; restoring them folds to
+	// the same statistics and keeps merging like the original.
+	rng := rand.New(rand.NewSource(9))
+	value := func(int) datum.Datum { return datum.NewFloat(rng.NormFloat64()) }
+	parts := feedParts(datum.Float, 30000, []int{20000}, value)
+	orig := parts[0]
+	back := NewSynopsis(datum.Float)
+	back.Count, back.Nulls, back.Min, back.Max = orig.Count, orig.Nulls, orig.Min, orig.Max
+	back.AddSketches(orig.Sketches())
+	if !reflect.DeepEqual(back.Finalize(), orig.Finalize()) {
+		t.Fatalf("restored %+v, original %+v", back.Finalize(), orig.Finalize())
 	}
-	s := a.Finalize()
-	if s.Count != 2*DistinctLimit {
-		t.Errorf("count = %d", s.Count)
-	}
-	if s.Distinct < float64(DistinctLimit) {
-		t.Errorf("distinct estimate = %v", s.Distinct)
+	orig.Merge(parts[1])
+	back.Merge(parts[1])
+	if !reflect.DeepEqual(back.Finalize(), orig.Finalize()) {
+		t.Errorf("after a merge: restored %+v, original %+v", back.Finalize(), orig.Finalize())
 	}
 }
